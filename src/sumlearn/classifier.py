@@ -61,9 +61,9 @@ class CnnParams:
         return params
 
 
-def init_cnn(seed=0, dtype=np.float64):
+def init_cnn(seed=0, dtype=np.float64, side=28):
     """He-initialized weights (fan-in scaling), zero biases."""
-    return CnnParams(seed=seed, dtype=dtype)
+    return CnnParams(seed=seed, dtype=dtype, side=side)
 
 
 def _as_batch(images, side, dtype):
@@ -107,8 +107,12 @@ def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batc
     return params
 
 
-def classify(params, images, chunk=512):
-    """Predicted digit and softmax probabilities per image."""
+def classify(params, images, chunk=128):
+    """Predicted digit and softmax probabilities per image.
+
+    Every layer keeps the backward cache of its latest forward pass, so
+    `chunk` bounds the memory classify holds.
+    """
     dtype = params.weighted_layers()[0].W.dtype.type
     x = _as_batch(images, params.side, dtype)
     probs = np.empty((x.shape[0], 10), dtype=np.float64)
@@ -118,15 +122,32 @@ def classify(params, images, chunk=512):
     return probs.argmax(axis=1), probs
 
 
+def evaluate(params, test_corpus, test_store):
+    """cls_acc and add_acc from a single classify pass over the test store."""
+    preds, _ = classify(params, test_store.images)
+    return {
+        "cls_acc": _classification_accuracy(preds, test_store),
+        "add_acc": _addition_accuracy(preds, test_corpus),
+    }
+
+
 def eval_classification(params, test_store):
     """Fraction of test images whose argmax matches the true label."""
     preds, _ = classify(params, test_store.images)
-    return float((preds == test_store.evaluation_labels()).mean())
+    return _classification_accuracy(preds, test_store)
 
 
 def eval_addition(params, test_corpus, test_store):
     """Fraction of test examples whose predicted digits reproduce the sum."""
     preds, _ = classify(params, test_store.images)
+    return _addition_accuracy(preds, test_corpus)
+
+
+def _classification_accuracy(preds, test_store):
+    return float((preds == test_store.evaluation_labels()).mean())
+
+
+def _addition_accuracy(preds, test_corpus):
     correct = 0
     for ex in test_corpus.examples:
         weights = 10 ** np.arange(ex.w - 1, -1, -1, dtype=np.int64)

@@ -246,10 +246,7 @@ def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):
         paths = find_idx_files(data_dir or _default_data_dir())
         test_store = ds.load_idx(paths["test_images"], paths["test_labels"], split="test")
     test_corpus = ds.build_corpus(test_store, w, h, 1, seed=seed)
-    metrics = {
-        "cls_acc": clf.eval_classification(params, test_store),
-        "add_acc": clf.eval_addition(params, test_corpus, test_store),
-    }
+    metrics = clf.evaluate(params, test_corpus, test_store)
     if out:
         with open(out, "w", encoding="utf-8") as f:
             json.dump(metrics, f, sort_keys=True)

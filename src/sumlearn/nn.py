@@ -4,6 +4,15 @@ Everything is plain numpy. Layers cache what they need on forward and fill
 their grad buffers on backward; SGDMomentum updates parameters in place.
 Determinism: all randomness comes from the rng handed to the constructors,
 and batch order is owned by the callers.
+
+Memory layout: image layers take and return (B, C, H, W) arrays, but
+Conv2d and MaxPool2x2 work channels-last. They read their input and
+gradient through (B, H, W, C) transposed views. Conv2d's output and both
+layers' input gradients are (B, C, H, W) transposed views of (B, H, W, C)
+buffers; MaxPool2x2's output and ReLU keep the layout they are given. So
+between a CNN's first convolution and its Flatten, activations and
+gradients stay channels-last in memory. Any (B, C, H, W) array is accepted;
+one that is not channels-last costs strided reads, not a different result.
 """
 
 import numpy as np
@@ -46,7 +55,13 @@ class ReLU:
 
 
 class Conv2d:
-    """Valid (no-padding) stride-1 convolution on (B, C, H, W) input."""
+    """Valid (no-padding) stride-1 convolution on (B, C, H, W) input.
+
+    im2col rows are ordered (kh, kw, C), so each of the kh*kw window
+    offsets is one slice copy of contiguous channel runs when the input is
+    channels-last in memory. W keeps its (F, C, kh, kw) shape; `_wmat`
+    reorders it to match the columns.
+    """
 
     def __init__(self, in_channels, filters, kernel, rng, dtype=np.float64):
         kh, kw = kernel
@@ -58,38 +73,37 @@ class Conv2d:
         self.kernel = (kh, kw)
 
     def _wmat(self):
-        # (C*kh*kw, F) view for the im2col product
-        f = self.W.shape[0]
-        return self.W.reshape(f, -1).T
+        # (kh*kw*C, F) matrix for the im2col product
+        return self.W.transpose(2, 3, 1, 0).reshape(-1, self.W.shape[0])
 
     def forward(self, x):
         kh, kw = self.kernel
-        windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        # (B, C, Ho, Wo, kh, kw) -> (B, Ho, Wo, C*kh*kw)
-        cols = windows.transpose(0, 2, 3, 1, 4, 5)
-        b_, ho, wo = cols.shape[:3]
-        cols = cols.reshape(b_, ho, wo, -1)
-        self._cols = cols
-        self._xshape = x.shape
-        out = cols @ self._wmat() + self.b
-        return out.transpose(0, 3, 1, 2)
+        xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
+        b_, h, w, c = xl.shape
+        ho, wo = h - kh + 1, w - kw + 1
+        cols = np.empty((b_, ho, wo, kh, kw, c), dtype=x.dtype)
+        for p in range(kh):
+            for q in range(kw):
+                cols[:, :, :, p, q, :] = xl[:, p : p + ho, q : q + wo, :]
+        self._cols = cols.reshape(b_ * ho * wo, -1)
+        self._xshape = xl.shape
+        out = self._cols @ self._wmat()
+        out += self.b
+        return out.reshape(b_, ho, wo, -1).transpose(0, 3, 1, 2)
 
     def backward(self, grad):
         kh, kw = self.kernel
         f, c = self.W.shape[:2]
-        g = grad.transpose(0, 2, 3, 1)  # (B, Ho, Wo, F)
-        b_, ho, wo = g.shape[:3]
-        dwmat = np.tensordot(self._cols, g, axes=([0, 1, 2], [0, 1, 2]))
-        self.dW[...] = dwmat.T.reshape(self.W.shape)
-        self.db[...] = g.sum(axis=(0, 1, 2))
-        dcols = (g @ self._wmat().T).reshape(b_, ho, wo, c, kh, kw)
-        dx = np.zeros(self._xshape, dtype=grad.dtype)
+        b_, ho, wo = grad.shape[0], grad.shape[2], grad.shape[3]
+        g = grad.transpose(0, 2, 3, 1).reshape(-1, f)  # (B*Ho*Wo, F)
+        self.dW[...] = (self._cols.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+        self.db[...] = g.sum(axis=0)
+        dcols = (g @ self._wmat().T).reshape(b_, ho, wo, kh, kw, c)
+        dx = np.zeros(self._xshape, dtype=grad.dtype)  # (B, H, W, C)
         for p in range(kh):
             for q in range(kw):
-                dx[:, :, p : p + ho, q : q + wo] += dcols[:, :, :, :, p, q].transpose(
-                    0, 3, 1, 2
-                )
-        return dx
+                dx[:, p : p + ho, q : q + wo, :] += dcols[:, :, :, p, q, :]
+        return dx.transpose(0, 3, 1, 2)
 
     def params(self):
         return [(self.W, self.dW), (self.b, self.db)]
@@ -99,27 +113,32 @@ class MaxPool2x2:
     """2x2 max pooling, stride 2, floor on odd sizes.
 
     Backward routes the gradient to the first maximal element of each
-    window (argmax tie rule).
+    window (argmax tie rule), in the order (0,0), (0,1), (1,0), (1,1).
+    Only that index is kept, as uint8, never the input.
     """
 
     def forward(self, x):
-        b, c, h, w = x.shape
-        ho, wo = h // 2, w // 2
-        self._xshape = x.shape
-        win = x[:, :, : ho * 2, : wo * 2].reshape(b, c, ho, 2, wo, 2)
-        win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, 4)
-        self._argmax = win.argmax(axis=-1)
-        return win.max(axis=-1)
+        xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
+        self._xshape = xl.shape
+        ho, wo = xl.shape[1] // 2, xl.shape[2] // 2
+        q0, q1, q2, q3 = (
+            xl[:, p : 2 * ho : 2, q : 2 * wo : 2, :] for p in (0, 1) for q in (0, 1)
+        )
+        top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
+        first = (q1 > q0).view(np.uint8)  # 0 or 1: first max of the top pair
+        second = (q3 > q2).view(np.uint8) + np.uint8(2)  # 2 or 3: bottom pair
+        self._index = first + (bottom > top).view(np.uint8) * (second - first)
+        out = np.maximum(top, bottom, out=top)
+        return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad):
-        b, c, h, w = self._xshape
-        ho, wo = h // 2, w // 2
-        d4 = np.zeros((b, c, ho, wo, 4), dtype=grad.dtype)
-        np.put_along_axis(d4, self._argmax[..., None], grad[..., None], axis=-1)
-        d4 = d4.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        dx = np.zeros(self._xshape, dtype=grad.dtype)
-        dx[:, :, : ho * 2, : wo * 2] = d4.reshape(b, c, ho * 2, wo * 2)
-        return dx
+        g = grad.transpose(0, 2, 3, 1)  # (B, Ho, Wo, C)
+        ho, wo = g.shape[1:3]
+        dx = np.zeros(self._xshape, dtype=grad.dtype)  # (B, H, W, C)
+        for k in range(4):
+            p, q = divmod(k, 2)
+            np.multiply(g, self._index == k, out=dx[:, p : 2 * ho : 2, q : 2 * wo : 2, :])
+        return dx.transpose(0, 3, 1, 2)
 
     def params(self):
         return []

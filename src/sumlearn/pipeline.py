@@ -414,8 +414,7 @@ def _stage_evaluate(config, ctx):
     metrics["provenance_counts"] = {
         name: int(summary[name]) for name in ("cluster", "radius", "inferred")
     }
-    metrics["cls_acc"] = clf.eval_classification(ctx["cnn"], test_store)
-    metrics["add_acc"] = clf.eval_addition(ctx["cnn"], ctx["test_corpus"], test_store)
+    metrics.update(clf.evaluate(ctx["cnn"], ctx["test_corpus"], test_store))
 
 
 _STAGES = [

@@ -70,6 +70,102 @@ class TestGradients:
                 assert np.abs(analytic[~mask]).max(initial=0.0) < 1e-8
 
 
+def conv_reference(x, W, b):
+    """Valid stride-1 convolution by nested loops over (b, f, i, j)."""
+    n, _, h, w = x.shape
+    f, _, kh, kw = W.shape
+    out = np.zeros((n, f, h - kh + 1, w - kw + 1))
+    for bi in range(n):
+        for fi in range(f):
+            for i in range(h - kh + 1):
+                for j in range(w - kw + 1):
+                    out[bi, fi, i, j] = (x[bi, :, i : i + kh, j : j + kw] * W[fi]).sum() + b[fi]
+    return out
+
+
+def conv_reference_grads(x, W, grad):
+    """dW, db, dx of conv_reference for upstream `grad`, by nested loops."""
+    n, _, ho, wo = grad.shape
+    f, _, kh, kw = W.shape
+    dW, dx = np.zeros_like(W), np.zeros_like(x)
+    for bi in range(n):
+        for fi in range(f):
+            for i in range(ho):
+                for j in range(wo):
+                    g = grad[bi, fi, i, j]
+                    dW[fi] += g * x[bi, :, i : i + kh, j : j + kw]
+                    dx[bi, :, i : i + kh, j : j + kw] += g * W[fi]
+    return dW, grad.sum(axis=(0, 2, 3)), dx
+
+
+def channels_last_view(a):
+    """Same (B, C, H, W) values, stored channels-last in memory."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+class TestLayers:
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    def test_conv_matches_nested_loop_reference(self, layout):
+        rng = np.random.default_rng(12)
+        conv = nn.Conv2d(3, 4, (3, 2), rng, dtype=np.float64)
+        conv.b[...] = rng.normal(size=4)
+        x = rng.normal(size=(2, 3, 7, 6))
+        grad = rng.normal(size=(2, 4, 5, 5))
+        if layout == "channels_last":
+            x, grad = channels_last_view(x), channels_last_view(grad)
+        out = conv.forward(x)
+        dx = conv.backward(grad)
+        ref_dW, ref_db, ref_dx = conv_reference_grads(x, conv.W, grad)
+        np.testing.assert_allclose(out, conv_reference(x, conv.W, conv.b), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.dW, ref_dW, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.db, ref_db, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+        assert conv.W.shape == (4, 3, 3, 2)
+
+    def test_pool_routes_all_equal_windows_to_first_element(self):
+        x = np.full((1, 2, 4, 4), 0.5)
+        pool = nn.MaxPool2x2()
+        assert np.array_equal(pool.forward(x), np.full((1, 2, 2, 2), 0.5))
+        dx = pool.backward(np.arange(1.0, 9.0).reshape(1, 2, 2, 2))
+        expected = np.zeros((1, 2, 4, 4))
+        expected[:, :, ::2, ::2] = np.arange(1.0, 9.0).reshape(1, 2, 2, 2)
+        assert np.array_equal(dx, expected)
+
+    def test_pool_routes_post_relu_zero_windows_to_first_element(self):
+        relu, pool = nn.ReLU(), nn.MaxPool2x2()
+        x = -np.random.default_rng(13).random((2, 3, 6, 6))
+        x[0, 1, 2:4, 2:4] = [[-1.0, 2.0], [2.0, 0.5]]  # one window with a tie at 2.0
+        out = pool.forward(relu.forward(channels_last_view(x)))
+        assert out[0, 1, 1, 1] == 2.0
+        dx = pool.backward(np.ones_like(out))
+        expected = np.zeros_like(x)
+        expected[:, :, ::2, ::2] = 1.0
+        expected[0, 1, 2, 2] = 0.0
+        expected[0, 1, 2, 3] = 1.0
+        assert np.array_equal(dx, expected)
+
+    def test_pool_floors_odd_sizes_and_zeroes_dropped_gradient(self):
+        rng = np.random.default_rng(14)
+        x = rng.random((2, 3, 5, 7))
+        pool = nn.MaxPool2x2()
+        out = pool.forward(x)
+        assert out.shape == (2, 3, 2, 3)
+        windows = x[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2)
+        assert np.array_equal(out, windows.max(axis=(3, 5)))
+        dx = pool.backward(rng.random(out.shape) + 1.0)
+        assert dx.shape == x.shape
+        assert not dx[:, :, 4, :].any()
+        assert not dx[:, :, :, 6].any()
+        assert np.count_nonzero(dx) == out.size
+
+    def test_pool_keeps_no_reference_to_its_input(self):
+        pool = nn.MaxPool2x2()
+        x = np.random.default_rng(15).random((2, 3, 4, 4))
+        pool.forward(x)
+        for value in vars(pool).values():
+            assert not (isinstance(value, np.ndarray) and np.shares_memory(value, x))
+
+
 class TestInitCnn:
     def test_shape_audit(self):
         params = init_cnn(seed=0)
@@ -103,6 +199,13 @@ class TestInitCnn:
         params = init_cnn(seed=2)
         for layer in params.weighted_layers():
             assert not layer.b.any()
+
+    def test_side_14_network(self):
+        params = init_cnn(seed=0, side=14)
+        assert params.side == 14
+        x = np.random.default_rng(0).random((3, 1, 14, 14))
+        assert nn.forward(params.layers, x).shape == (3, 10)
+        assert params.weighted_layers()[3].W.shape == (64 * 1 * 1, 100)
 
     def test_same_seed_identical(self):
         a, b = init_cnn(seed=3), init_cnn(seed=3)
@@ -207,6 +310,22 @@ class TestEval:
         assert eval_classification(params, test_store) == 1.0
         corpus = build_corpus(test_store, w=2, h=2, seed=0)
         assert eval_addition(params, corpus, test_store) == 1.0
+
+    def test_evaluate_classifies_once(self, monkeypatch):
+        params = self.trained_blob_cnn()
+        test_store = blob_store(n=80, seed=9, split="test")
+        corpus = build_corpus(test_store, w=2, h=2, seed=0)
+        expected = {
+            "cls_acc": eval_classification(params, test_store),
+            "add_acc": eval_addition(params, corpus, test_store),
+        }
+        calls = []
+        original = clf.classify
+        monkeypatch.setattr(
+            clf, "classify", lambda *args: calls.append(1) or original(*args)
+        )
+        assert clf.evaluate(params, corpus, test_store) == expected
+        assert len(calls) == 1
 
     def test_untrained_net_near_chance(self, rng):
         labels = rng.integers(0, 10, 1000)
