@@ -5,7 +5,10 @@ Each example contributes one linear equation: summing positional weights
 integer row A[e] with Sum_c A[e][c] * v_c = s_e when the digit vector v is
 right. A batch is solved to *global* optimality under the L1 residual
 objective by depth-first branch and bound over the 10 bounded integer
-variables; ties go to the lexicographically smallest digit vector. Batch
+variables, pruned by interval and Lagrangian bounds. One search serves
+both phases: the first finds the optimum and a witness digit vector that
+reaches it, the second lowers that witness, digit by digit, to the
+lexicographically smallest optimum, which is the tie-break. Batch
 candidates then vote: the one satisfying the most examples corpus-wide
 wins.
 """
@@ -95,19 +98,36 @@ def residuals(system, digits):
     return np.abs(system.coeffs @ digits - system.targets)
 
 
-def completion_bound(coeffs, targets, fixed, slack9):
-    """Admissible lower bound on the residual of any completion.
-
-    `fixed` is each row's contribution from already-assigned clusters and
-    `slack9` the contribution if every free cluster took digit 9; the bound
-    is the distance from each target to the interval [fixed, fixed+slack9].
-    """
-    lo = fixed - targets
-    hi = targets - (fixed + slack9)
-    return int(np.maximum(0, np.maximum(lo, hi)).sum())
-
-
 _DUAL_SCALE = 256  # multipliers quantized to n/256 for exact integer bounds
+
+
+def _ascend(free, fdiff, lam, evals, rate, power):
+    """Projected supergradient ascent on the Lagrangian dual of min |A x + f|.
+
+    Maximizes g(lam) = sum(min(0, 9 * free.T @ lam)) + lam @ fdiff over
+    lam in [-1,1]^B, with free digits in [0, 9] relaxed independently.
+    Evaluates at most `evals` points with step rate / (1+t)^power and
+    returns the best one.
+    """
+    best_lam, best_val = lam, -np.inf
+    for t in range(evals):
+        u = free.T @ lam
+        val = np.minimum(0.0, 9.0 * u).sum() + lam @ fdiff
+        if val > best_val:
+            best_val, best_lam = val, lam
+        if t == evals - 1:
+            break
+        grad = free @ np.where(u < 0, 9.0, 0.0) + fdiff
+        norm = np.abs(grad).max()
+        if norm == 0:
+            break
+        lam = np.clip(lam + rate / (1 + t) ** power * grad / norm, -1.0, 1.0)
+    return best_lam
+
+
+def _quantize(lam):
+    n = np.clip(np.rint(lam * _DUAL_SCALE), -_DUAL_SCALE, _DUAL_SCALE)
+    return n.astype(np.int64)
 
 
 def dual_multipliers(coeffs, targets, warm_digits, iters=60):
@@ -115,33 +135,15 @@ def dual_multipliers(coeffs, targets, warm_digits, iters=60):
 
     Since |x| >= lambda*x for any lambda in [-1,1], every such vector yields
     an admissible bound; projected supergradient ascent only improves its
-    quality. Returns int64 numerators.
+    quality. Returns int64 numerators and the float multipliers.
     """
     if targets.shape[0] == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
     a = coeffs.astype(np.float64)
     s = targets.astype(np.float64)
-
-    def value(lam):
-        u = a.T @ lam
-        return np.minimum(0.0, 9.0 * u).sum() - lam @ s
-
     lam = np.sign(a @ warm_digits - s)  # subgradient of |.| at the incumbent
-    best_lam, best_val = lam, value(lam)
-    cur = lam.copy()
-    for t in range(iters):
-        u = a.T @ cur
-        minimizer = np.where(u < 0, 9.0, 0.0)
-        grad = a @ minimizer - s
-        norm = np.abs(grad).max()
-        if norm == 0:
-            break
-        cur = np.clip(cur + 0.5 / (1 + t) ** 0.7 * grad / norm, -1.0, 1.0)
-        val = value(cur)
-        if val > best_val:
-            best_val, best_lam = val, cur.copy()
-    n = np.rint(best_lam * _DUAL_SCALE).astype(np.int64)
-    return np.clip(n, -_DUAL_SCALE, _DUAL_SCALE), best_lam
+    best_lam = _ascend(a, -s, lam, iters + 1, 0.5, 0.7)
+    return _quantize(best_lam), best_lam
 
 
 class _Bounds:
@@ -181,7 +183,11 @@ class _Bounds:
         return int(self.dual_n @ fixed)
 
     def children(self, j, fixed, nfx256):
-        """Cheap bounds and state for the 10 digit choices of column j."""
+        """Cheap bounds and state for the 10 digit choices of column j.
+
+        `interval` is each target's distance to [fixed, fixed + slack9],
+        the range every completion of columns j+1.. can reach.
+        """
         col = self.coeffs[:, j]
         fx = fixed[:, None] + np.outer(col, _DIGITS)
         lo = fx - self.targets[:, None]
@@ -204,88 +210,63 @@ class _Bounds:
         bound is evaluated exactly from their quantization.
         """
         free = self.coeffs_f[:, j:]
-        fdiff = fixed - self.targets_f
-        cur = lam
-        best_lam, best_g = lam, -np.inf
-        for t in range(self.ASCENT_ITERS):
-            u = free.T @ cur
-            g = np.minimum(0.0, 9.0 * u).sum() + cur @ fdiff
-            if g > best_g:
-                best_g, best_lam = g, cur
-            minimizer = np.where(u < 0, 9.0, 0.0)
-            grad = free @ minimizer + fdiff
-            norm = np.abs(grad).max()
-            if norm == 0:
-                break
-            cur = np.clip(cur + 0.6 / (1 + t) ** 0.6 * grad / norm, -1.0, 1.0)
-        n = np.clip(np.rint(best_lam * _DUAL_SCALE), -_DUAL_SCALE, _DUAL_SCALE)
-        n = n.astype(np.int64)
+        best_lam = _ascend(free, fixed - self.targets_f, lam, self.ASCENT_ITERS, 0.6, 0.6)
+        n = _quantize(best_lam)
         u256 = self.coeffs[:, j:].T @ n
         b256 = int(n @ fixed) + int(np.minimum(0, 9 * u256).sum()) - int(n @ self.targets)
         return -((-b256) // _DUAL_SCALE), best_lam
 
 
-def _min_objective(bounds, incumbent, fixed, nfx256, lam):
-    """Optimal L1 residual over free columns, given an achievable incumbent."""
+def _search(bounds, fixed, lam, best, stop=-1):
+    """Depth-first branch and bound over the free columns.
+
+    Returns the best L1 residual below `best` and the per-column digits
+    reaching it (None if no completion beats `best`). Stops at the first
+    leaf whose residual is at or under `stop`.
+    """
     m = bounds.n_cols
-    best = incumbent
+    path = np.zeros(m, dtype=np.int64)
+    found = None
 
     def rec(j, fx, nfx, lam):
-        nonlocal best
+        nonlocal best, found
         if j == m:
             val = int(np.abs(fx - bounds.targets).sum())
             if val < best:
-                best = val
-            return
-        if j > 0 and bounds.use_ascent(j):
+                best, found = val, path.copy()
+            return best <= stop
+        if bounds.use_ascent(j):
             node_bound, lam = bounds.ascent_bound(j, fx, lam)
             if node_bound >= best:
-                return
+                return False
         order_key, child, fxs, nfxs = bounds.children(j, fx, nfx)
         for d in np.argsort(order_key, kind="stable"):
             if order_key[d] >= best:
                 break  # ascending order: remaining digits prune too
             if child[d] >= best:
                 continue
-            rec(j + 1, fxs[:, d], int(nfxs[d]), lam)
-
-    rec(0, fixed, nfx256, lam)
-    return best
-
-
-def _can_complete(bounds, fixed, nfx256, budget, lam):
-    """True iff some assignment of the free columns has residual <= budget."""
-    m = bounds.n_cols
-
-    def rec(j, fx, nfx, lam):
-        if j == m:
-            return int(np.abs(fx - bounds.targets).sum()) <= budget
-        if bounds.use_ascent(j):
-            node_bound, lam = bounds.ascent_bound(j, fx, lam)
-            if node_bound > budget:
-                return False
-        order_key, child, fxs, nfxs = bounds.children(j, fx, nfx)
-        for d in np.argsort(order_key, kind="stable"):
-            if order_key[d] > budget:
-                break
-            if child[d] > budget:
-                continue
+            path[j] = d
             if rec(j + 1, fxs[:, d], int(nfxs[d]), lam):
                 return True
         return False
 
-    return rec(0, fixed, nfx256, lam)
+    rec(0, fixed, bounds.root_fixed(fixed), lam)
+    return best, found
 
 
 def solve_batch(system, initial_digits=None):
     """Globally optimal digit vector for one batch.
 
-    Phase 1 finds the optimal objective by depth-first branch and bound:
+    Phase 1 finds the optimal objective f* by depth-first branch and bound:
     columns in descending mass order, children explored best-bound-first,
-    nodes pruned when their interval bound reaches the incumbent. Phase 2
-    rebuilds the argmin lexicographically: cluster by cluster, the smallest
-    digit that still completes to the optimal value. Clusters absent from
-    the batch get digit 0.
+    nodes pruned when their bound reaches the incumbent. It also returns a
+    witness, an optimal digit vector: the warm (or all-zero) start unless a
+    leaf beat it. Phase 2 lowers the witness to the lexicographically
+    smallest optimum: cluster by cluster, in index order, it searches only
+    digits below the witness's for one that still completes to f*. The
+    first that does is kept and its completion becomes the witness;
+    otherwise the witness's digit stands. Clusters absent from the batch
+    get digit 0.
     """
     coeffs, targets = system.coeffs, system.targets
     k = system.n_clusters
@@ -301,26 +282,29 @@ def solve_batch(system, initial_digits=None):
             incumbent = warm_obj
     dual_n, lam = dual_multipliers(coeffs, targets, warm)
 
-    bounds = _Bounds(coeffs[:, active], targets, dual_n)
     zero = np.zeros_like(targets)
-    f_star = _min_objective(bounds, incumbent, zero, 0, lam)
+    bounds = _Bounds(coeffs[:, active], targets, dual_n)
+    f_star, cols = _search(bounds, zero, lam, incumbent)
+    witness = warm.copy()
+    if cols is not None:
+        witness[active] = cols
 
     digits = np.zeros(k, dtype=np.int64)
     fixed = zero
     undecided = list(active)
-    for c in range(k):
-        if mass[c] == 0:
-            continue
+    for c in sorted(active):
         undecided.remove(c)
-        rest = _Bounds(coeffs[:, undecided], targets, dual_n)
-        for d in range(10):
+        if witness[c]:
+            rest = _Bounds(coeffs[:, undecided], targets, dual_n)
+        for d in range(witness[c]):
             fx = fixed + coeffs[:, c] * d
-            if _can_complete(rest, fx, rest.root_fixed(fx), f_star, lam):
-                digits[c] = d
-                fixed = fx
+            _, cols = _search(rest, fx, lam, f_star + 1, stop=f_star)
+            if cols is not None:
+                witness[c] = d
+                witness[undecided] = cols
                 break
-        else:  # pragma: no cover - f_star is achievable by construction
-            raise AssertionError("no digit completes to the optimal objective")
+        digits[c] = witness[c]
+        fixed = fixed + coeffs[:, c] * digits[c]
 
     return DigitAssignment(digits=digits, objective=f_star)
 

@@ -22,6 +22,13 @@ def _default_data_dir():
     return os.environ.get(DATA_DIR_ENV)
 
 
+def _out_path(path):
+    """An output file's path, its parent directory created if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _load_train_store(data_dir):
     paths = find_idx_files(data_dir)
     return ds.load_idx(paths["train_images"], paths["train_labels"], split="train")
@@ -149,14 +156,14 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
 def embed(data_dir, store_path, backend, epochs, dim, seed, out):
     """Learn the 10-d representation (autoencoder or PCA fallback)."""
     store = ds.load_store(store_path) if store_path else _load_train_store(data_dir or _default_data_dir())
+    out = _out_path(out)
     if backend == "pca":
         matrix = emb.pca_embed(store, dim=dim)
     else:
         widths = (store.dim, 500, 500, 2000, dim)
         params = emb.train_autoencoder(store, epochs, seed=seed, widths=widths)
-        params.save(str(Path(out).with_name("autoencoder.tf")))
+        params.save(str(out.with_name("autoencoder.tf")))
         matrix = emb.encode(params, store)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     emb.save_embedding(out, matrix, meta={"backend": backend})
     click.echo(f"embedding {matrix.shape} -> {out}")
 
@@ -172,8 +179,9 @@ def cluster(embedding_path, k, seed, max_iter, tol, out):
     """k-means with k-means++ seeding over the embedding."""
     _, matrix = emb.load_embedding(embedding_path)
     model = clu.kmeans(matrix, k, seed=seed, max_iter=max_iter, tol=tol)
+    out = _out_path(out)
     model.save(out)
-    clu.save_assignment(str(Path(out).with_name("cluster_assignment.bin")), model.assignment)
+    clu.save_assignment(str(out.with_name("cluster_assignment.bin")), model.assignment)
     click.echo(f"k={k} clusters, inertia {model.inertia_history[-1]:.4g} -> {out}")
 
 
@@ -187,7 +195,7 @@ def assign(corpus_path, cluster_path, batch_size, out):
     corpus = ds.load_corpus(corpus_path)
     model = clu.ClusterModel.load(cluster_path)
     result = asg.solve_corpus(corpus, model, batch_size=batch_size)
-    result.save(out)
+    result.save(_out_path(out))
     click.echo(
         f"digits {list(map(int, result.digits))}, objective {result.objective}, "
         f"satisfied {result.satisfied_count}/{len(corpus)} -> {out}"
@@ -207,7 +215,7 @@ def infer(corpus_path, cluster_path, assignment_path, out_labels, out_summary):
     result = asg.DigitAssignment.load(assignment_path)
     state = inf.init_labels(model, result)
     state = inf.run_inference(state, corpus, model)
-    inf.save_labels(state, out_labels, out_summary)
+    inf.save_labels(state, _out_path(out_labels), _out_path(out_summary))
     click.echo(f"labels -> {out_labels}; {state.counts()}")
 
 
@@ -225,7 +233,7 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
     side = round(store.dim**0.5)
     params = clf.CnnParams(seed=seed, side=side, dtype=np.float32)
     params = clf.train_cnn(params, store, labels, epochs, seed=seed)
-    params.save(out)
+    params.save(_out_path(out))
     click.echo(f"cnn -> {out}")
 
 
@@ -248,7 +256,7 @@ def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):
     test_corpus = ds.build_corpus(test_store, w, h, 1, seed=seed)
     metrics = clf.evaluate(params, test_corpus, test_store)
     if out:
-        with open(out, "w", encoding="utf-8") as f:
+        with open(_out_path(out), "w", encoding="utf-8") as f:
             json.dump(metrics, f, sort_keys=True)
             f.write("\n")
     click.echo(json.dumps(metrics, sort_keys=True))

@@ -358,8 +358,10 @@ def _stage_infer(config, ctx):
         try:
             with open(json_path, "r", encoding="utf-8") as f:
                 summary = json.load(f)
-            if summary.get("config_key") == key:
-                ctx["labels"] = inf.load_labels(bin_path)
+            labels = inf.load_labels(bin_path)
+            # a truncated file keeps its key; resume only one label per image
+            if summary.get("config_key") == key and labels.shape[0] == len(ctx["store"]):
+                ctx["labels"] = labels
                 ctx["label_summary"] = summary
                 return
         except (ValueError, KeyError):

@@ -10,7 +10,6 @@ from sumlearn.assignment import (
     DigitAssignment,
     _Bounds,
     build_batch_system,
-    completion_bound,
     count_satisfied,
     dual_multipliers,
     residuals,
@@ -89,23 +88,27 @@ class TestBuildBatchSystem:
 
 class TestCompletionBound:
     def test_admissible_on_random_instances(self, rng):
-        # bound at a random partial assignment never exceeds the true best
-        # completion cost, computed by enumeration
+        # the interval bound _Bounds.children gives each digit of the next
+        # column never exceeds the true best completion cost, computed by
+        # enumeration
         for _ in range(25):
             system = random_system(rng, k=3, n_rows=8)
+            coeffs, targets = system.coeffs, system.targets
+            dual_n, _ = dual_multipliers(coeffs, targets, np.zeros(3, dtype=np.int64))
+            bounds = _Bounds(coeffs, targets, dual_n)
             n_fixed = int(rng.integers(0, 3))
             fixed_digits = rng.integers(0, 10, size=n_fixed)
-            fixed = system.coeffs[:, :n_fixed] @ fixed_digits if n_fixed else np.zeros(
+            fixed = coeffs[:, :n_fixed] @ fixed_digits if n_fixed else np.zeros(
                 8, dtype=np.int64
             )
-            free = system.coeffs[:, n_fixed:]
-            slack9 = 9 * free.sum(axis=1)
-            bound = completion_bound(free, system.targets, fixed, slack9)
-            best = min(
-                int(np.abs(fixed + free @ np.array(c) - system.targets).sum())
-                for c in itertools.product(range(10), repeat=3 - n_fixed)
-            )
-            assert bound <= best
+            interval, _, _, _ = bounds.children(n_fixed, fixed, bounds.root_fixed(fixed))
+            for d in range(10):
+                head = fixed + coeffs[:, n_fixed] * d
+                best = min(
+                    int(np.abs(head + coeffs[:, n_fixed + 1 :] @ np.array(c) - targets).sum())
+                    for c in itertools.product(range(10), repeat=2 - n_fixed)
+                )
+                assert interval[d] <= best
 
     def test_lagrangian_bounds_admissible(self, rng):
         # both the static multiplier bound and the per-node ascent bound
@@ -145,6 +148,7 @@ class TestSolveBatch:
             got = solve_batch(system)
             want_val, want_digits = brute_force(system)
             assert got.objective == want_val
+            assert residuals(system, got.digits).sum() == got.objective
             assert np.array_equal(got.digits, want_digits)
 
     def test_matches_brute_force_heavy_corruption(self, rng):
@@ -157,6 +161,7 @@ class TestSolveBatch:
             got = solve_batch(system)
             want_val, want_digits = brute_force(system)
             assert got.objective == want_val
+            assert residuals(system, got.digits).sum() == got.objective
             assert np.array_equal(got.digits, want_digits)
 
     def test_recovers_truth_with_perfect_clustering(self, rng):
@@ -178,6 +183,14 @@ class TestSolveBatch:
             assert cold.objective == warm.objective
             assert np.array_equal(cold.digits, warm.digits)
 
+    def test_warm_optimum_lowered_to_lex_smallest(self):
+        # the warm start (9, 0) is optimal; phase 2 must lower it to (0, 9)
+        # and carry the completion it found to the later cluster
+        system = BatchSystem(np.array([[1, 1]], dtype=np.int64), np.array([9], dtype=np.int64))
+        got = solve_batch(system, initial_digits=np.array([9, 0]))
+        assert got.objective == 0
+        assert np.array_equal(got.digits, [0, 9])
+
     def test_permutation_invariance(self, rng):
         system = random_system(rng, k=4, n_rows=20)
         base = solve_batch(system)
@@ -196,6 +209,7 @@ class TestSolveBatch:
         got = solve_batch(system)
         want_val, want_digits = brute_force(system)
         assert got.objective == want_val
+        assert residuals(system, got.digits).sum() == got.objective
         assert np.array_equal(got.digits, want_digits)
 
 

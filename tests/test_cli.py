@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from sumlearn.cli import main
@@ -65,6 +66,67 @@ class TestStageCommands:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["cls_acc"] == 1.0
         assert metrics["add_acc"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """generate-data through train once, as inputs for single-stage tests."""
+    base = tmp_path_factory.mktemp("chain")
+    out = str(base)
+    steps = [
+        ("generate-data", "--w", "2", "--h", "1", "--out", out, *SYNTH),
+        ("embed", "--store", f"{out}/store.tf", "--backend", "pca", "--dim", "8",
+         "--out", f"{out}/embedding.tf"),
+        ("cluster", "--embedding", f"{out}/embedding.tf", "--k", "4", "--out", f"{out}/cluster.tf"),
+        ("assign", "--corpus", f"{out}/corpus.txt", "--cluster", f"{out}/cluster.tf",
+         "--batch-size", "30", "--out", f"{out}/assignment.json"),
+        ("infer", "--corpus", f"{out}/corpus.txt", "--cluster", f"{out}/cluster.tf",
+         "--assignment", f"{out}/assignment.json",
+         "--out-labels", f"{out}/labels.bin", "--out-summary", f"{out}/labels.json"),
+        ("train", "--store", f"{out}/store.tf", "--labels", f"{out}/labels.bin",
+         "--epochs", "1", "--out", f"{out}/cnn.tf"),
+    ]
+    for step in steps:
+        r = run_cli(*step)
+        assert r.exit_code == 0, r.output
+    return base
+
+
+class TestOutputDirectories:
+    # every stage command creates the directory its outputs go to
+    @pytest.mark.parametrize(
+        "args, outputs",
+        [
+            (["embed", "--store", "{c}/store.tf", "--backend", "autoencoder", "--epochs", "1",
+              "--dim", "4", "--out", "{o}/embedding.tf"], ["embedding.tf", "autoencoder.tf"]),
+            (["cluster", "--embedding", "{c}/embedding.tf", "--k", "4", "--out", "{o}/cluster.tf"],
+             ["cluster.tf", "cluster_assignment.bin"]),
+            (["assign", "--corpus", "{c}/corpus.txt", "--cluster", "{c}/cluster.tf",
+              "--batch-size", "30", "--out", "{o}/assignment.json"], ["assignment.json"]),
+            (["infer", "--corpus", "{c}/corpus.txt", "--cluster", "{c}/cluster.tf",
+              "--assignment", "{c}/assignment.json", "--out-labels", "{o}/labels.bin",
+              "--out-summary", "{o}/summary/labels.json"], ["labels.bin", "summary/labels.json"]),
+            (["train", "--store", "{c}/store.tf", "--labels", "{c}/labels.bin", "--epochs", "1",
+              "--out", "{o}/cnn.tf"], ["cnn.tf"]),
+            (["evaluate", "--cnn", "{c}/cnn.tf", "--store", "{c}/store.tf", "--w", "2", "--h", "1",
+              "--out", "{o}/metrics.json"], ["metrics.json"]),
+        ],
+        ids=["embed", "cluster", "assign", "infer", "train", "evaluate"],
+    )
+    def test_out_directory_created(self, chain, tmp_path, args, outputs):
+        out = tmp_path / "missing" / "dir"
+        r = run_cli(*(a.format(c=chain, o=out) for a in args))
+        assert r.exit_code == 0, r.output
+        for name in outputs:
+            assert (out / name).exists()
+
+    def test_embed_default_out_path(self, chain, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        r = run_cli("embed", "--store", str(chain / "store.tf"), "--backend", "autoencoder",
+                    "--epochs", "1", "--dim", "4")
+        assert r.exit_code == 0, r.output
+        assert (tmp_path / "artifacts" / "embedding.tf").exists()
+        assert (tmp_path / "artifacts" / "autoencoder.tf").exists()
 
 
 class TestRunCommand:

@@ -152,6 +152,18 @@ class TestRunPipeline:
         run_pipeline(other)
         assert recomputed["n"] == 1
 
+    def test_truncated_labels_recomputed(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        labels_bin = tmp_path / "artifacts" / "labels.bin"
+        size = labels_bin.stat().st_size
+        with open(labels_bin, "r+b") as f:
+            f.truncate(size - 8)  # one label short; labels.json still matches
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert labels_bin.stat().st_size == size
+
     def test_embedding_reused_across_grid_shapes(self, tmp_path, monkeypatch):
         calls = {"n": 0}
         original = emb.pca_embed
