@@ -8,9 +8,18 @@ objective by depth-first branch and bound over the 10 bounded integer
 variables, pruned by interval and Lagrangian bounds. One search serves
 both phases: the first finds the optimum and a witness digit vector that
 reaches it, the second lowers that witness, digit by digit, to the
-lexicographically smallest optimum, which is the tie-break. Batch
-candidates then vote: the one satisfying the most examples corpus-wide
-wins.
+lexicographically smallest optimum, which is the tie-break.
+
+Most batches of a clean corpus need no search: when the warm start (the
+previous batch's digits) leaves zero residual and the active columns of A
+are linearly independent, A v = s has exactly one solution, so the warm
+digits are the unique, hence lexicographically smallest, optimum. The rank
+is decided exactly by elimination modulo a prime; a rank deficiency there
+only sends the batch to the search. The search's integer bounds are exact
+only while they fit int64; `solve_batch` rejects larger systems.
+
+Batch candidates then vote: the one satisfying the most examples
+corpus-wide wins.
 """
 
 import json
@@ -76,19 +85,26 @@ class DigitAssignment:
 
 
 def build_batch_system(examples, model):
-    """Aggregate positional weights per (example, cluster). Exact integers."""
-    n_imgs = len(model)
+    """Aggregate positional weights per (example, cluster). Exact integers.
+
+    One int64 scatter over the cells of all grids: the cell in column i of
+    a width-w grid adds 10^(w-1-i) at (its example, its image's cluster).
+    """
     k = model.k
     coeffs = np.zeros((len(examples), k), dtype=np.int64)
-    targets = np.zeros(len(examples), dtype=np.int64)
-    for e, ex in enumerate(examples):
-        ids = ex.grid
-        if ids.min() < 0 or ids.max() >= n_imgs:
-            raise ConsistencyError(f"example {e} references unclustered image ids")
-        weights = 10 ** np.arange(ex.w - 1, -1, -1, dtype=np.int64)
-        clusters = model.assignment[ids]  # (h, w)
-        np.add.at(coeffs[e], clusters.ravel(), np.tile(weights, ex.h))
-        targets[e] = ex.sum
+    targets = np.array([ex.sum for ex in examples], dtype=np.int64)
+    if not examples:
+        return BatchSystem(coeffs=coeffs, targets=targets)
+    ids = np.concatenate([ex.grid.ravel() for ex in examples])
+    sizes = np.array([ex.grid.size for ex in examples])
+    row = np.repeat(np.arange(len(examples)), sizes)
+    bad = (ids < 0) | (ids >= len(model))
+    if bad.any():
+        raise ConsistencyError(f"example {row[bad.argmax()]} references unclustered image ids")
+    width = np.repeat([ex.w for ex in examples], sizes)
+    cell = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    weights = 10 ** (width - 1 - cell % width)
+    np.add.at(coeffs.ravel(), row * k + model.assignment[ids], weights)
     return BatchSystem(coeffs=coeffs, targets=targets)
 
 
@@ -99,6 +115,53 @@ def residuals(system, digits):
 
 
 _DUAL_SCALE = 256  # multipliers quantized to n/256 for exact integer bounds
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_PRIME = 2_147_483_647  # 2^31 - 1: a product of two residues stays below 2^62
+
+
+def _check_envelope(coeffs, targets):
+    """Raise ValueError unless the search's int64 arithmetic is exact.
+
+    With multipliers |n_e| <= 256, every integer the search forms is a
+    partial sum of n_e * 9 * A_ej or a Lagrangian value n . (A x - s) at
+    digits x in [0, 9], so its magnitude is at most
+    256 * max(9 * Sum|A|, Sum_e max_x |(A x - s)_e|). A cheap bound,
+    256 * (9 * max|A| * size(A) + max|s| * size(s)), settles small systems;
+    wider ones are measured exactly in Python integers.
+    """
+    a, s = np.abs(coeffs), np.abs(targets)
+    quick = 9 * int(a.max(initial=0)) * a.size + int(s.max(initial=0)) * s.size
+    if _DUAL_SCALE * quick <= _INT64_MAX:
+        return
+    a, s = coeffs.astype(object), targets.astype(object)
+    hi = abs(9 * np.maximum(a, 0).sum(axis=1) - s)
+    lo = abs(9 * np.minimum(a, 0).sum(axis=1) - s)
+    worst = _DUAL_SCALE * max(9 * np.abs(a).sum(), np.maximum(hi, lo).sum())
+    if worst > _INT64_MAX:
+        raise ValueError(
+            f"batch too large for exact int64 bounds: magnitudes reach {worst} > 2^63 - 1; "
+            "use fewer rows or a narrower grid"
+        )
+
+
+def _rank_mod_p(a):
+    """Rank of an integer matrix modulo the prime 2^31 - 1, exactly.
+
+    Gaussian elimination on the columns in int64. A rank mod p is never
+    above the rank over Q, so full column rank mod p proves it over Q.
+    """
+    cols = np.asarray(a, dtype=np.int64).T % _PRIME
+    rank = 0
+    for j in range(cols.shape[0]):
+        pivots = np.flatnonzero(cols[j])
+        if pivots.size == 0:
+            continue
+        i = pivots[0]
+        rank += 1
+        scale = cols[j + 1 :, i] * pow(int(cols[j, i]), _PRIME - 2, _PRIME) % _PRIME
+        cols[j + 1 :] -= np.outer(scale, cols[j])
+        cols[j + 1 :] %= _PRIME
+    return rank
 
 
 def _ascend(free, fdiff, lam, evals, rate, power):
@@ -257,18 +320,26 @@ def _search(bounds, fixed, lam, best, stop=-1):
 def solve_batch(system, initial_digits=None):
     """Globally optimal digit vector for one batch.
 
-    Phase 1 finds the optimal objective f* by depth-first branch and bound:
-    columns in descending mass order, children explored best-bound-first,
-    nodes pruned when their bound reaches the incumbent. It also returns a
-    witness, an optimal digit vector: the warm (or all-zero) start unless a
-    leaf beat it. Phase 2 lowers the witness to the lexicographically
-    smallest optimum: cluster by cluster, in index order, it searches only
-    digits below the witness's for one that still completes to f*. The
-    first that does is kept and its completion becomes the witness;
-    otherwise the witness's digit stands. Clusters absent from the batch
-    get digit 0.
+    If the warm start leaves zero residual and the active columns of A
+    (clusters present in the batch) are linearly independent, A v = s has
+    exactly one solution: the warm digits are the unique optimum and are
+    returned on the active clusters without any search.
+
+    Otherwise phase 1 finds the optimal objective f* by depth-first branch
+    and bound: columns in descending mass order, children explored
+    best-bound-first, nodes pruned when their bound reaches the incumbent.
+    It also returns a witness, an optimal digit vector: the warm (or
+    all-zero) start unless a leaf beat it. Phase 2 lowers the witness to
+    the lexicographically smallest optimum: cluster by cluster, in index
+    order, it searches only digits below the witness's for one that still
+    completes to f*. The first that does is kept and its completion becomes
+    the witness; otherwise the witness's digit stands.
+
+    Clusters absent from the batch get digit 0. Raises ValueError if the
+    system is too large for the search's exact int64 bounds.
     """
     coeffs, targets = system.coeffs, system.targets
+    _check_envelope(coeffs, targets)
     k = system.n_clusters
     mass = coeffs.sum(axis=0)
     active = [int(c) for c in np.argsort(-mass, kind="stable") if mass[c] > 0]
@@ -280,6 +351,10 @@ def solve_batch(system, initial_digits=None):
         if warm_obj < incumbent:
             warm = np.asarray(initial_digits, dtype=np.int64)
             incumbent = warm_obj
+    if incumbent == 0 and _rank_mod_p(coeffs[:, active]) == len(active):
+        digits = np.zeros(k, dtype=np.int64)
+        digits[active] = warm[active]
+        return DigitAssignment(digits=digits, objective=0)
     dual_n, lam = dual_multipliers(coeffs, targets, warm)
 
     zero = np.zeros_like(targets)
@@ -340,11 +415,14 @@ def solve_corpus(corpus, model, batch_size=100):
         candidates.append(cand)
         warm = cand.digits
 
+    # equal digits score equally, so score each distinct vector once, at
+    # its first (lowest) batch index
     stacked = np.stack([c.digits for c in candidates])  # (nb, k)
-    res = np.abs(full.coeffs @ stacked.T - full.targets[:, None])
+    distinct, first = np.unique(stacked, axis=0, return_index=True)
+    res = np.abs(full.coeffs @ distinct.T - full.targets[:, None])
     satisfied = (res == 0).sum(axis=0)
     total_residual = res.sum(axis=0)
-    order = np.lexsort((np.arange(len(candidates)), total_residual, -satisfied))
-    winner = candidates[int(order[0])]
-    winner.satisfied_count = int(satisfied[order[0]])
+    best = np.lexsort((first, total_residual, -satisfied))[0]
+    winner = candidates[int(first[best])]
+    winner.satisfied_count = int(satisfied[best])
     return winner

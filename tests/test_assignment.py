@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sumlearn.assignment import (
     BatchSystem,
     DigitAssignment,
     _Bounds,
+    _rank_mod_p,
     build_batch_system,
     count_satisfied,
     dual_multipliers,
@@ -16,7 +18,7 @@ from sumlearn.assignment import (
     solve_batch,
     solve_corpus,
 )
-from sumlearn.dataset import build_corpus
+from sumlearn.dataset import Example, build_corpus
 from sumlearn.errors import ConsistencyError
 
 from conftest import corpus_from_grids, identity_model, store_with_labels
@@ -40,6 +42,11 @@ def random_system(rng, k=None, n_rows=None, w_max=3, h_max=2):
     n_rows = n_rows or int(rng.integers(1, 51))
     w = int(rng.integers(1, w_max + 1))
     h = int(rng.integers(1, h_max + 1))
+    return grid_system(rng, k, n_rows, w, h)
+
+
+def grid_system(rng, k, n_rows, w, h):
+    """Random system of n_rows h x w grids over k clusters."""
     weights = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
     coeffs = np.zeros((n_rows, k), dtype=np.int64)
     for e in range(n_rows):
@@ -84,6 +91,68 @@ class TestBuildBatchSystem:
         corpus = corpus_from_grids([(np.array([[0, 5]]), 12)])
         with pytest.raises(ConsistencyError):
             build_batch_system(corpus.examples, model)
+
+    def test_error_names_first_bad_example(self):
+        model = identity_model([1, 2, 0], k=3)
+        grids = [(np.array([[0, 1]]), 3), (np.array([[2], [-1]]), 1), (np.array([[7]]), 2)]
+        with pytest.raises(ConsistencyError, match="example 1 "):
+            build_batch_system(corpus_from_grids(grids).examples, model)
+
+    def test_mixed_shapes_match_per_example_reference(self, rng):
+        model = identity_model(rng.integers(0, 6, size=50), k=6)
+        examples = [
+            Example(grid=rng.integers(0, 50, size=tuple(rng.integers(1, 5, size=2))), sum=int(s))
+            for s in rng.integers(0, 10000, size=40)
+        ]
+        want = np.zeros((40, 6), dtype=np.int64)
+        for e, ex in enumerate(examples):
+            weights = 10 ** np.arange(ex.w - 1, -1, -1, dtype=np.int64)
+            np.add.at(want[e], model.assignment[ex.grid].ravel(), np.tile(weights, ex.h))
+        system = build_batch_system(examples, model)
+        assert system.coeffs.dtype == np.int64 and system.targets.dtype == np.int64
+        assert np.array_equal(system.coeffs, want)
+        assert np.array_equal(system.targets, [ex.sum for ex in examples])
+
+    def test_empty_list(self):
+        system = build_batch_system([], identity_model([0, 1], k=4))
+        assert system.coeffs.shape == (0, 4)
+        assert system.targets.shape == (0,)
+
+
+def fraction_rank(a):
+    """Rank over Q by Gaussian elimination on Fractions."""
+    rows = [[Fraction(int(x)) for x in row] for row in a]
+    rank = 0
+    for j in range(a.shape[1]):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankModP:
+    def test_matches_fraction_rank(self, rng):
+        for _ in range(400):
+            n_rows, n_cols = (int(x) for x in rng.integers(1, 7, size=2))
+            a = rng.integers(-3, 4, size=(n_rows, n_cols))
+            if rng.random() < 0.3:
+                a[:, rng.integers(n_cols)] = 0  # zero column
+            if n_cols > 1 and rng.random() < 0.3:
+                a[:, 0] = a[:, -1]  # duplicate column
+            if rng.random() < 0.3:
+                a *= rng.integers(0, 2, size=(n_rows, 1))  # zero rows
+            assert _rank_mod_p(a) == fraction_rank(a)
+
+    def test_wide_and_large_entries(self):
+        assert _rank_mod_p(np.array([[1, 2, 3], [2, 4, 7]])) == 2  # more columns than rows
+        assert _rank_mod_p(np.zeros((0, 3), dtype=np.int64)) == 0
+        big = np.array([[10**13, 1], [2 * 10**13, 2]])  # dependent, entries above p
+        assert _rank_mod_p(big) == fraction_rank(big) == 1
 
 
 class TestCompletionBound:
@@ -191,6 +260,42 @@ class TestSolveBatch:
         assert got.objective == 0
         assert np.array_equal(got.digits, [0, 9])
 
+    def test_certified_warm_start_zeroes_absent_clusters(self, monkeypatch):
+        # clusters 0 and 1 have independent columns and the warm start
+        # satisfies every row; cluster 2 is absent, so its warm digit 7
+        # must come back as 0, without any search
+        system = BatchSystem(
+            np.array([[10, 1, 0], [1, 10, 0], [11, 0, 0]], dtype=np.int64),
+            np.array([34, 43, 33], dtype=np.int64),
+        )
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("certified batch must not search")
+
+        monkeypatch.setattr("sumlearn.assignment.dual_multipliers", no_search)
+        got = solve_batch(system, initial_digits=np.array([3, 4, 7]))
+        assert got.objective == 0
+        assert np.array_equal(got.digits, [3, 4, 0])
+
+    def test_exactness_envelope(self, rng):
+        # h=2, k=3, 100 rows: w=14 fits int64 and stays exact; wider grids
+        # are rejected instead of returning wrapped-around bounds
+        for _ in range(20):
+            system = grid_system(rng, 3, 100, 14, 2)
+            got = solve_batch(system)
+            want_val, want_digits = brute_force(system)
+            assert got.objective == want_val
+            assert np.array_equal(got.digits, want_digits)
+        for w in (15, 17):
+            with pytest.raises(ValueError, match="int64"):
+                solve_batch(grid_system(rng, 3, 100, w, 2))
+        # one row, one cluster: the largest magnitude formed is 256 * 9 * a
+        a = int(np.iinfo(np.int64).max) // (256 * 9)
+        got = solve_batch(BatchSystem(np.array([[a]]), np.array([9 * a - 1])))
+        assert (got.digits.tolist(), got.objective) == ([9], 1)
+        with pytest.raises(ValueError, match="int64"):
+            solve_batch(BatchSystem(np.array([[a + 1]]), np.array([9 * a + 8])))
+
     def test_permutation_invariance(self, rng):
         system = random_system(rng, k=4, n_rows=20)
         base = solve_batch(system)
@@ -286,6 +391,20 @@ class TestSolveCorpus:
         winner = solve_corpus(corpus, model, batch_size=100)
         assert winner.objective == 0
         assert np.array_equal(winner.digits, truth)
+
+    def test_vote_tie_keeps_lowest_batch(self):
+        # batches 0-1 give (3, 0), batches 2-3 give (0, 3): a tie on
+        # satisfied count and residual, broken toward batch 0 even though
+        # (0, 3) sorts first among the distinct candidates
+        model = identity_model([0, 1], k=2)
+        grids = [(np.array([[0]]), 3)] * 2 + [(np.array([[1]]), 3)] * 2
+        winner = solve_corpus(corpus_from_grids(grids), model, batch_size=1)
+        assert np.array_equal(winner.digits, [3, 0])
+        assert (winner.batch_index, winner.satisfied_count) == (0, 2)
+        # one more (0, 3) example: the later distinct candidate wins outright
+        winner = solve_corpus(corpus_from_grids(grids + grids[-1:]), model, batch_size=1)
+        assert np.array_equal(winner.digits, [0, 3])
+        assert (winner.batch_index, winner.satisfied_count) == (2, 3)
 
     def test_empty_corpus_rejected(self):
         model = identity_model([0], k=1)
