@@ -10,7 +10,6 @@ from .assignment import (
     BatchSystem,
     DigitAssignment,
     build_batch_system,
-    count_satisfied,
     solve_batch,
     solve_corpus,
 )
@@ -25,14 +24,12 @@ from .dataset import (
     grid_sum,
     load_corpus,
     load_idx,
-    positional_weight,
     save_corpus,
 )
 from .embedding import AutoencoderParams, encode, pca_embed, train_autoencoder
 from .errors import ConsistencyError, DivergenceError, IdxFormatError, InsufficientDataError
 from .inference import (
     LabelState,
-    final_labels,
     images_within_radius,
     infer_correct_labels,
     init_labels,

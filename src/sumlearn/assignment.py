@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import place_value
 from .errors import ConsistencyError
+from .tensorfile import save_json
 
 _DIGITS = np.arange(10, dtype=np.int64)
 
@@ -71,12 +73,7 @@ class DigitAssignment:
         )
 
     def save(self, path, extra=None):
-        obj = self.to_json()
-        if extra:
-            obj.update(extra)
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True)
-            f.write("\n")
+        save_json(path, {**self.to_json(), **(extra or {})})
 
     @classmethod
     def load(cls, path):
@@ -103,7 +100,7 @@ def build_batch_system(examples, model):
         raise ConsistencyError(f"example {row[bad.argmax()]} references unclustered image ids")
     width = np.repeat([ex.w for ex in examples], sizes)
     cell = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    weights = 10 ** (width - 1 - cell % width)
+    weights = place_value(width, cell % width)
     np.add.at(coeffs.ravel(), row * k + model.assignment[ids], weights)
     return BatchSystem(coeffs=coeffs, targets=targets)
 
@@ -382,12 +379,6 @@ def solve_batch(system, initial_digits=None):
         fixed = fixed + coeffs[:, c] * digits[c]
 
     return DigitAssignment(digits=digits, objective=f_star)
-
-
-def count_satisfied(assignment, corpus, model):
-    """Number of corpus examples whose residual is exactly zero."""
-    system = build_batch_system(corpus.examples, model)
-    return int((residuals(system, assignment.digits) == 0).sum())
 
 
 def solve_corpus(corpus, model, batch_size=100):

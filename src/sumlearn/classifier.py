@@ -9,6 +9,7 @@ Intermediate sizes: 28 -> 26 -> 13 -> 11 -> 9 -> 4, flattened 1024.
 import numpy as np
 
 from . import nn
+from .dataset import grid_sum
 from .errors import DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
@@ -42,22 +43,14 @@ class CnnParams:
     def save(self, path, meta=None):
         m = dict(meta or {})
         m.update(seed=self.seed, side=self.side)
-        tensors = {}
-        for i, layer in enumerate(self.weighted_layers()):
-            tensors[f"W{i}"] = layer.W
-            tensors[f"b{i}"] = layer.b
-        save_tensors(path, tensors, meta=m)
+        save_tensors(path, nn.weight_tensors(self.weighted_layers()), meta=m)
 
     @classmethod
     def load(cls, path):
         meta, tensors = load_tensors(path)
         dtype = tensors["W0"].dtype.type
         params = cls(seed=meta["seed"], dtype=dtype, side=meta.get("side", 28))
-        for i, layer in enumerate(params.weighted_layers()):
-            layer.W = tensors[f"W{i}"]
-            layer.b = tensors[f"b{i}"]
-            layer.dW = np.zeros_like(layer.W)
-            layer.db = np.zeros_like(layer.b)
+        nn.set_weights(params.weighted_layers(), tensors)
         return params
 
 
@@ -148,9 +141,5 @@ def _classification_accuracy(preds, test_store):
 
 
 def _addition_accuracy(preds, test_corpus):
-    correct = 0
-    for ex in test_corpus.examples:
-        weights = 10 ** np.arange(ex.w - 1, -1, -1, dtype=np.int64)
-        predicted_sum = int((preds[ex.grid] * weights).sum())
-        correct += predicted_sum == ex.sum
+    correct = sum(grid_sum(ex.grid, preds) == ex.sum for ex in test_corpus.examples)
     return correct / len(test_corpus.examples)

@@ -1,11 +1,12 @@
-"""Command-line interface for the pipeline and its individual stages."""
+"""Command-line interface: `run` and `sweep` drive the pipeline, and each
+stage subcommand is a thin wrapper that reads its inputs from files and
+calls the same stage code as `run`, without resuming."""
 
 import json
 import os
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import assignment as asg
 from . import classifier as clf
@@ -13,13 +14,11 @@ from . import clustering as clu
 from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
-from .pipeline import RunConfig, find_idx_files, run_pipeline, sweep
+from . import pipeline as pl
+from .pipeline import RunConfig, run_pipeline, sweep
+from .tensorfile import save_json
 
 DATA_DIR_ENV = "SUMLEARN_DATA_DIR"
-
-
-def _default_data_dir():
-    return os.environ.get(DATA_DIR_ENV)
 
 
 def _out_path(path):
@@ -29,9 +28,11 @@ def _out_path(path):
     return path
 
 
-def _load_train_store(data_dir):
-    paths = find_idx_files(data_dir)
-    return ds.load_idx(paths["train_images"], paths["train_labels"], split="train")
+def _store(store_path, data_dir, split):
+    """A store file from generate-data, else the split's IDX files."""
+    if store_path:
+        return ds.load_store(store_path)
+    return pl.idx_store(data_dir or os.environ.get(DATA_DIR_ENV), split)
 
 
 @click.group()
@@ -43,18 +44,18 @@ def _config_options(fn):
     # defaults live in RunConfig; None here means "not passed on the line",
     # so config-file values survive unless a flag overrides them
     opts = [
-        click.option("--w", type=int, default=None, help="digits per number [default: 2]"),
-        click.option("--h", type=int, default=None, help="numbers per example [default: 2]"),
-        click.option("--factor", type=int, default=None, help="oversample factor [default: 1]"),
-        click.option("--seed", type=int, default=None, help="[default: 0]"),
-        click.option("--batch-size", type=int, default=None, help="[default: 100]"),
-        click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=None, help="[default: autoencoder]"),
-        click.option("--autoencoder-epochs", type=int, default=None, help="[default: 300]"),
-        click.option("--classifier-epochs", type=int, default=None, help="[default: 10]"),
+        click.option("--w", type=int, default=None, help=f"digits per number [default: {RunConfig.w}]"),
+        click.option("--h", type=int, default=None, help=f"numbers per example [default: {RunConfig.h}]"),
+        click.option("--factor", type=int, default=None, help=f"oversample factor [default: {RunConfig.oversample_factor}]"),
+        click.option("--seed", type=int, default=None, help=f"[default: {RunConfig.seed}]"),
+        click.option("--batch-size", type=int, default=None, help=f"[default: {RunConfig.batch_size}]"),
+        click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=None, help=f"[default: {RunConfig.backend}]"),
+        click.option("--autoencoder-epochs", type=int, default=None, help=f"[default: {RunConfig.autoencoder_epochs}]"),
+        click.option("--classifier-epochs", type=int, default=None, help=f"[default: {RunConfig.classifier_epochs}]"),
         click.option("--data", "data_dir", type=click.Path(), default=None, help=f"MNIST IDX dir (or ${DATA_DIR_ENV})"),
         click.option("--synthetic", is_flag=True, default=False, help="use generated Gaussian data"),
-        click.option("--artifacts", "artifacts_dir", type=click.Path(), default=None, help="[default: artifacts]"),
-        click.option("--reports", "reports_dir", type=click.Path(), default=None, help="[default: reports]"),
+        click.option("--artifacts", "artifacts_dir", type=click.Path(), default=None, help=f"[default: {RunConfig.artifacts_dir}]"),
+        click.option("--reports", "reports_dir", type=click.Path(), default=None, help=f"[default: {RunConfig.reports_dir}]"),
         click.option("--config", "config_file", type=click.Path(exists=True), default=None, help="flat JSON config; flags override"),
     ]
     for opt in reversed(opts):
@@ -75,9 +76,7 @@ def _build_config(config_file, **kwargs):
             continue  # absent flag should not clobber a config-file choice
         base[rename.get(key, key)] = value
     if not base.get("synthetic") and not base.get("data_dir"):
-        env_dir = _default_data_dir()
-        if env_dir:
-            base["data_dir"] = env_dir
+        base["data_dir"] = os.environ.get(DATA_DIR_ENV)
     return RunConfig.from_json(base)
 
 
@@ -104,97 +103,90 @@ def run(config_file, **kwargs):
 @_config_options
 def sweep_cmd(w_list, h_list, csv_path, config_file, **kwargs):
     """Run a grid of w x h configs into one CSV (shared encoder weights)."""
-    configs = []
-    for h in (int(x) for x in h_list.split(",")):
-        for w in (int(x) for x in w_list.split(",")):
-            overrides = dict(kwargs)
-            overrides["w"] = w
-            overrides["h"] = h
-            configs.append(_build_config(config_file, **overrides))
+    configs = [
+        _build_config(config_file, **{**kwargs, "w": int(w), "h": int(h)})
+        for h in h_list.split(",")
+        for w in w_list.split(",")
+    ]
     reports = sweep(configs, csv_path)
     failed = sum(1 for r in reports if r.failure)
     click.echo(f"{len(reports)} runs ({failed} failed) -> {csv_path}")
 
 
 @main.command("generate-data")
-@click.option("--w", type=int, default=2, show_default=True)
-@click.option("--h", type=int, default=2, show_default=True)
-@click.option("--factor", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--w", type=int, default=RunConfig.w, show_default=True)
+@click.option("--h", type=int, default=RunConfig.h, show_default=True)
+@click.option("--factor", type=int, default=RunConfig.oversample_factor, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--synthetic", is_flag=True)
-@click.option("--n-images", type=int, default=1200, show_default=True)
-@click.option("--n-clusters", type=int, default=10, show_default=True)
-@click.option("--separation", type=float, default=60.0, show_default=True)
-@click.option("--dim", type=int, default=784, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(), default="artifacts", show_default=True)
+@click.option("--n-images", type=int, default=RunConfig.synthetic_images, show_default=True)
+@click.option("--n-clusters", type=int, default=RunConfig.synthetic_clusters, show_default=True)
+@click.option("--separation", type=float, default=RunConfig.synthetic_separation, show_default=True)
+@click.option("--dim", type=int, default=RunConfig.synthetic_dim, show_default=True)
+@click.option("--out", "out_dir", type=click.Path(), default=RunConfig.artifacts_dir, show_default=True)
 def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters, separation, dim, out_dir):
-    """Bundle images into sum-supervised examples; write corpus.txt."""
+    """Bundle images into sum-supervised examples; write corpus.txt.
+
+    With --synthetic, also write the generated train and held-out test
+    images as store.tf and test_store.tf, split as `run --synthetic` does.
+    """
+    config = RunConfig(
+        w=w, h=h, oversample_factor=factor, seed=seed,
+        data_dir=data_dir or os.environ.get(DATA_DIR_ENV), synthetic=synthetic,
+        synthetic_images=n_images, synthetic_clusters=n_clusters,
+        synthetic_separation=separation, synthetic_dim=dim,
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    store, test_store = pl.load_stores(config)
     if synthetic:
-        store, _ = ds.generate_synthetic(n_images, n_clusters, separation, dim, w, h, seed=seed)
-        store = ds.normalize_unit(store)  # pixel-like range for the CNN stage
-        corpus = ds.build_corpus(store, w, h, factor, seed=seed)
         ds.save_store(store, out / "store.tf")
-        click.echo(f"store: {len(store)} synthetic images -> {out / 'store.tf'}")
-    else:
-        store = _load_train_store(data_dir or _default_data_dir())
-        corpus = ds.build_corpus(store, w, h, factor, seed=seed)
-    ds.save_corpus(corpus, out / "corpus.txt")
+        ds.save_store(test_store, out / "test_store.tf")
+        click.echo(f"stores: {len(store)} train, {len(test_store)} test images -> {out}")
+    corpus = pl.write_corpus(config, store, out)
     click.echo(f"corpus: {len(corpus)} examples -> {out / 'corpus.txt'}")
 
 
 @main.command()
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None, help="store.tf from generate-data --synthetic")
-@click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default="autoencoder", show_default=True)
-@click.option("--epochs", type=int, default=300, show_default=True)
-@click.option("--dim", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default="artifacts/embedding.tf", show_default=True)
+@click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=RunConfig.backend, show_default=True)
+@click.option("--epochs", type=int, default=RunConfig.autoencoder_epochs, show_default=True)
+@click.option("--dim", type=int, default=RunConfig.embed_dim, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
+@click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/embedding.tf", show_default=True)
 def embed(data_dir, store_path, backend, epochs, dim, seed, out):
     """Learn the 10-d representation (autoencoder or PCA fallback)."""
-    store = ds.load_store(store_path) if store_path else _load_train_store(data_dir or _default_data_dir())
-    out = _out_path(out)
-    if backend == "pca":
-        matrix = emb.pca_embed(store, dim=dim)
-    else:
-        widths = (store.dim, 500, 500, 2000, dim)
-        params = emb.train_autoencoder(store, epochs, seed=seed, widths=widths)
-        params.save(str(out.with_name("autoencoder.tf")))
-        matrix = emb.encode(params, store)
-    emb.save_embedding(out, matrix, meta={"backend": backend})
+    config = RunConfig(backend=backend, autoencoder_epochs=epochs, embed_dim=dim, seed=seed)
+    matrix = pl.embed_store(config, _store(store_path, data_dir, "train"), _out_path(out))
     click.echo(f"embedding {matrix.shape} -> {out}")
 
 
 @main.command()
 @click.option("--embedding", "embedding_path", type=click.Path(exists=True), required=True)
-@click.option("--k", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-iter", type=int, default=300, show_default=True)
-@click.option("--tol", type=float, default=1e-4, show_default=True)
-@click.option("--out", type=click.Path(), default="artifacts/cluster.tf", show_default=True)
+@click.option("--k", type=int, default=RunConfig.kmeans_k, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
+@click.option("--max-iter", type=int, default=RunConfig.kmeans_max_iter, show_default=True)
+@click.option("--tol", type=float, default=RunConfig.kmeans_tol, show_default=True)
+@click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cluster.tf", show_default=True)
 def cluster(embedding_path, k, seed, max_iter, tol, out):
     """k-means with k-means++ seeding over the embedding."""
-    _, matrix = emb.load_embedding(embedding_path)
-    model = clu.kmeans(matrix, k, seed=seed, max_iter=max_iter, tol=tol)
-    out = _out_path(out)
-    model.save(out)
-    clu.save_assignment(str(out.with_name("cluster_assignment.bin")), model.assignment)
+    config = RunConfig(kmeans_k=k, seed=seed, kmeans_max_iter=max_iter, kmeans_tol=tol)
+    model = pl.fit_clusters(config, emb.load_embedding(embedding_path)[1])
+    pl.save_cluster(model, _out_path(out))
     click.echo(f"k={k} clusters, inertia {model.inertia_history[-1]:.4g} -> {out}")
 
 
 @main.command()
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--cluster", "cluster_path", type=click.Path(exists=True), required=True)
-@click.option("--batch-size", type=int, default=100, show_default=True)
-@click.option("--out", type=click.Path(), default="artifacts/assignment.json", show_default=True)
+@click.option("--batch-size", type=int, default=RunConfig.batch_size, show_default=True)
+@click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/assignment.json", show_default=True)
 def assign(corpus_path, cluster_path, batch_size, out):
     """Solve the per-batch integer program and vote the winner."""
     corpus = ds.load_corpus(corpus_path)
-    model = clu.ClusterModel.load(cluster_path)
-    result = asg.solve_corpus(corpus, model, batch_size=batch_size)
+    result = asg.solve_corpus(corpus, clu.ClusterModel.load(cluster_path), batch_size=batch_size)
     result.save(_out_path(out))
     click.echo(
         f"digits {list(map(int, result.digits))}, objective {result.objective}, "
@@ -206,16 +198,15 @@ def assign(corpus_path, cluster_path, batch_size, out):
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--cluster", "cluster_path", type=click.Path(exists=True), required=True)
 @click.option("--assignment", "assignment_path", type=click.Path(exists=True), required=True)
-@click.option("--out-labels", type=click.Path(), default="artifacts/labels.bin", show_default=True)
-@click.option("--out-summary", type=click.Path(), default="artifacts/labels.json", show_default=True)
+@click.option("--out-labels", type=click.Path(), default=f"{RunConfig.artifacts_dir}/labels.bin", show_default=True)
+@click.option("--out-summary", type=click.Path(), default=f"{RunConfig.artifacts_dir}/labels.json", show_default=True)
 def infer(corpus_path, cluster_path, assignment_path, out_labels, out_summary):
     """Propagate labels through the sum constraints (radius schedule)."""
     corpus = ds.load_corpus(corpus_path)
     model = clu.ClusterModel.load(cluster_path)
-    result = asg.DigitAssignment.load(assignment_path)
-    state = inf.init_labels(model, result)
-    state = inf.run_inference(state, corpus, model)
-    inf.save_labels(state, _out_path(out_labels), _out_path(out_summary))
+    state = inf.init_labels(model, asg.DigitAssignment.load(assignment_path))
+    state = inf.run_inference(state, corpus, model, radii=RunConfig.radius_schedule)
+    inf.save_labels(state.labels, state.counts(), _out_path(out_labels), _out_path(out_summary))
     click.echo(f"labels -> {out_labels}; {state.counts()}")
 
 
@@ -223,42 +214,32 @@ def infer(corpus_path, cluster_path, assignment_path, out_labels, out_summary):
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None)
 @click.option("--labels", "labels_path", type=click.Path(exists=True), required=True)
-@click.option("--epochs", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default="artifacts/cnn.tf", show_default=True)
+@click.option("--epochs", type=int, default=RunConfig.classifier_epochs, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
+@click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cnn.tf", show_default=True)
 def train(data_dir, store_path, labels_path, epochs, seed, out):
     """Train the CNN on the inferred labels."""
-    store = ds.load_store(store_path) if store_path else _load_train_store(data_dir or _default_data_dir())
-    labels = inf.load_labels(labels_path)
-    side = round(store.dim**0.5)
-    params = clf.CnnParams(seed=seed, side=side, dtype=np.float32)
-    params = clf.train_cnn(params, store, labels, epochs, seed=seed)
-    params.save(_out_path(out))
+    config = RunConfig(classifier_epochs=epochs, seed=seed)
+    store = _store(store_path, data_dir, "train")
+    pl.train_classifier(config, store, inf.load_labels(labels_path)).save(_out_path(out))
     click.echo(f"cnn -> {out}")
 
 
 @main.command()
 @click.option("--cnn", "cnn_path", type=click.Path(exists=True), required=True)
 @click.option("--data", "data_dir", type=click.Path(), default=None, help="MNIST dir (uses t10k split)")
-@click.option("--store", "store_path", type=click.Path(exists=True), default=None)
-@click.option("--w", type=int, default=2, show_default=True)
-@click.option("--h", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--store", "store_path", type=click.Path(exists=True), default=None, help="test_store.tf from generate-data --synthetic")
+@click.option("--w", type=int, default=RunConfig.w, show_default=True)
+@click.option("--h", type=int, default=RunConfig.h, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="optional metrics JSON")
 def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):
     """Classification and addition accuracy on the test split."""
-    params = clf.CnnParams.load(cnn_path)
-    if store_path:
-        test_store = ds.load_store(store_path)
-    else:
-        paths = find_idx_files(data_dir or _default_data_dir())
-        test_store = ds.load_idx(paths["test_images"], paths["test_labels"], split="test")
+    test_store = _store(store_path, data_dir, "test")
     test_corpus = ds.build_corpus(test_store, w, h, 1, seed=seed)
-    metrics = clf.evaluate(params, test_corpus, test_store)
+    metrics = clf.evaluate(clf.CnnParams.load(cnn_path), test_corpus, test_store)
     if out:
-        with open(_out_path(out), "w", encoding="utf-8") as f:
-            json.dump(metrics, f, sort_keys=True)
-            f.write("\n")
+        save_json(_out_path(out), metrics)
     click.echo(json.dumps(metrics, sort_keys=True))
 
 

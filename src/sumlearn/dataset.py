@@ -127,7 +127,6 @@ class Example:
 @dataclass
 class Corpus:
     examples: list[Example]
-    oversample_factor: int = 1
 
     def __len__(self):
         return len(self.examples)
@@ -139,26 +138,36 @@ class Corpus:
         return np.concatenate([ex.grid.ravel() for ex in self.examples])
 
 
-def positional_weight(w, j):
-    """Weight 10^(w-j) of the digit in 1-based column j of a w-digit number.
+def place_value(w, column):
+    """Weight 10^(w-1-column) of the digit in 0-based `column` of a w-digit
+    number. Elementwise over integer arrays; exact wherever
+    check_grid_shape accepts w."""
+    return 10 ** (w - 1 - column)
 
-    Exact integer arithmetic; no floating point even at w=10.
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_grid_shape(w, h):
+    """Refuse grid shapes whose sums int64 cannot hold exactly.
+
+    The largest sum an h x w grid spells out is h * (10^w - 1), every digit
+    a 9; it is computed in Python ints, so it cannot wrap itself.
     """
-    if not 1 <= j <= w:
-        raise ValueError(f"column j={j} out of range for width w={w}")
-    return 10 ** (w - j)
-
-
-def _column_weights(w):
-    # weights[j-1] = 10^(w-j); int64 is exact through w=10
-    return 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    w, h = int(w), int(h)
+    if w < 1 or h < 1:
+        raise ValueError(f"grid shape must be positive, got w={w}, h={h}")
+    if h * (10**w - 1) > _INT64_MAX:
+        raise ValueError(f"w={w}, h={h}: sums up to {h * (10**w - 1)} overflow int64")
 
 
 def grid_sum(grid, labels_per_image):
     """Sum spelled out by a grid under the given per-image digit labels."""
     grid = np.asarray(grid)
+    h, w = grid.shape
+    check_grid_shape(w, h)
     digits = np.asarray(labels_per_image, dtype=np.int64)[grid]
-    return int((digits * _column_weights(grid.shape[1])).sum())
+    return int((digits * place_value(w, np.arange(w))).sum())
 
 
 def build_corpus(store, w, h, oversample_factor=1, seed=0):
@@ -168,8 +177,7 @@ def build_corpus(store, w, h, oversample_factor=1, seed=0):
     before partitioning so every image appears f times across the corpus.
     Leftover ids (count mod w*h) are discarded.
     """
-    if w < 1 or h < 1:
-        raise ValueError(f"grid shape must be positive, got w={w}, h={h}")
+    check_grid_shape(w, h)
     if oversample_factor < 1:
         raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
     n = len(store)
@@ -183,11 +191,10 @@ def build_corpus(store, w, h, oversample_factor=1, seed=0):
     grids = perm[: n_examples * cell].reshape(n_examples, h, w).astype(np.int64)
 
     labels = store.evaluation_labels()
-    weights = _column_weights(w)
-    sums = (labels[grids] * weights).sum(axis=(1, 2))
+    sums = (labels[grids] * place_value(w, np.arange(w))).sum(axis=(1, 2))
 
     examples = [Example(grid=g, sum=int(s)) for g, s in zip(grids, sums)]
-    return Corpus(examples=examples, oversample_factor=oversample_factor)
+    return Corpus(examples=examples)
 
 
 def generate_synthetic(n_images, n_clusters, separation, dim, w, h, seed=0):
@@ -240,7 +247,7 @@ def save_corpus(corpus, path):
             f.write(f"{ex.w} {ex.h} {ex.sum} {ids}\n")
 
 
-def load_corpus(path, oversample_factor=1):
+def load_corpus(path):
     examples = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -254,7 +261,7 @@ def load_corpus(path, oversample_factor=1):
                     f"line {lineno}: expected {w * h} ids, got {ids.shape[0]}"
                 )
             examples.append(Example(grid=ids.reshape(h, w), sum=s))
-    return Corpus(examples=examples, oversample_factor=oversample_factor)
+    return Corpus(examples=examples)
 
 
 def save_store(store, path, meta=None):

@@ -68,22 +68,14 @@ class AutoencoderParams:
             epochs=self.epochs_trained,
             loss_history=self.loss_history,
         )
-        tensors = {}
-        for i, layer in enumerate(self.dense_layers()):
-            tensors[f"W{i}"] = layer.W
-            tensors[f"b{i}"] = layer.b
-        save_tensors(path, tensors, meta=m)
+        save_tensors(path, nn.weight_tensors(self.dense_layers()), meta=m)
 
     @classmethod
     def load(cls, path):
         meta, tensors = load_tensors(path)
         dtype = tensors["W0"].dtype.type
         params = cls(widths=meta["widths"], seed=meta["seed"], dtype=dtype)
-        for i, layer in enumerate(params.dense_layers()):
-            layer.W = tensors[f"W{i}"]
-            layer.b = tensors[f"b{i}"]
-            layer.dW = np.zeros_like(layer.W)
-            layer.db = np.zeros_like(layer.b)
+        nn.set_weights(params.dense_layers(), tensors)
         params.epochs_trained = meta.get("epochs", 0)
         params.loss_history = list(meta.get("loss_history", []))
         return params

@@ -7,12 +7,13 @@ forced by its equation. Resolutions take effect immediately, so one pass
 can cascade, and passes repeat to a fixpoint before the radius grows.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import distance_percentiles
+from .dataset import place_value
+from .tensorfile import save_json
 
 PROV_CLUSTER = 0
 PROV_RADIUS = 1
@@ -79,7 +80,7 @@ def resolve_image_label(state, ex, img, ex_index=None):
     if unresolved.size != 1 or unresolved[0] != img:
         raise ValueError(f"image {img} is not the sole unresolved image")
 
-    weights = np.tile(10 ** np.arange(ex.w - 1, -1, -1, dtype=np.int64), ex.h)
+    weights = place_value(ex.w, np.arange(ids.size) % ex.w)
     own = ids == img
     own_weight = int(weights[own].sum())
     rest = int((state.labels[ids[~own]] * weights[~own]).sum())
@@ -130,17 +131,10 @@ def run_inference(state, corpus, model, radii=(1, 2, 3, 4, 5)):
     return state
 
 
-def final_labels(state):
-    """Materialized per-image digits after inference."""
-    return state.labels.copy()
-
-
-def save_labels(state, bin_path, json_path):
-    """Flat int64 label file plus a JSON summary of provenance counts."""
-    np.asarray(state.labels, dtype="<i8").tofile(bin_path)
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(state.counts(), f, sort_keys=True)
-        f.write("\n")
+def save_labels(labels, summary, bin_path, json_path):
+    """Flat int64 label file plus a JSON summary (LabelState.counts())."""
+    np.asarray(labels, dtype="<i8").tofile(bin_path)
+    save_json(json_path, summary)
 
 
 def load_labels(bin_path):

@@ -18,6 +18,21 @@ one that is not channels-last costs strided reads, not a different result.
 import numpy as np
 
 
+def weight_tensors(layers):
+    """Tensors W0, b0, W1, b1, ... of the given weighted layers, in order:
+    the file format of a saved network."""
+    return {f"{name}{i}": getattr(layer, name) for i, layer in enumerate(layers) for name in "Wb"}
+
+
+def set_weights(layers, tensors):
+    """Inverse of weight_tensors: load W{i}/b{i} into layer i, zero its grads."""
+    for i, layer in enumerate(layers):
+        layer.W = tensors[f"W{i}"]
+        layer.b = tensors[f"b{i}"]
+        layer.dW = np.zeros_like(layer.W)
+        layer.db = np.zeros_like(layer.b)
+
+
 def he_normal(rng, fan_in, shape, dtype):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 

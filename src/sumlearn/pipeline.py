@@ -2,10 +2,13 @@
 
 Every stage persists its artifact tagged with a hash of exactly the config
 fields it depends on (a hash chain). Rerunning loads an artifact only when
-its recorded hash matches; anything else is recomputed and overwritten.
-Because the embedding hash does not involve w or h, a sweep over grid
-shapes trains the autoencoder once and reuses it, and the reported total
-time covers the four pipeline steps, with embedding timed separately.
+its recorded hash matches (`cached`); anything else is recomputed and
+overwritten. Because the embedding hash does not involve w or h, a sweep
+over grid shapes trains the autoencoder once and reuses it, and the
+reported total time covers the four pipeline steps, with embedding timed
+separately. The CLI's stage subcommands call the same stage functions
+(`load_stores`, `write_corpus`, `embed_store`, `fit_clusters`,
+`save_cluster`, `train_classifier`) without a key, so they never resume.
 """
 
 import csv
@@ -25,7 +28,7 @@ from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
 from .errors import ConsistencyError
-from .tensorfile import peek_meta
+from .tensorfile import peek_meta, save_json
 
 SWEEP_COLUMNS = [
     "w", "h", "factor", "seed", "purity", "label_acc_pre", "label_acc_post",
@@ -62,8 +65,7 @@ class RunConfig:
     reports_dir: str = "reports"
 
     def validate(self):
-        if self.w < 1 or self.h < 1:
-            raise ValueError(f"grid shape must be positive, got w={self.w}, h={self.h}")
+        ds.check_grid_shape(self.w, self.h)
         if not (self.w <= 10 and self.h <= 6):
             warnings.warn(
                 f"w={self.w}, h={self.h} is outside the tested envelope "
@@ -88,8 +90,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj):
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in obj.items() if k in known}
+        kwargs = {k: v for k, v in obj.items() if k in cls.__dataclass_fields__}
         if "radius_schedule" in kwargs:
             kwargs["radius_schedule"] = tuple(kwargs["radius_schedule"])
         return cls(**kwargs)
@@ -170,29 +171,15 @@ class RunReport:
     failure: dict | None = None
 
     def to_json(self):
-        return {
-            "config": self.config,
-            "metrics": self.metrics,
-            "timings": self.timings,
-            "failure": self.failure,
-        }
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        return asdict(self)
 
     def csv_row(self):
-        cfg, m, t = self.config, self.metrics, self.timings
+        """SWEEP_COLUMNS' values, read from the config, metrics and timings."""
+        values = {**self.config, "factor": self.config["oversample_factor"],
+                  **self.metrics, **self.timings}
         def fmt(value):
             return "" if value is None else repr(value) if isinstance(value, float) else str(value)
-        return [
-            str(cfg["w"]), str(cfg["h"]), str(cfg["oversample_factor"]), str(cfg["seed"]),
-            fmt(m.get("purity")), fmt(m.get("label_acc_pre")), fmt(m.get("label_acc_post")),
-            fmt(m.get("cls_acc")), fmt(m.get("add_acc")),
-            fmt(t.get("t_cluster")), fmt(t.get("t_assign")), fmt(t.get("t_infer")),
-            fmt(t.get("t_train")), fmt(t.get("t_total")),
-        ]
+        return [fmt(values.get(name)) for name in SWEEP_COLUMNS]
 
 
 def label_accuracy(labels, store):
@@ -216,188 +203,187 @@ _IDX_NAMES = {
 
 def find_idx_files(data_dir):
     """Locate the four MNIST IDX files (optionally .gz) in a directory."""
-    data_dir = Path(data_dir)
     found = {}
     for role, stems in _IDX_NAMES.items():
-        for stem in stems:
-            for name in (stem, stem + ".gz"):
-                candidate = data_dir / name
-                if candidate.exists():
-                    found[role] = candidate
-                    break
-            if role in found:
-                break
-        if role not in found:
+        candidates = (Path(data_dir) / (stem + gz) for stem in stems for gz in ("", ".gz"))
+        found[role] = next((path for path in candidates if path.exists()), None)
+        if found[role] is None:
             raise FileNotFoundError(f"no {role} IDX file under {data_dir}")
     return found
 
 
-def _stage_data(config, ctx):
-    if config.synthetic:
-        n_total = config.synthetic_images + config.synthetic_test_images
-        full, _ = ds.generate_synthetic(
-            n_total,
-            config.synthetic_clusters,
-            config.synthetic_separation,
-            config.synthetic_dim,
-            config.w,
-            config.h,
-            seed=config.seed,
-        )
-        full = ds.normalize_unit(full)  # pixel-like inputs for the CNN
-        store = full.subset(np.arange(config.synthetic_images), split="train")
-        test_store = full.subset(
-            np.arange(config.synthetic_images, len(full)), split="test"
-        )
-    else:
-        paths = find_idx_files(config.data_dir)
-        store = ds.load_idx(paths["train_images"], paths["train_labels"], split="train")
-        test_store = ds.load_idx(paths["test_images"], paths["test_labels"], split="test")
+def idx_store(data_dir, split):
+    """The "train" or "test" (t10k) IDX pair under data_dir as an ImageStore."""
+    paths = find_idx_files(data_dir)
+    return ds.load_idx(paths[f"{split}_images"], paths[f"{split}_labels"], split=split)
 
+
+def load_stores(config):
+    """The train and test stores: the train and t10k IDX files under
+    data_dir, or one generated synthetic set, normalized, then split."""
+    if not config.synthetic:
+        return idx_store(config.data_dir, "train"), idx_store(config.data_dir, "test")
+    n_train = config.synthetic_images
+    full, _ = ds.generate_synthetic(
+        n_train + config.synthetic_test_images,
+        config.synthetic_clusters,
+        config.synthetic_separation,
+        config.synthetic_dim,
+        config.w,
+        config.h,
+        seed=config.seed,
+    )
+    full = ds.normalize_unit(full)  # pixel-like inputs for the CNN
+    return (
+        full.subset(np.arange(n_train), split="train"),
+        full.subset(np.arange(n_train, len(full)), split="test"),
+    )
+
+
+def write_corpus(config, store, out_dir):
+    """Build the training corpus and write corpus.txt and corpus.json."""
     corpus = ds.build_corpus(
         store, config.w, config.h, config.oversample_factor, seed=config.seed
     )
+    ds.save_corpus(corpus, out_dir / "corpus.txt")
+    save_json(out_dir / "corpus.json", {"config_key": config.corpus_key(), "examples": len(corpus)})
+    return corpus
+
+
+def _stage_data(config, ctx):
+    store, test_store = load_stores(config)
+    corpus = write_corpus(config, store, ctx["artifacts_dir"])
     test_corpus = ds.build_corpus(test_store, config.w, config.h, 1, seed=config.seed)
-
-    art = ctx["artifacts_dir"]
-    ds.save_corpus(corpus, art / "corpus.txt")
-    with open(art / "corpus.json", "w", encoding="utf-8") as f:
-        json.dump({"config_key": config.corpus_key(), "examples": len(corpus)}, f)
-        f.write("\n")
-
     ctx.update(store=store, test_store=test_store, corpus=corpus, test_corpus=test_corpus)
+
+
+# -- resume ----------------------------------------------------------------
+
+def cached(path, key, load, compute, save):
+    """A stage's value: resumed from `path` or computed and saved there.
+
+    The artifact at `path` records the config_key it was made under, in its
+    tensor-file meta or as a JSON field. It is resumed, as `load(path)`,
+    only when that key equals `key`; `load` raises ValueError for an
+    artifact that does not fit. Otherwise `compute()` makes the value and
+    `save(value, path, {"config_key": key})` writes it. A `key` of None
+    never resumes.
+    """
+    try:
+        if key is not None and _recorded_key(path) == key:
+            return load(path)
+    except (OSError, KeyError, ValueError):
+        pass  # missing, unreadable or truncated: recompute
+    value = compute()
+    save(value, path, {"config_key": key})
+    return value
+
+
+def _recorded_key(path):
+    if path.suffix == ".tf":
+        return peek_meta(path).get("config_key")
+    return json.loads(path.read_text(encoding="utf-8")).get("config_key")
 
 
 # -- training stages (audited: these never touch evaluation_labels) ----------
 
-def _stage_embed(config, ctx):
-    art = ctx["artifacts_dir"]
-    path = art / "embedding.tf"
-    key = config.embed_key()
-    if path.exists():
-        try:
-            if peek_meta(path).get("config_key") == key:
-                _, matrix = emb.load_embedding(path)
-                ctx["embedding"] = matrix
-                return
-        except ValueError:
-            pass
-    store = ctx["store"]
-    if config.backend == "pca":
-        matrix = emb.pca_embed(store, dim=config.embed_dim)
-    else:
-        ae_path = art / "autoencoder.tf"
-        params = None
-        if ae_path.exists():
-            try:
-                if peek_meta(ae_path).get("config_key") == key:
-                    params = emb.AutoencoderParams.load(ae_path)
-            except ValueError:
-                params = None
-        if params is None:
-            widths = (store.dim, 500, 500, 2000, config.embed_dim)
-            params = emb.train_autoencoder(
+def embed_store(config, store, path, key=None):
+    """The store's embedding, saved to `path`; the autoencoder backend
+    saves its weights beside it as autoencoder.tf. Each file is resumed
+    when it records `key`."""
+    params = None
+    if config.backend == "autoencoder":
+        widths = (store.dim, *emb.ENCODER_WIDTHS[1:-1], config.embed_dim)
+        params = cached(
+            path.with_name("autoencoder.tf"), key, emb.AutoencoderParams.load,
+            lambda: emb.train_autoencoder(
                 store, config.autoencoder_epochs, seed=config.seed, widths=widths
-            )
-            params.save(ae_path, meta={"config_key": key})
-        matrix = emb.encode(params, store)
-    emb.save_embedding(path, matrix, meta={"config_key": key})
-    ctx["embedding"] = matrix
-
-
-def _stage_cluster(config, ctx):
-    art = ctx["artifacts_dir"]
-    path = art / "cluster.tf"
-    key = config.cluster_key()
-    if path.exists():
-        try:
-            if peek_meta(path).get("config_key") == key:
-                ctx["model"] = clu.ClusterModel.load(path)
-                return
-        except ValueError:
-            pass
-    model = clu.kmeans(
-        ctx["embedding"],
-        config.kmeans_k,
-        seed=config.seed,
-        max_iter=config.kmeans_max_iter,
-        tol=config.kmeans_tol,
-        n_init=config.kmeans_n_init,
+            ),
+            emb.AutoencoderParams.save,
+        )
+    return cached(
+        path, key, lambda p: emb.load_embedding(p)[1],
+        lambda: emb.encode(params, store) if params else emb.pca_embed(store, dim=config.embed_dim),
+        lambda matrix, p, meta: emb.save_embedding(p, matrix, meta=meta),
     )
-    model.save(path, meta={"config_key": key})
-    clu.save_assignment(art / "cluster_assignment.bin", model.assignment)
-    ctx["model"] = model
 
 
-def _stage_assign(config, ctx):
-    art = ctx["artifacts_dir"]
-    path = art / "assignment.json"
-    key = config.assign_key()
-    if path.exists():
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                obj = json.load(f)
-            if obj.get("config_key") == key:
-                ctx["digit_assignment"] = asg.DigitAssignment.from_json(obj)
-                return
-        except (ValueError, KeyError):
-            pass
-    result = asg.solve_corpus(ctx["corpus"], ctx["model"], batch_size=config.batch_size)
-    result.save(path, extra={"config_key": key})
-    ctx["digit_assignment"] = result
+def save_cluster(model, path, meta=None):
+    """The model as `path` plus its flat cluster_assignment.bin beside it."""
+    model.save(path, meta=meta)
+    clu.save_assignment(path.with_name("cluster_assignment.bin"), model.assignment)
 
 
-def _stage_infer(config, ctx):
-    art = ctx["artifacts_dir"]
-    bin_path = art / "labels.bin"
-    json_path = art / "labels.json"
-    key = config.infer_key()
-    state = inf.init_labels(ctx["model"], ctx["digit_assignment"])
-    ctx["initial_labels"] = state.labels.copy()
-    if bin_path.exists() and json_path.exists():
-        try:
-            with open(json_path, "r", encoding="utf-8") as f:
-                summary = json.load(f)
-            labels = inf.load_labels(bin_path)
-            # a truncated file keeps its key; resume only one label per image
-            if summary.get("config_key") == key and labels.shape[0] == len(ctx["store"]):
-                ctx["labels"] = labels
-                ctx["label_summary"] = summary
-                return
-        except (ValueError, KeyError):
-            pass
-    state = inf.run_inference(state, ctx["corpus"], ctx["model"], radii=config.radius_schedule)
-    np.asarray(state.labels, dtype="<i8").tofile(bin_path)
-    summary = state.counts()
-    summary["config_key"] = key
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, sort_keys=True)
-        f.write("\n")
-    ctx["labels"] = inf.final_labels(state)
-    ctx["label_summary"] = summary
+def fit_clusters(config, matrix):
+    """k-means over the embedding with the config's settings."""
+    return clu.kmeans(
+        matrix, config.kmeans_k, seed=config.seed, max_iter=config.kmeans_max_iter,
+        tol=config.kmeans_tol, n_init=config.kmeans_n_init,
+    )
 
 
-def _stage_train(config, ctx):
-    art = ctx["artifacts_dir"]
-    path = art / "cnn.tf"
-    key = config.train_key()
-    store = ctx["store"]
+def train_classifier(config, store, labels):
+    """A fresh float32 CNN trained on the store's square images."""
     side = round(store.dim**0.5)
     if side * side != store.dim:
         raise ValueError(f"classifier needs square images, store dim is {store.dim}")
-    if path.exists():
-        try:
-            if peek_meta(path).get("config_key") == key:
-                ctx["cnn"] = clf.CnnParams.load(path)
-                return
-        except ValueError:
-            pass
     params = clf.CnnParams(seed=config.seed, side=side, dtype=np.float32)
-    params = clf.train_cnn(
-        params, store, ctx["labels"], config.classifier_epochs, seed=config.seed
+    return clf.train_cnn(params, store, labels, config.classifier_epochs, seed=config.seed)
+
+
+def _stage_embed(config, ctx):
+    ctx["embedding"] = embed_store(
+        config, ctx["store"], ctx["artifacts_dir"] / "embedding.tf", config.embed_key()
     )
-    params.save(path, meta={"config_key": key})
-    ctx["cnn"] = params
+
+
+def _stage_cluster(config, ctx):
+    ctx["model"] = cached(
+        ctx["artifacts_dir"] / "cluster.tf", config.cluster_key(), clu.ClusterModel.load,
+        lambda: fit_clusters(config, ctx["embedding"]),
+        save_cluster,
+    )
+
+
+def _stage_assign(config, ctx):
+    ctx["digit_assignment"] = cached(
+        ctx["artifacts_dir"] / "assignment.json", config.assign_key(),
+        asg.DigitAssignment.load,
+        lambda: asg.solve_corpus(ctx["corpus"], ctx["model"], batch_size=config.batch_size),
+        asg.DigitAssignment.save,
+    )
+
+
+def _stage_infer(config, ctx):
+    state = inf.init_labels(ctx["model"], ctx["digit_assignment"])
+    ctx["initial_labels"] = state.labels.copy()
+    n_images = len(ctx["store"])
+
+    def load(path):
+        labels = inf.load_labels(path.with_name("labels.bin"))
+        # a truncated labels.bin keeps its key; resume only one label per image
+        if labels.shape[0] != n_images:
+            raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
+        return labels, json.loads(path.read_text(encoding="utf-8"))
+
+    def compute():
+        done = inf.run_inference(state, ctx["corpus"], ctx["model"], radii=config.radius_schedule)
+        return done.labels, done.counts()
+
+    def save(value, path, meta):
+        inf.save_labels(value[0], {**value[1], **meta}, path.with_name("labels.bin"), path)
+
+    ctx["labels"], ctx["label_summary"] = cached(
+        ctx["artifacts_dir"] / "labels.json", config.infer_key(), load, compute, save
+    )
+
+
+def _stage_train(config, ctx):
+    ctx["cnn"] = cached(
+        ctx["artifacts_dir"] / "cnn.tf", config.train_key(), clf.CnnParams.load,
+        lambda: train_classifier(config, ctx["store"], ctx["labels"]),
+        clf.CnnParams.save,
+    )
 
 
 # -- evaluation (the one place ground truth is read) --------------------------
@@ -437,10 +423,9 @@ def run_pipeline(config):
     marker and downstream stages are skipped.
     """
     config.validate()
-    artifacts_dir = Path(config.artifacts_dir)
-    artifacts_dir.mkdir(parents=True, exist_ok=True)
-    reports_dir = Path(config.reports_dir)
-    reports_dir.mkdir(parents=True, exist_ok=True)
+    artifacts_dir, reports_dir = Path(config.artifacts_dir), Path(config.reports_dir)
+    for directory in (artifacts_dir, reports_dir):
+        directory.mkdir(parents=True, exist_ok=True)
 
     ctx = {"artifacts_dir": artifacts_dir, "metrics": {}}
     timings = {}
@@ -463,7 +448,7 @@ def run_pipeline(config):
         timings=timings,
         failure=failure,
     )
-    report.save(reports_dir / "report.json")
+    save_json(reports_dir / "report.json", report.to_json(), indent=2)
     return report
 
 
@@ -486,8 +471,5 @@ def sweep(configs, csv_path):
                 )
             )
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SWEEP_COLUMNS)
-        for report in reports:
-            writer.writerow(report.csv_row())
+        csv.writer(f).writerows([SWEEP_COLUMNS] + [report.csv_row() for report in reports])
     return reports

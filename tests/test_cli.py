@@ -1,9 +1,17 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sumlearn.assignment import DigitAssignment
 from sumlearn.cli import main
+from sumlearn.tensorfile import load_tensors
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, env=None):
@@ -23,6 +31,7 @@ class TestStageCommands:
         assert r.exit_code == 0, r.output
         assert (tmp_path / "corpus.txt").exists()
         assert (tmp_path / "store.tf").exists()
+        assert (tmp_path / "test_store.tf").exists()
 
         r = run_cli(
             "embed", "--store", f"{out}/store.tf", "--backend", "pca",
@@ -59,13 +68,90 @@ class TestStageCommands:
         assert r.exit_code == 0, r.output
 
         r = run_cli(
-            "evaluate", "--cnn", f"{out}/cnn.tf", "--store", f"{out}/store.tf",
+            "evaluate", "--cnn", f"{out}/cnn.tf", "--store", f"{out}/test_store.tf",
             "--w", "2", "--h", "1", "--out", f"{out}/metrics.json",
         )
         assert r.exit_code == 0, r.output
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["cls_acc"] == 1.0
         assert metrics["add_acc"] == 1.0
+
+
+class TestStageChainMatchesRun:
+    """The stage subcommands and `run` share each stage's code, so at equal
+    settings they write the same artifacts and score the same held-out
+    test images."""
+
+    SETTINGS = dict(w=2, h=2, seed=3, batch_size=50, backend="pca", classifier_epochs=4,
+                    synthetic=True, synthetic_images=480, synthetic_clusters=10,
+                    synthetic_separation=80.0, synthetic_dim=196)
+
+    def test_same_artifacts_and_metrics(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.SETTINGS))
+        run_dir = tmp_path / "run"
+        r = run_cli("run", "--config", str(config), "--artifacts", str(run_dir),
+                    "--reports", str(tmp_path / "reports"))
+        assert r.exit_code == 0, r.output
+
+        c = tmp_path / "stages"
+        steps = [
+            ("generate-data", "--synthetic", "--w", "2", "--h", "2", "--seed", "3",
+             "--n-images", "480", "--n-clusters", "10", "--separation", "80", "--dim", "196",
+             "--out", f"{c}"),
+            ("embed", "--store", f"{c}/store.tf", "--backend", "pca", "--seed", "3",
+             "--out", f"{c}/embedding.tf"),
+            ("cluster", "--embedding", f"{c}/embedding.tf", "--seed", "3", "--out", f"{c}/cluster.tf"),
+            ("assign", "--corpus", f"{c}/corpus.txt", "--cluster", f"{c}/cluster.tf",
+             "--batch-size", "50", "--out", f"{c}/assignment.json"),
+            ("infer", "--corpus", f"{c}/corpus.txt", "--cluster", f"{c}/cluster.tf",
+             "--assignment", f"{c}/assignment.json",
+             "--out-labels", f"{c}/labels.bin", "--out-summary", f"{c}/labels.json"),
+            ("train", "--store", f"{c}/store.tf", "--labels", f"{c}/labels.bin",
+             "--epochs", "4", "--seed", "3", "--out", f"{c}/cnn.tf"),
+            ("evaluate", "--cnn", f"{c}/cnn.tf", "--store", f"{c}/test_store.tf",
+             "--w", "2", "--h", "2", "--seed", "3", "--out", f"{c}/metrics.json"),
+        ]
+        for step in steps:
+            r = run_cli(*step)
+            assert r.exit_code == 0, r.output
+
+        for name in ("corpus.txt", "cluster_assignment.bin", "labels.bin"):
+            assert (c / name).read_bytes() == (run_dir / name).read_bytes(), name
+        for name in ("embedding.tf", "cluster.tf", "cnn.tf"):
+            _, staged = load_tensors(c / name)
+            _, ran = load_tensors(run_dir / name)
+            assert staged.keys() == ran.keys(), name
+            for key in ran:
+                assert np.array_equal(staged[key], ran[key]), (name, key)
+        staged = DigitAssignment.load(c / "assignment.json")
+        ran = DigitAssignment.load(run_dir / "assignment.json")
+        assert np.array_equal(staged.digits, ran.digits)
+        assert staged.objective == ran.objective
+
+        metrics = json.loads((c / "metrics.json").read_text())
+        report = json.loads((tmp_path / "reports" / "report.json").read_text())
+        assert metrics == {k: report["metrics"][k] for k in ("cls_acc", "add_acc")}
+
+
+def readme_stage_chain():
+    """The commands of the README's "Stage-by-stage CLI" code block."""
+    section = README.read_text(encoding="utf-8").split("### Stage-by-stage CLI", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("sumlearn ")]
+
+
+def test_readme_stage_chain_runs(tmp_path, monkeypatch):
+    commands = readme_stage_chain()
+    assert [c[1] for c in commands] == [
+        "generate-data", "embed", "cluster", "assign", "infer", "train", "evaluate",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        r = run_cli(*command[1:])
+        assert r.exit_code == 0, (command, r.output)
+    metrics = json.loads(r.output.strip().splitlines()[-1])
+    assert metrics["cls_acc"] >= 0.99  # held-out images, the README's bar
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +194,7 @@ class TestOutputDirectories:
               "--out-summary", "{o}/summary/labels.json"], ["labels.bin", "summary/labels.json"]),
             (["train", "--store", "{c}/store.tf", "--labels", "{c}/labels.bin", "--epochs", "1",
               "--out", "{o}/cnn.tf"], ["cnn.tf"]),
-            (["evaluate", "--cnn", "{c}/cnn.tf", "--store", "{c}/store.tf", "--w", "2", "--h", "1",
+            (["evaluate", "--cnn", "{c}/cnn.tf", "--store", "{c}/test_store.tf", "--w", "2", "--h", "1",
               "--out", "{o}/metrics.json"], ["metrics.json"]),
         ],
         ids=["embed", "cluster", "assign", "infer", "train", "evaluate"],

@@ -11,7 +11,6 @@ from sumlearn.dataset import (
     load_corpus,
     load_idx,
     load_store,
-    positional_weight,
     save_corpus,
     save_store,
 )
@@ -73,22 +72,6 @@ class TestLoadIdx:
             load_idx(img, lbl)
 
 
-class TestPositionalWeight:
-    def test_tens_and_units(self):
-        assert positional_weight(2, 1) == 10
-        assert positional_weight(2, 2) == 1
-
-    def test_w10_exact_integer(self):
-        value = positional_weight(10, 1)
-        assert value == 10**9
-        assert isinstance(value, int)
-
-    @pytest.mark.parametrize("j", [0, 3, -1])
-    def test_out_of_range(self, j):
-        with pytest.raises(ValueError):
-            positional_weight(2, j)
-
-
 class TestBuildCorpus:
     def test_positional_sum(self):
         store = store_with_labels([1, 2, 3, 4])
@@ -125,6 +108,22 @@ class TestBuildCorpus:
         corpus = build_corpus(store, w=3, h=2, seed=3)
         for ex in corpus.examples:
             assert grid_sum(ex.grid, store.evaluation_labels()) == ex.sum
+
+    def test_w18_sums_exact(self):
+        # h=2, w=18, every digit 9: 2 * (10^18 - 1) still fits int64
+        store = store_with_labels(np.full(36, 9))
+        [ex] = build_corpus(store, w=18, h=2).examples
+        assert ex.sum == 2 * (10**18 - 1)
+        assert grid_sum(ex.grid, store.evaluation_labels()) == 2 * (10**18 - 1)
+
+    @pytest.mark.parametrize("w, h", [(19, 2), (19, 1), (18, 10)])
+    def test_int64_overflow_refused(self, w, h):
+        # the all-9 sum h * (10^w - 1) exceeds 2^63 - 1; int64 would wrap
+        store = store_with_labels(np.full(w * h, 9))
+        with pytest.raises(ValueError, match="overflow int64"):
+            build_corpus(store, w=w, h=h)
+        with pytest.raises(ValueError, match="overflow int64"):
+            grid_sum(np.arange(w * h).reshape(h, w), store.evaluation_labels())
 
     def test_determinism_byte_for_byte(self, tmp_path):
         store = store_with_labels(np.arange(40) % 10)

@@ -7,7 +7,6 @@ from sumlearn.inference import (
     PROV_CLUSTER,
     PROV_INFERRED,
     PROV_RADIUS,
-    final_labels,
     images_within_radius,
     infer_correct_labels,
     init_labels,
@@ -207,31 +206,12 @@ class TestRunInference:
         assert out.provenance[1] == PROV_INFERRED
 
 
-class TestFinalLabels:
-    def test_identity_without_inference(self):
-        state = make_state([1, 2, 3])
-        assert np.array_equal(final_labels(state), [1, 2, 3])
-
-    def test_reflects_inferred_overrides(self):
-        corpus = corpus_from_grids([(np.array([[0], [1]]), 9)])
-        state = make_state([4, 2], correct=[0])
-        infer_correct_labels(state, corpus)
-        out = final_labels(state)
-        assert out[0] == 4 and out[1] == 5
-
-    def test_returns_copy(self):
-        state = make_state([1, 2])
-        out = final_labels(state)
-        out[0] = 9
-        assert state.labels[0] == 1
-
-
 class TestPersistence:
     def test_labels_roundtrip(self, tmp_path):
         state = make_state([3, 1, 4], correct=[0])
         state.provenance[0] = PROV_INFERRED
         bin_path, json_path = tmp_path / "labels.bin", tmp_path / "labels.json"
-        save_labels(state, bin_path, json_path)
+        save_labels(state.labels, state.counts(), bin_path, json_path)
         assert np.array_equal(load_labels(bin_path), [3, 1, 4])
         import json
 

@@ -6,6 +6,7 @@ import pytest
 
 from sumlearn import assignment as asg
 from sumlearn import classifier as clf
+from sumlearn import cli
 from sumlearn import clustering as clu
 from sumlearn import embedding as emb
 from sumlearn import inference as inf
@@ -64,6 +65,12 @@ class TestRunConfig:
     def test_accepts_paper_envelope_silently(self, recwarn):
         RunConfig(w=10, h=6, synthetic=True).validate()
         assert not [w for w in recwarn.list if issubclass(w.category, UserWarning)]
+
+    def test_refuses_int64_overflow(self):
+        with pytest.warns(UserWarning, match="envelope"):
+            RunConfig(w=18, h=2, synthetic=True).validate()
+        with pytest.raises(ValueError, match="overflow int64"):
+            RunConfig(w=19, h=2, synthetic=True).validate()
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
@@ -163,6 +170,23 @@ class TestRunPipeline:
         assert rerun.failure is None
         assert strip_timings(rerun) == strip_timings(cold)
         assert labels_bin.stat().st_size == size
+
+    @pytest.mark.parametrize(
+        "name",
+        ["embedding.tf", "autoencoder.tf", "cluster.tf", "assignment.json", "labels.json", "cnn.tf"],
+    )
+    def test_truncated_artifact_recomputed(self, tmp_path, name):
+        # every artifact `cached` resumes; labels.bin is the test above
+        overrides = {"backend": "autoencoder", "autoencoder_epochs": 1} if name == "autoencoder.tf" else {}
+        cfg = tiny_config(tmp_path, **overrides)
+        cold = run_pipeline(cfg)
+        path = tmp_path / "artifacts" / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])  # a tensor file keeps its header and key
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert path.read_bytes() == whole
 
     def test_embedding_reused_across_grid_shapes(self, tmp_path, monkeypatch):
         calls = {"n": 0}
@@ -340,13 +364,11 @@ class TestLabelFreedomAudit:
         asg.build_batch_system,
         asg.solve_batch,
         asg.solve_corpus,
-        asg.count_satisfied,
         inf.init_labels,
         inf.images_within_radius,
         inf.resolve_image_label,
         inf.infer_correct_labels,
         inf.run_inference,
-        inf.final_labels,
         clf.init_cnn,
         clf.train_cnn,
         clf.classify,
@@ -355,6 +377,16 @@ class TestLabelFreedomAudit:
         pl._stage_assign,
         pl._stage_infer,
         pl._stage_train,
+        pl.cached,
+        pl.embed_store,
+        pl.save_cluster,
+        pl.train_classifier,
+        inf.save_labels,
+        cli.embed.callback,
+        cli.cluster.callback,
+        cli.assign.callback,
+        cli.infer.callback,
+        cli.train.callback,
     ]
 
     @pytest.mark.parametrize("fn", TRAINING_PATH, ids=lambda f: f.__qualname__)
