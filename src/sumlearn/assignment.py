@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import place_value
+from .dataset import grid_cells
 from .errors import ConsistencyError
 from .tensorfile import save_json
 
@@ -90,17 +90,10 @@ def build_batch_system(examples, model):
     k = model.k
     coeffs = np.zeros((len(examples), k), dtype=np.int64)
     targets = np.array([ex.sum for ex in examples], dtype=np.int64)
-    if not examples:
-        return BatchSystem(coeffs=coeffs, targets=targets)
-    ids = np.concatenate([ex.grid.ravel() for ex in examples])
-    sizes = np.array([ex.grid.size for ex in examples])
-    row = np.repeat(np.arange(len(examples)), sizes)
+    row, ids, weights = grid_cells(examples)
     bad = (ids < 0) | (ids >= len(model))
     if bad.any():
         raise ConsistencyError(f"example {row[bad.argmax()]} references unclustered image ids")
-    width = np.repeat([ex.w for ex in examples], sizes)
-    cell = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    weights = place_value(width, cell % width)
     np.add.at(coeffs.ravel(), row * k + model.assignment[ids], weights)
     return BatchSystem(coeffs=coeffs, targets=targets)
 

@@ -145,6 +145,20 @@ def place_value(w, column):
     return 10 ** (w - 1 - column)
 
 
+def grid_cells(examples):
+    """Every cell of the examples' grids as flat arrays (example index,
+    image id, positional weight), row-major within each grid."""
+    if not examples:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    ids = np.concatenate([ex.grid.ravel() for ex in examples]).astype(np.int64, copy=False)
+    sizes = np.array([ex.grid.size for ex in examples])
+    row = np.repeat(np.arange(len(examples)), sizes)
+    width = np.repeat([ex.w for ex in examples], sizes)
+    cell = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return row, ids, place_value(width, cell % width)
+
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 

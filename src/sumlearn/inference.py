@@ -5,14 +5,30 @@ are trusted (radius schedule over per-cluster distance quantiles); any
 example left with exactly one untrusted image has that image's digit
 forced by its equation. Resolutions take effect immediately, so one pass
 can cascade, and passes repeat to a fixpoint before the radius grows.
+
+Propagation is event-driven. `run_inference` indexes the corpus once: each
+(example, distinct image) pair with the summed positional weight of the
+image's cells, sorted by image, so the examples holding an image are one
+slice. Per example it keeps the number of distinct untrusted images, their
+total weight, the sum of their ids (the sole one's id when one is left)
+and the trusted partial sum of weight * label; trusted labels never
+change, so the partial sum stays valid. A pass visits only the examples
+queued for it, in index order: after a radius step, every example with one
+untrusted image; after a resolution, each example whose count drops to 1,
+queued in the current pass if its index is above the resolving example's
+and in the next pass otherwise. That is the order in which a sequential
+pass over all examples would meet them, so labels, the inconsistent set and
+the number of passes are the same, while the work is proportional to the
+resolutions and the pairs they touch instead of examples times passes.
 """
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import distance_percentiles
-from .dataset import place_value
+from .dataset import grid_cells, place_value
 from .tensorfile import save_json
 
 PROV_CLUSTER = 0
@@ -21,6 +37,8 @@ PROV_INFERRED = 2
 
 _PROV_NAMES = {PROV_CLUSTER: "cluster", PROV_RADIUS: "radius", PROV_INFERRED: "inferred"}
 
+RADII = (1, 2, 3, 4, 5)  # radius r trusts each cluster's (20 r)-percentile
+
 
 @dataclass
 class LabelState:
@@ -28,11 +46,13 @@ class LabelState:
     correct: np.ndarray  # (N,) bool, the trusted set
     provenance: np.ndarray  # (N,) int8, PROV_* tags
     inconsistent_examples: set = field(default_factory=set)
+    radii: list = field(default_factory=list)  # one record per radius run_inference ran
 
     def counts(self):
         out = {name: int((self.provenance == tag).sum()) for tag, name in _PROV_NAMES.items()}
         out["correct"] = int(self.correct.sum())
         out["inconsistent_examples"] = len(self.inconsistent_examples)
+        out["inference_radii"] = list(self.radii)
         return out
 
 
@@ -54,7 +74,7 @@ def init_labels(model, assignment):
 def images_within_radius(model, radius):
     """Ids of images within the (radius*20)-percentile of their own
     cluster's centroid-distance distribution. radius=5 covers everything."""
-    if radius not in (1, 2, 3, 4, 5):
+    if radius not in RADII:
         raise ValueError(f"radius must be in 1..5, got {radius}")
     q = radius * 20 / 100.0
     mask = np.zeros(len(model), dtype=bool)
@@ -65,6 +85,13 @@ def images_within_radius(model, radius):
         threshold = distance_percentiles(model, c, q)
         mask[members[model.distance[members] <= threshold]] = True
     return np.flatnonzero(mask)
+
+
+def _forced_digit(numerator, weight):
+    """The digit d with d * weight == numerator, or None when no integer
+    in 0..9 satisfies it (Python ints)."""
+    digit, remainder = divmod(numerator, weight)
+    return digit if remainder == 0 and 0 <= digit <= 9 else None
 
 
 def resolve_image_label(state, ex, img, ex_index=None):
@@ -82,52 +109,122 @@ def resolve_image_label(state, ex, img, ex_index=None):
 
     weights = place_value(ex.w, np.arange(ids.size) % ex.w)
     own = ids == img
-    own_weight = int(weights[own].sum())
     rest = int((state.labels[ids[~own]] * weights[~own]).sum())
-    numerator = ex.sum - rest
-    if numerator % own_weight == 0 and 0 <= numerator // own_weight <= 9:
-        return numerator // own_weight
-    if ex_index is not None:
+    digit = _forced_digit(ex.sum - rest, int(weights[own].sum()))
+    if digit is None and ex_index is not None:
         state.inconsistent_examples.add(ex_index)
-    return None
+    return digit
 
 
-def infer_correct_labels(state, corpus):
+class _Propagation:
+    """The corpus index, the per-example counters and the pass queue."""
+
+    def __init__(self, corpus, n_images):
+        self.sums = [int(ex.sum) for ex in corpus.examples]
+        ex_ids, img_ids, weights = grid_cells(corpus.examples)
+        # one entry per (example, distinct image) pair, sorted by image
+        key = img_ids * len(self.sums) + ex_ids
+        order = np.argsort(key)
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        self.pair_ex, self.pair_img = ex_ids[order][starts], img_ids[order][starts]
+        self.pair_weight = np.add.reduceat(weights[order], starts)
+        self.holders = self.pair_ex.tolist()
+        self.holder_weights = self.pair_weight.tolist()
+        self.start = np.searchsorted(self.pair_img, np.arange(n_images + 1)).tolist()
+
+    def restart(self, state):
+        """Count every example afresh from state; the next pass visits every
+        example with exactly one untrusted image."""
+        n = len(self.sums)
+        untrusted = ~state.correct[self.pair_img]
+
+        def per_example(mask, values):
+            out = np.zeros(n, dtype=np.int64)
+            np.add.at(out, self.pair_ex[mask], values[mask])
+            return out.tolist()
+
+        count = np.bincount(self.pair_ex[untrusted], minlength=n)
+        self.count = count.tolist()
+        self.weight = per_example(untrusted, self.pair_weight)
+        self.id_sum = per_example(untrusted, self.pair_img)
+        self.partial = per_example(~untrusted, self.pair_weight * state.labels[self.pair_img])
+        self.queue = np.flatnonzero(count == 1).tolist()
+
+    def run_pass(self, state):
+        """Visit this pass's queue in index order; returns whether anything
+        resolved."""
+        queue, later, changed = self.queue, [], False
+        count, weight, id_sum, partial = self.count, self.weight, self.id_sum, self.partial
+        while queue:
+            e = heapq.heappop(queue)
+            if count[e] != 1:
+                continue
+            digit = _forced_digit(self.sums[e] - partial[e], weight[e])
+            if digit is None:
+                state.inconsistent_examples.add(e)
+                continue
+            img = id_sum[e]
+            state.labels[img] = digit
+            state.correct[img] = True
+            state.provenance[img] = PROV_INFERRED
+            changed = True
+            for k in range(self.start[img], self.start[img + 1]):
+                other, w = self.holders[k], self.holder_weights[k]
+                count[other] -= 1
+                weight[other] -= w
+                id_sum[other] -= img
+                partial[other] += w * digit
+                if count[other] == 1:
+                    if other > e:
+                        heapq.heappush(queue, other)
+                    else:
+                        later.append(other)
+        self.queue = sorted(later)
+        return changed
+
+
+def infer_correct_labels(state, corpus, propagation=None):
     """One pass over the corpus in order; returns whether anything resolved.
 
     Resolutions apply immediately, so an image trusted early in the pass
-    can unlock later examples within the same pass.
+    can unlock later examples within the same pass. `run_inference` passes
+    the `propagation` that carries the index, counters and queue from pass
+    to pass; without one, the corpus is indexed and counted from `state`,
+    and the pass visits every example that has one untrusted image.
     """
-    changed = False
-    for idx, ex in enumerate(corpus.examples):
-        ids = ex.grid.ravel()
-        unresolved = np.unique(ids[~state.correct[ids]])
-        if unresolved.size != 1:
-            continue
-        img = int(unresolved[0])
-        digit = resolve_image_label(state, ex, img, ex_index=idx)
-        if digit is None:
-            continue
-        state.labels[img] = digit
-        state.correct[img] = True
-        state.provenance[img] = PROV_INFERRED
-        changed = True
-    return changed
+    if propagation is None:
+        propagation = _Propagation(corpus, state.labels.shape[0])
+        propagation.restart(state)
+    return propagation.run_pass(state)
 
 
-def run_inference(state, corpus, model, radii=(1, 2, 3, 4, 5)):
+def run_inference(state, corpus, model, radii=RADII):
     """Radius schedule around repeated propagation to fixpoint.
 
     Images pulled in by a radius keep their current labels; inferred
-    labels are never overwritten by later radii.
+    labels are never overwritten by later radii. Each radius appends to
+    state.radii the images it trusted, the images inferred after it, the
+    examples newly found inconsistent and the passes it took.
     """
+    propagation = _Propagation(corpus, state.labels.shape[0])
     for radius in radii:
         ids = images_within_radius(model, radius)
         fresh = ids[~state.correct[ids]]
         state.provenance[fresh] = PROV_RADIUS
         state.correct[fresh] = True
-        while infer_correct_labels(state, corpus):
-            pass
+        inferred = int((state.provenance == PROV_INFERRED).sum())
+        inconsistent = len(state.inconsistent_examples)
+        propagation.restart(state)
+        passes = 1
+        while infer_correct_labels(state, corpus, propagation):
+            passes += 1
+        state.radii.append({
+            "radius": int(radius),
+            "trusted": int(fresh.size),
+            "inferred": int((state.provenance == PROV_INFERRED).sum()) - inferred,
+            "inconsistent_examples": len(state.inconsistent_examples) - inconsistent,
+            "passes": passes,
+        })
     return state
 
 

@@ -52,7 +52,7 @@ class RunConfig:
     kmeans_max_iter: int = 300
     kmeans_tol: float = 1e-4
     kmeans_n_init: int = 10
-    radius_schedule: tuple = (1, 2, 3, 4, 5)
+    radius_schedule: tuple = inf.RADII
     classifier_epochs: int = 10
     synthetic: bool = False
     synthetic_images: int = 1200
@@ -78,6 +78,9 @@ class RunConfig:
             raise ValueError(
                 f"oversample_factor must be >= 1, got {self.oversample_factor}"
             )
+        outside = [r for r in self.radius_schedule if r not in inf.RADII]
+        if outside:
+            raise ValueError(f"radius_schedule values must be in 1..5, got {outside}")
         if self.backend not in ("autoencoder", "pca"):
             raise ValueError(f"unknown embedding backend {self.backend!r}")
         if not self.synthetic and self.data_dir is None:
@@ -364,7 +367,10 @@ def _stage_infer(config, ctx):
         # a truncated labels.bin keeps its key; resume only one label per image
         if labels.shape[0] != n_images:
             raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
-        return labels, json.loads(path.read_text(encoding="utf-8"))
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        if "inference_radii" not in summary:  # written before the per-radius record
+            raise ValueError("labels.json has no inference_radii")
+        return labels, summary
 
     def compute():
         done = inf.run_inference(state, ctx["corpus"], ctx["model"], radii=config.radius_schedule)
@@ -402,6 +408,7 @@ def _stage_evaluate(config, ctx):
     metrics["provenance_counts"] = {
         name: int(summary[name]) for name in ("cluster", "radius", "inferred")
     }
+    metrics["inference_radii"] = summary["inference_radii"]
     metrics.update(clf.evaluate(ctx["cnn"], ctx["test_corpus"], test_store))
 
 

@@ -57,3 +57,33 @@ def corpus_from_grids(grids):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def planted_clustering(seed, n_images, w=2, h=2, reassigned=0.2, oversample_factor=1, k=10):
+    """Ground truth, a sum corpus over it, and a ClusterModel of set purity.
+
+    Cluster c stands for digit `digits[c]`, a seeded permutation. A fraction
+    `reassigned` of the images moves to a uniformly drawn cluster and sits
+    farther from its centroid, so the radius schedule trusts it last.
+    Returns (labels, corpus, model, digits).
+    """
+    from sumlearn.dataset import build_corpus
+
+    rng = np.random.default_rng(seed)
+    labels = np.tile(np.arange(k), n_images // k + 1)[:n_images]
+    labels = labels[rng.permutation(n_images)]
+    digits = rng.permutation(k)
+    assignment = np.argsort(digits)[labels]
+    moved = rng.choice(n_images, size=int(round(reassigned * n_images)), replace=False)
+    assignment[moved] = rng.integers(0, k, size=moved.size)
+    distance = np.abs(rng.standard_normal(n_images))
+    distance[moved] += 1.5
+    model = ClusterModel(
+        k=k,
+        centroids=np.zeros((k, 2)),
+        assignment=assignment.astype(np.int64),
+        distance=distance,
+    )
+    store = store_with_labels(labels, dim=1)
+    corpus = build_corpus(store, w, h, oversample_factor, seed=seed)
+    return labels, corpus, model, digits.astype(np.int64)

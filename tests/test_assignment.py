@@ -20,7 +20,7 @@ from sumlearn.assignment import (
 from sumlearn.dataset import Example, build_corpus
 from sumlearn.errors import ConsistencyError
 
-from conftest import corpus_from_grids, identity_model, store_with_labels
+from conftest import corpus_from_grids, identity_model, planted_clustering, store_with_labels
 
 
 def brute_force(system):
@@ -33,6 +33,68 @@ def brute_force(system):
         if best_val is None or val < best_val:
             best_val, best_digits = val, digits  # first hit is lex-smallest
     return best_val, best_digits
+
+
+def chunked_brute_force(system, chunk=20_000):
+    """Exhaustive 10^k enumeration in float64 GEMMs of `chunk` digit vectors:
+    (best objective, first argmin). Vectors are taken in code order, which
+    is lexicographic order, so the first argmin is the lexicographic one.
+    Exact while |A v - s| summed over the rows stays below 2^53."""
+    k = system.n_clusters
+    coeffs = system.coeffs.astype(np.float64)
+    targets = system.targets.astype(np.float64)
+    place = 10 ** np.arange(k - 1, -1, -1)
+    best_val, best_digits = None, None
+    for start in range(0, 10**k, chunk):
+        codes = np.arange(start, min(start + chunk, 10**k))
+        digits = codes[:, None] // place % 10
+        vals = np.abs(digits.astype(np.float64) @ coeffs.T - targets).sum(axis=1)
+        i = int(np.argmin(vals))
+        if best_val is None or vals[i] < best_val:
+            best_val, best_digits = vals[i], digits[i]
+    return int(best_val), best_digits
+
+
+def planted_batch(seed, k, reassigned):
+    """The first 100-example batch of a w=2 h=2 planted corpus over k clusters."""
+    _, corpus, model, _ = planted_clustering(seed, 400, reassigned=reassigned, k=k)
+    return build_batch_system(corpus.examples[:100], model)
+
+
+def milp_lexicographic(system):
+    """(f*, lexicographically smallest optimum) by scipy's MILP solver:
+    min sum t subject to -t <= A v - s <= t, v integer in 0..9, then, for
+    each cluster in index order, the smallest digit that keeps the
+    objective at f* with the earlier digits fixed."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    b, k = system.coeffs.shape
+    a = system.coeffs.astype(np.float64)
+    s = system.targets.astype(np.float64)
+    eye = np.eye(b)
+    rows = [
+        LinearConstraint(np.hstack([a, -eye]), -np.inf, s),  # A v - t <= s
+        LinearConstraint(np.hstack([-a, -eye]), -np.inf, -s),  # -A v - t <= -s
+    ]
+    integrality = np.r_[np.ones(k), np.zeros(b)]
+    lower, upper = np.zeros(k + b), np.r_[np.full(k, 9.0), np.full(b, np.inf)]
+
+    def solve(cost, extra, lower, upper):
+        res = milp(cost, constraints=rows + extra, integrality=integrality,
+                   bounds=Bounds(lower, upper))
+        assert res.success, res.message
+        return res.x
+
+    objective = np.r_[np.zeros(k), np.ones(b)]
+    f_star = round(solve(objective, [], lower, upper)[k:].sum())
+    keep_optimal = [LinearConstraint(objective[None, :], -np.inf, f_star + 0.5)]
+    for c in range(k):
+        cost = np.zeros(k + b)
+        cost[c] = 1.0
+        digit = round(solve(cost, keep_optimal, lower, upper)[c])
+        lower, upper = lower.copy(), upper.copy()
+        lower[c] = upper[c] = digit
+    return f_star, lower[:k].astype(np.int64)
 
 
 def random_system(rng, k=None, n_rows=None, w_max=3, h_max=2):
@@ -315,6 +377,43 @@ class TestSolveBatch:
         assert got.objective == want_val
         assert residuals(system, got.digits).sum() == got.objective
         assert np.array_equal(got.digits, want_digits)
+
+
+class TestOracleAtBatchShape:
+    """The solver against exhaustive and MILP oracles on 100-row batches."""
+
+    def test_chunked_brute_force_matches_brute_force(self, rng):
+        for _ in range(4):
+            system = random_system(rng, k=4, n_rows=int(rng.integers(1, 40)))
+            got = chunked_brute_force(system, chunk=3_000)
+            want_val, want_digits = brute_force(system)
+            assert got[0] == want_val
+            assert np.array_equal(got[1], want_digits)
+
+    @pytest.mark.parametrize("source", ["grid", "planted-0.2", "planted-0.35"])
+    def test_k6_matches_chunked_brute_force(self, source):
+        if source == "grid":
+            system = grid_system(np.random.default_rng(6), 6, 100, 2, 2)
+        else:
+            system = planted_batch(6, 6, float(source.split("-")[1]))
+        assert system.coeffs.shape == (100, 6)
+        got = solve_batch(system)
+        want_val, want_digits = chunked_brute_force(system)
+        assert want_val > 0  # the search ran: no zero-residual certificate
+        assert got.objective == want_val
+        assert np.array_equal(got.digits, want_digits)
+
+    @pytest.mark.parametrize("reassigned", [0.2, 0.35])
+    def test_k10_matches_milp(self, reassigned):
+        pytest.importorskip("scipy")
+        system = planted_batch(10, 10, reassigned)
+        assert system.coeffs.shape == (100, 10)
+        got = solve_batch(system)
+        f_star, digits = milp_lexicographic(system)
+        assert int(residuals(system, digits).sum()) == f_star
+        assert got.objective == f_star
+        assert int(residuals(system, got.digits).sum()) == f_star
+        assert np.array_equal(got.digits, digits)
 
 
 def count_satisfied(assignment, corpus, model):

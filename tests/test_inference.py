@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from sumlearn import inference as inf
 from sumlearn.assignment import DigitAssignment
 from sumlearn.dataset import build_corpus
 from sumlearn.inference import (
@@ -16,7 +19,7 @@ from sumlearn.inference import (
     save_labels,
 )
 
-from conftest import corpus_from_grids, identity_model, store_with_labels
+from conftest import corpus_from_grids, identity_model, planted_clustering, store_with_labels
 
 
 def make_state(labels, correct=None):
@@ -213,8 +216,116 @@ class TestPersistence:
         bin_path, json_path = tmp_path / "labels.bin", tmp_path / "labels.json"
         save_labels(state.labels, state.counts(), bin_path, json_path)
         assert np.array_equal(load_labels(bin_path), [3, 1, 4])
-        import json
-
         summary = json.loads(json_path.read_text())
         assert summary["inferred"] == 1
         assert summary["correct"] == 1
+
+
+def reference_pass(state, corpus):
+    """The sequential pass: every example in index order, resolutions
+    applied at once."""
+    changed = False
+    for idx, ex in enumerate(corpus.examples):
+        ids = ex.grid.ravel()
+        unresolved = np.unique(ids[~state.correct[ids]])
+        if unresolved.size != 1:
+            continue
+        img = int(unresolved[0])
+        digit = resolve_image_label(state, ex, img, ex_index=idx)
+        if digit is None:
+            continue
+        state.labels[img] = digit
+        state.correct[img] = True
+        state.provenance[img] = PROV_INFERRED
+        changed = True
+    return changed
+
+
+def reference_inference(state, corpus, model, radii):
+    """Sequential passes to fixpoint per radius; returns the pass count."""
+    passes = 0
+    for radius in radii:
+        ids = images_within_radius(model, radius)
+        fresh = ids[~state.correct[ids]]
+        state.provenance[fresh] = PROV_RADIUS
+        state.correct[fresh] = True
+        passes += 1
+        while reference_pass(state, corpus):
+            passes += 1
+    return passes
+
+
+def noisy_instance(seed, n, shapes, replace, n_examples):
+    """A corpus of grids of the given (h, w) shapes over n images, with or
+    without repeated ids inside a grid, a one-cluster model at random
+    distances, and initial labels wrong on 30% of the images."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, 10, n)
+    grids = []
+    for _ in range(n_examples):
+        h, w = shapes[int(rng.integers(len(shapes)))]
+        grid = rng.choice(n, size=(h, w), replace=replace)
+        grids.append((grid, int((truth[grid] * 10 ** np.arange(w - 1, -1, -1)).sum())))
+    corpus = corpus_from_grids(grids)
+    distance = rng.random(n)
+    labels = truth.copy()
+    wrong = rng.random(n) < 0.3
+    labels[wrong] = (truth[wrong] + rng.integers(1, 10, int(wrong.sum()))) % 10
+    model = identity_model(np.zeros(n, dtype=int), k=1, distance=distance)
+    return corpus, model, labels
+
+
+class TestMatchesSequentialReference:
+    """Event-driven propagation against the sequential pass loop it replaced:
+    the same LabelState and the same number of passes."""
+
+    @staticmethod
+    def compare(monkeypatch, corpus, model, labels, radii=inf.RADII):
+        want = make_state(np.copy(labels))
+        want_passes = reference_inference(want, corpus, model, radii)
+        calls = []
+        one_pass = inf.infer_correct_labels
+        monkeypatch.setattr(
+            inf, "infer_correct_labels", lambda *a, **kw: calls.append(1) or one_pass(*a, **kw)
+        )
+        got = run_inference(make_state(np.copy(labels)), corpus, model, radii=radii)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.correct, want.correct)
+        assert np.array_equal(got.provenance, want.provenance)
+        assert got.inconsistent_examples == want.inconsistent_examples
+        assert len(calls) == want_passes
+        assert sum(r["passes"] for r in got.radii) == want_passes
+        return got
+
+    @pytest.mark.parametrize("reassigned", [0.0, 0.2, 0.35])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_planted(self, monkeypatch, reassigned, factor):
+        _, corpus, model, digits = planted_clustering(
+            11, 1200, w=1, h=2, reassigned=reassigned, oversample_factor=factor
+        )
+        labels = init_labels(model, DigitAssignment(digits=digits, objective=0)).labels
+        got = self.compare(monkeypatch, corpus, model, labels)
+        if reassigned:
+            assert (got.provenance == PROV_INFERRED).any()
+
+    def test_repeated_ids(self, monkeypatch):
+        corpus, model, labels = noisy_instance(1, 150, [(2, 2)], True, 150)
+        assert any(np.unique(ex.grid).size < ex.grid.size for ex in corpus.examples)
+        self.compare(monkeypatch, corpus, model, labels)
+
+    def test_mixed_shapes(self, monkeypatch):
+        shapes = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]
+        corpus, model, labels = noisy_instance(2, 300, shapes, False, 250)
+        got = self.compare(monkeypatch, corpus, model, labels)
+        assert got.inconsistent_examples
+
+    def test_lower_index_waits_for_next_pass(self, monkeypatch):
+        # example 1 resolves image 1, which leaves example 0 with one
+        # untrusted image; example 0 comes earlier, so it resolves in pass 2
+        corpus = corpus_from_grids([(np.array([[1], [2]]), 9), (np.array([[0], [1]]), 7)])
+        model = identity_model([0, 0, 0], k=1, distance=[0.0, 50.0, 50.0])
+        got = self.compare(monkeypatch, corpus, model, [3, 0, 0], radii=(1,))
+        assert got.labels.tolist() == [3, 4, 5]
+        assert got.radii == [
+            {"radius": 1, "trusted": 1, "inferred": 2, "inconsistent_examples": 0, "passes": 3}
+        ]

@@ -72,6 +72,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="overflow int64"):
             RunConfig(w=19, h=2, synthetic=True).validate()
 
+    @pytest.mark.parametrize("schedule", [(1, 6), (0, 2), (2.5,)])
+    def test_refuses_out_of_range_radius(self, tmp_path, schedule):
+        cfg = tiny_config(tmp_path, radius_schedule=schedule)
+        with pytest.raises(ValueError, match="radius_schedule"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "artifacts").exists()  # refused before any stage ran
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             RunConfig(batch_size=0, synthetic=True).validate()
@@ -187,6 +194,32 @@ class TestRunPipeline:
         assert rerun.failure is None
         assert strip_timings(rerun) == strip_timings(cold)
         assert path.read_bytes() == whole
+
+    def test_inference_radii_reported(self, tmp_path):
+        report = run_pipeline(tiny_config(tmp_path, radius_schedule=(1, 3, 5)))
+        radii = report.metrics["inference_radii"]
+        assert [r["radius"] for r in radii] == [1, 3, 5]
+        assert sum(r["inferred"] for r in radii) == report.metrics["provenance_counts"]["inferred"]
+        assert sum(r["trusted"] for r in radii) == report.metrics["provenance_counts"]["radius"]
+        assert all(r["passes"] >= 1 for r in radii)
+        summary = json.loads((tmp_path / "artifacts" / "labels.json").read_text())
+        assert summary["inference_radii"] == radii
+
+    def test_labels_json_without_radii_recomputed(self, tmp_path):
+        # a labels.json from before the per-radius record keeps its key
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        labels_json = tmp_path / "artifacts" / "labels.json"
+        labels_bin = tmp_path / "artifacts" / "labels.bin"
+        whole, labels = labels_json.read_bytes(), labels_bin.read_bytes()
+        summary = json.loads(whole)
+        del summary["inference_radii"]
+        labels_json.write_text(json.dumps(summary))
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert labels_json.read_bytes() == whole
+        assert labels_bin.read_bytes() == labels
 
     def test_embedding_reused_across_grid_shapes(self, tmp_path, monkeypatch):
         calls = {"n": 0}
@@ -367,6 +400,9 @@ class TestLabelFreedomAudit:
         inf.init_labels,
         inf.images_within_radius,
         inf.resolve_image_label,
+        inf._forced_digit,
+        inf._Propagation,
+        inf.LabelState.counts,
         inf.infer_correct_labels,
         inf.run_inference,
         clf.init_cnn,
