@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError
-from .tensorfile import load_tensors, save_tensors
+from .tensorfile import atomic_write, load_tensors, save_tensors
 
 
 @dataclass
@@ -53,21 +53,26 @@ class ClusterModel:
         )
 
 
-def _sq_dists(points, centroids):
-    # ||x||^2 - 2 x.c + ||c||^2, clipped against tiny negatives
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(points, norms, centroids, out):
+    """Squared distances to `centroids`, written into `out` (N, k).
+
+    -2 x.c + ||x||^2 + ||c||^2, clipped against tiny negatives: the same
+    bits as ||x||^2 - 2 x.c + ||c||^2, since scaling by 2 is exact.
+    `norms` holds ||x||^2 per point.
+    """
+    np.matmul(points, centroids.T, out=out)
+    out *= -2.0
+    out += norms[:, None]
+    out += (centroids**2).sum(axis=1)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _plus_plus_init(points, k, rng):
+def _plus_plus_init(points, norms, k, rng):
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
-    closest = _sq_dists(points, centroids[:1]).ravel()
+    closest = _sq_dists(points, norms, centroids[:1], np.empty((n, 1))).ravel()
+    col = np.empty((n, 1))
     for i in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -75,7 +80,8 @@ def _plus_plus_init(points, k, rng):
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[i] = points[idx]
-        closest = np.minimum(closest, _sq_dists(points, centroids[i : i + 1]).ravel())
+        _sq_dists(points, norms, centroids[i : i + 1], col)
+        np.minimum(closest, col.ravel(), out=closest)
     return centroids
 
 
@@ -95,45 +101,47 @@ def kmeans(emb, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
 
+    # computed once for all restarts: point norms, one contiguous row per
+    # dimension for the centroid sums, and the distance buffer
+    norms = (points**2).sum(axis=1)
+    columns = np.ascontiguousarray(points.T)
+    d2 = np.empty((n, k))
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        model = _kmeans_single(points, k, rng, max_iter, tol)
+        model = _kmeans_single(points, norms, columns, d2, k, rng, max_iter, tol)
         if best is None or model.inertia_history[-1] < best.inertia_history[-1]:
             best = model
     best.seed = seed
     return best
 
 
-def _kmeans_single(points, k, rng, max_iter, tol):
+def _kmeans_single(points, norms, columns, d2, k, rng, max_iter, tol):
     """One k-means++ seeding plus Lloyd run.
 
     Stops when the largest centroid shift drops below tol. Empty clusters
     are reseeded to the point currently farthest from its own centroid.
+    `columns` is points.T made contiguous and `d2` an (N, k) scratch buffer.
     """
     n = points.shape[0]
-    centroids = _plus_plus_init(points, k, rng)
+    rows = np.arange(n)
+    centroids = _plus_plus_init(points, norms, k, rng)
     inertia_history = []
-    assign = None
 
     for _ in range(max_iter):
-        d2 = _sq_dists(points, centroids)
+        _sq_dists(points, norms, centroids, d2)
         assign = d2.argmin(axis=1)
-        own = d2[np.arange(n), assign]
+        own = d2[rows, assign]
+        counts = np.bincount(assign, minlength=k)
 
-        for c in range(k):
-            if not (assign == c).any():
-                far = int(own.argmax())
-                centroids[c] = points[far]
-                assign[far] = c
-                own[far] = 0.0
+        if not counts.all():
+            _reseed_empty(points, centroids, assign, own, counts)
         inertia_history.append(float(own.sum()))
 
+        # per-dimension sums accumulate in index order, as a member mean does
+        sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in columns], axis=1)
         new_centroids = centroids.copy()
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                new_centroids[c] = points[members].mean(axis=0)
+        np.divide(sums, counts[:, None], out=new_centroids, where=counts[:, None] > 0)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol:
@@ -141,18 +149,32 @@ def _kmeans_single(points, k, rng, max_iter, tol):
 
     # final assignment against the final centroids so the nearest-centroid
     # invariant holds exactly
-    d2 = _sq_dists(points, centroids)
+    _sq_dists(points, norms, centroids, d2)
     assign = d2.argmin(axis=1).astype(np.int64)
-    distance = np.sqrt(d2[np.arange(n), assign])
-    inertia_history.append(float(d2[np.arange(n), assign].sum()))
+    own = d2[rows, assign]
+    inertia_history.append(float(own.sum()))
 
     return ClusterModel(
         k=k,
         centroids=centroids,
         assignment=assign,
-        distance=distance,
+        distance=np.sqrt(own),
         inertia_history=inertia_history,
     )
+
+
+def _reseed_empty(points, centroids, assign, own, counts):
+    """Move the point farthest from its centroid into each empty cluster,
+    in index order. A move can empty a later cluster, which is then
+    reseeded too. Updates all arguments but `points` in place."""
+    for c in range(len(counts)):
+        if counts[c] == 0:
+            far = int(own.argmax())
+            counts[assign[far]] -= 1
+            counts[c] += 1
+            centroids[c] = points[far]
+            assign[far] = c
+            own[far] = 0.0
 
 
 def purity(model, true_labels):
@@ -182,7 +204,8 @@ def distance_percentiles(model, cluster, q):
 
 def save_assignment(path, assignment):
     """Flat little-endian int64 file."""
-    np.asarray(assignment, dtype="<i8").tofile(path)
+    with atomic_write(path) as f:
+        f.write(np.asarray(assignment, dtype="<i8").tobytes())
 
 
 def load_assignment(path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, IdxFormatError, InsufficientDataError
-from .tensorfile import load_tensors, save_tensors
+from .tensorfile import atomic_write, load_tensors, save_tensors
 
 IMAGE_MAGIC = 2051  # 0x00000803
 LABEL_MAGIC = 2049  # 0x00000801
@@ -104,7 +104,7 @@ def load_idx(images_path, labels_path, split="train"):
 
     if n_images != n_labels:
         raise ConsistencyError(f"{n_images} images but {n_labels} labels")
-    images = raw.reshape(n_images, rows * cols).astype(np.float64) / 255.0
+    images = np.divide(raw.reshape(n_images, rows * cols), 255.0, dtype=np.float64)
     return ImageStore(images, labels.astype(np.int64), split=split)
 
 
@@ -255,10 +255,12 @@ def normalize_unit(store):
 
 def save_corpus(corpus, path):
     """Line-delimited records: `w h s id_11 ... id_hw` (row-major ids)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in corpus.examples:
-            ids = " ".join(str(i) for i in ex.grid.ravel())
-            f.write(f"{ex.w} {ex.h} {ex.sum} {ids}\n")
+    lines = [
+        f"{ex.w} {ex.h} {ex.sum} {' '.join(map(str, ex.grid.ravel().tolist()))}\n"
+        for ex in corpus.examples
+    ]
+    with atomic_write(path, "w", encoding="utf-8") as f:
+        f.write("".join(lines))
 
 
 def load_corpus(path):

@@ -144,18 +144,16 @@ def reconstruction_loss(params, store, chunk=4096):
     return total / len(store)
 
 
-def _pca_fit(images, dim):
-    """Mean and top-`dim` principal axes; components past the data rank
-    are zeroed so rank-deficient inputs project deterministically."""
-    mean = images.mean(axis=0)
-    centered = images - mean
+def _pca_fit(centered, dim):
+    """Top-`dim` principal axes of mean-centered data; components past the
+    data rank are zeroed so rank-deficient inputs project deterministically."""
     cov = centered.T @ centered
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:dim]
     components = eigvecs[:, order].T  # (dim, D)
     eigvals = eigvals[order]
 
-    tol = max(eigvals.max(initial=0.0), 0.0) * len(images) * np.finfo(np.float64).eps
+    tol = max(eigvals.max(initial=0.0), 0.0) * len(centered) * np.finfo(np.float64).eps
     components[np.maximum(eigvals, 0.0) <= tol] = 0.0
     # fix sign per component so the projection is reproducible
     for comp in components:
@@ -163,15 +161,15 @@ def _pca_fit(images, dim):
             pivot = np.argmax(np.abs(comp))
             if comp[pivot] < 0:
                 comp *= -1.0
-    return mean, components
+    return components
 
 
 def pca_embed(store, dim=10):
     """Projection onto the top principal components of the centered data."""
     if not 1 <= dim <= store.dim:
         raise ValueError(f"dim must be in [1, {store.dim}], got {dim}")
-    mean, components = _pca_fit(store.images, dim)
-    return (store.images - mean) @ components.T
+    centered = store.images - store.images.mean(axis=0)
+    return centered @ _pca_fit(centered, dim).T
 
 
 def save_embedding(path, matrix, meta=None):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .clustering import distance_percentiles
 from .dataset import grid_cells, place_value
-from .tensorfile import save_json
+from .tensorfile import atomic_write, save_json
 
 PROV_CLUSTER = 0
 PROV_RADIUS = 1
@@ -230,7 +230,8 @@ def run_inference(state, corpus, model, radii=RADII):
 
 def save_labels(labels, summary, bin_path, json_path):
     """Flat int64 label file plus a JSON summary (LabelState.counts())."""
-    np.asarray(labels, dtype="<i8").tofile(bin_path)
+    with atomic_write(bin_path) as f:
+        f.write(np.asarray(labels, dtype="<i8").tobytes())
     save_json(json_path, summary)
 
 

@@ -3,14 +3,32 @@
 Layout: one UTF-8 JSON line (format tag, free-form meta dict, ordered tensor
 descriptors), then the raw C-order bytes of each tensor back to back. Dtypes
 are stored with explicit byte order so files are portable. Every JSON
-artifact and report is written by save_json.
+artifact and report is written by save_json. Every artifact is written
+through atomic_write, so a reader finds the previous file or the whole
+new one, never a partial write.
 """
 
 import json
+import os
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
 FORMAT = "tensorfile/1"
+
+
+@contextmanager
+def atomic_write(path, mode="wb", **kwargs):
+    """Open a sibling temp file for writing; it replaces `path` only when
+    the block exits cleanly, and is removed whatever happens."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def save_tensors(path, tensors, meta=None):
@@ -23,7 +41,7 @@ def save_tensors(path, tensors, meta=None):
         arrays.append(arr.astype(dt, copy=False))
         entries.append({"name": name, "shape": list(arr.shape), "dtype": dt.str})
     header = {"format": FORMAT, "meta": meta or {}, "tensors": entries}
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for arr in arrays:
             f.write(arr.tobytes())
@@ -31,7 +49,7 @@ def save_tensors(path, tensors, meta=None):
 
 def save_json(path, obj, indent=None):
     """One JSON document with sorted keys and a trailing newline."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, sort_keys=True, indent=indent)
         f.write("\n")
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumlearn import clustering as clu
 from sumlearn.clustering import (
     ClusterModel,
     distance_percentiles,
@@ -65,6 +66,156 @@ class TestKmeans:
         model = kmeans(points, k=3, seed=0)
         assert model.assignment.min() >= 0 and model.assignment.max() < 3
         assert np.allclose(model.distance, 0.0)
+
+
+# Reference k-means: norms recomputed per call, a fresh distance array per
+# step, per-cluster member means. kmeans must give the same bits.
+def _ref_sq_dists(points, centroids):
+    # ||x||^2 - 2 x.c + ||c||^2, clipped against tiny negatives
+    d2 = (
+        (points**2).sum(axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + (centroids**2).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _ref_plus_plus_init(points, k, rng):
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    centroids[0] = points[rng.integers(n)]
+    closest = _ref_sq_dists(points, centroids[:1]).ravel()
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))  # all points coincide with a centroid
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centroids[i] = points[idx]
+        closest = np.minimum(closest, _ref_sq_dists(points, centroids[i : i + 1]).ravel())
+    return centroids
+
+
+def _ref_reseed_empty(points, centroids, assign, own, k):
+    for c in range(k):
+        if not (assign == c).any():
+            far = int(own.argmax())
+            centroids[c] = points[far]
+            assign[far] = c
+            own[far] = 0.0
+
+
+def _ref_kmeans_single(points, k, rng, max_iter, tol):
+    n = points.shape[0]
+    centroids = _ref_plus_plus_init(points, k, rng)
+    inertia_history = []
+    assign = None
+
+    for _ in range(max_iter):
+        d2 = _ref_sq_dists(points, centroids)
+        assign = d2.argmin(axis=1)
+        own = d2[np.arange(n), assign]
+        _ref_reseed_empty(points, centroids, assign, own, k)
+        inertia_history.append(float(own.sum()))
+
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = assign == c
+            if members.any():
+                new_centroids[c] = points[members].mean(axis=0)
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < tol:
+            break
+
+    d2 = _ref_sq_dists(points, centroids)
+    assign = d2.argmin(axis=1).astype(np.int64)
+    distance = np.sqrt(d2[np.arange(n), assign])
+    inertia_history.append(float(d2[np.arange(n), assign].sum()))
+    return ClusterModel(
+        k=k, centroids=centroids, assignment=assign, distance=distance,
+        inertia_history=inertia_history,
+    )
+
+
+def _ref_kmeans(points, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        model = _ref_kmeans_single(points, k, rng, max_iter, tol)
+        if best is None or model.inertia_history[-1] < best.inertia_history[-1]:
+            best = model
+    best.seed = seed
+    return best
+
+
+def _planted(seed, n=3000, k=10, dim=10):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(k, dim)) * 3.0
+    return centers[rng.integers(k, size=n)] + rng.normal(size=(n, dim))
+
+
+def _assert_bitwise_equal(a, b):
+    for name in ("centroids", "assignment", "distance"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+    assert a.inertia_history == b.inertia_history
+    assert (a.k, a.seed) == (b.k, b.seed)
+
+
+class TestKmeansMatchesReference:
+    """Bitwise the same model as the reference on >= 2-d points (a 1-d
+    member mean sums pairwise, bincount in index order)."""
+
+    CASES = [
+        ("planted-1", lambda: _planted(1), 10, 1, {}),
+        # at this size a matrix product over the points no longer sums in
+        # index order, so a centroid sum taken any other way shows
+        ("planted-2-12k", lambda: _planted(2, n=12000), 10, 2, {}),
+        ("planted-3-12k-tol0", lambda: _planted(3, n=12000), 10, 3, dict(tol=0.0, max_iter=30)),
+        ("k-equals-n", lambda: np.random.default_rng(0).random((6, 3)), 6, 0, {}),
+        ("random-120", lambda: np.random.default_rng(0).random((120, 4)), 7, 2, {}),
+        ("random-200-tol0", lambda: np.random.default_rng(0).random((200, 5)), 6, 3,
+         dict(tol=0.0, max_iter=40)),
+        ("random-80", lambda: np.random.default_rng(0).random((80, 3)), 5, 9, {}),
+        ("random-40", lambda: np.random.default_rng(0).random((40, 2)), 8, 0, {}),
+        ("duplicates", lambda: np.array([[0.0, 0.0]] * 10 + [[5.0, 5.0]] * 2), 3, 0, {}),
+    ]
+
+    @pytest.mark.parametrize("name,points,k,seed,kw", CASES, ids=[c[0] for c in CASES])
+    def test_bitwise_equal(self, name, points, k, seed, kw):
+        points = points()
+        _assert_bitwise_equal(kmeans(points, k=k, seed=seed, **kw), _ref_kmeans(points, k, seed, **kw))
+
+    def test_empty_cluster_reseed_runs(self, monkeypatch):
+        calls = []
+        original = clu._reseed_empty
+
+        def counting(*args):
+            calls.append(args[-1].copy())
+            return original(*args)
+
+        monkeypatch.setattr(clu, "_reseed_empty", counting)
+        points = np.array([[0.0, 0.0]] * 10 + [[5.0, 5.0]] * 2)
+        _assert_bitwise_equal(kmeans(points, k=3, seed=0), _ref_kmeans(points, 3, seed=0))
+        assert calls and all((c == 0).any() for c in calls)
+
+    def test_reseed_chain_matches_reference(self):
+        # cluster 1 is empty; the farthest point is cluster 2's only member,
+        # so moving it empties cluster 2, which is reseeded in turn
+        points = np.array([[0.0, 0.0]] * 5 + [[10.0, 0.0]])
+        assign = np.array([0, 0, 0, 0, 0, 2])
+        own = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 9.0])
+        centroids = np.array([[0.0, 0.0], [0.0, 0.0], [13.0, 0.0]])
+        ref = [a.copy() for a in (centroids, assign, own)]
+        _ref_reseed_empty(points, *ref, k=3)
+        counts = np.bincount(assign, minlength=3)
+        clu._reseed_empty(points, centroids, assign, own, counts)
+        for got, want in zip((centroids, assign, own), ref):
+            assert np.array_equal(got, want)
+        assert np.array_equal(counts, np.bincount(assign, minlength=3))
+        assert assign.tolist() == [2, 0, 0, 0, 0, 1]
 
 
 class TestPurity:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumlearn.dataset import (
+    Corpus,
+    Example,
     ImageStore,
     build_corpus,
     generate_synthetic,
@@ -201,6 +203,22 @@ class TestSerialization:
         parts = path.read_text().splitlines()[0].split()
         assert parts[0] == "2" and parts[1] == "2"  # w h s id...
         assert len(parts) == 3 + 4
+
+    def test_corpus_bytes_with_mixed_grid_shapes(self, tmp_path):
+        # reference: every id through str(), one line per example, over grids
+        # of several shapes and one with no ids
+        rng = np.random.default_rng(5)
+        examples = [
+            Example(grid=rng.integers(0, 10**7, size=(h, w)), sum=int(rng.integers(0, 10**12)))
+            for h, w in [(1, 1), (2, 2), (3, 1), (1, 4), (2, 3), (4, 2), (0, 2)] * 3
+        ]
+        path = tmp_path / "corpus.txt"
+        save_corpus(Corpus(examples=examples), path)
+        expected = "".join(
+            f"{ex.w} {ex.h} {ex.sum} {' '.join(str(i) for i in ex.grid.ravel())}\n"
+            for ex in examples
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_store_roundtrip(self, tmp_path, rng):
         store = ImageStore(rng.random((5, 6)), rng.integers(0, 10, 5), split="test")

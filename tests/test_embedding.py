@@ -146,7 +146,8 @@ class TestPca:
         coeffs = rng.random((30, 3))
         images = coeffs @ basis + rng.random(10)  # affine 3-d subspace
         store = ImageStore(images, np.zeros(30, dtype=int))
-        mean, components = _pca_fit(store.images, 3)
+        mean = store.images.mean(axis=0)
+        components = _pca_fit(store.images - mean, 3)
         proj = (store.images - mean) @ components.T
         recon = proj @ components + mean
         assert np.abs(recon - store.images).max() < 1e-8

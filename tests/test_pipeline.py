@@ -11,6 +11,7 @@ from sumlearn import clustering as clu
 from sumlearn import embedding as emb
 from sumlearn import inference as inf
 from sumlearn import pipeline as pl
+from sumlearn import tensorfile
 from sumlearn.errors import ConsistencyError
 from sumlearn.pipeline import SWEEP_COLUMNS, RunConfig, label_accuracy, run_pipeline, sweep
 
@@ -194,6 +195,55 @@ class TestRunPipeline:
         assert rerun.failure is None
         assert strip_timings(rerun) == strip_timings(cold)
         assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize(
+        "name", ["embedding.tf", "cluster.tf", "assignment.json", "labels.json", "labels.bin", "cnn.tf"]
+    )
+    def test_failed_write_keeps_previous_artifact(self, tmp_path, monkeypatch, name):
+        # a writer that dies half way through leaves the old artifact whole
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        artifacts = tmp_path / "artifacts"
+        before = {p.name: p.read_bytes() for p in artifacts.iterdir()}
+
+        class HalfThenFail:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        with monkeypatch.context() as m:
+            m.setattr(tensorfile, "open", lambda *a, **kw: HalfThenFail(open(*a, **kw)), raising=False)
+            path = artifacts / name
+            with pytest.raises(OSError, match="disk full"):
+                if name == "labels.bin":
+                    inf.save_labels(np.zeros(480, dtype=np.int64), {}, path, artifacts / "other.json")
+                elif path.suffix == ".tf":
+                    tensorfile.save_tensors(path, {"x": np.arange(1000.0)}, meta={"config_key": "other"})
+                else:
+                    tensorfile.save_json(path, {"config_key": "other", "pad": list(range(1000))})
+
+        assert {p.name: p.read_bytes() for p in artifacts.iterdir()} == before  # no temp file left
+
+        def boom(*args, **kwargs):
+            raise AssertionError("stage should have been resumed from artifact")
+
+        monkeypatch.setattr(emb, "pca_embed", boom)
+        monkeypatch.setattr(clu, "kmeans", boom)
+        monkeypatch.setattr(asg, "solve_corpus", boom)
+        monkeypatch.setattr(inf, "run_inference", boom)
+        monkeypatch.setattr(clf, "train_cnn", boom)
+        warm = run_pipeline(cfg)
+        assert warm.failure is None
+        assert strip_timings(warm) == strip_timings(cold)
 
     def test_inference_radii_reported(self, tmp_path):
         report = run_pipeline(tiny_config(tmp_path, radius_schedule=(1, 3, 5)))
@@ -394,6 +444,7 @@ class TestLabelFreedomAudit:
         clu.kmeans,
         clu._kmeans_single,
         clu._plus_plus_init,
+        clu._reseed_empty,
         asg.build_batch_system,
         asg.solve_batch,
         asg.solve_corpus,
