@@ -103,14 +103,14 @@ def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batc
 def classify(params, images, chunk=128):
     """Predicted digit and softmax probabilities per image.
 
-    Every layer keeps the backward cache of its latest forward pass, so
-    `chunk` bounds the memory classify holds.
+    The forward pass keeps no backward cache, so besides the input batch
+    classify holds one chunk's activations at a time.
     """
     dtype = params.weighted_layers()[0].W.dtype.type
     x = _as_batch(images, params.side, dtype)
     probs = np.empty((x.shape[0], 10), dtype=np.float64)
     for start in range(0, x.shape[0], chunk):
-        logits = nn.forward(params.layers, x[start : start + chunk])
+        logits = nn.forward(params.layers, x[start : start + chunk], cache=False)
         probs[start : start + logits.shape[0]] = nn.softmax(logits)
     return probs.argmax(axis=1), probs
 

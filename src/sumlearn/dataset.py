@@ -26,6 +26,10 @@ class ImageStore:
     supervision, but training code must obtain them only through
     evaluation_labels(); an audit test enforces that no training-stage
     function references the accessor.
+
+    `images` is a read-only view: a sweep shares one store between its
+    points, so a stage that wrote into the pixels would corrupt the next
+    point. The caller's own array keeps its flags.
     """
 
     def __init__(self, images, true_labels, split="train"):
@@ -37,7 +41,8 @@ class ImageStore:
             raise ConsistencyError(
                 f"{images.shape[0]} images but {true_labels.shape[0]} labels"
             )
-        self.images = images
+        self.images = images.view()
+        self.images.setflags(write=False)
         self.split = split
         self._true_labels = true_labels
         self._true_labels.setflags(write=False)

@@ -15,6 +15,7 @@ from .errors import DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
 ENCODER_WIDTHS = (784, 500, 500, 2000, 10)
+PCA_BLOCK = 4096  # rows per PCA block: the chunk `encode` uses
 
 
 @dataclass
@@ -130,7 +131,7 @@ def encode(params, store, chunk=4096):
     out = np.empty((len(store), params.widths[-1]), dtype=np.float64)
     for start in range(0, len(store), chunk):
         x = store.images[start : start + chunk].astype(dtype)
-        out[start : start + x.shape[0]] = nn.forward(params.encoder, x)
+        out[start : start + x.shape[0]] = nn.forward(params.encoder, x, cache=False)
     return out
 
 
@@ -139,21 +140,38 @@ def reconstruction_loss(params, store, chunk=4096):
     total = 0.0
     for start in range(0, len(store), chunk):
         x = store.images[start : start + chunk].astype(dtype)
-        recon = nn.forward(params.layers, x)
+        recon = nn.forward(params.layers, x, cache=False)
         total += float(((recon - x) ** 2).mean()) * x.shape[0]
     return total / len(store)
 
 
-def _pca_fit(centered, dim):
-    """Top-`dim` principal axes of mean-centered data; components past the
-    data rank are zeroed so rank-deficient inputs project deterministically."""
-    cov = centered.T @ centered
+def _centred_blocks(images, mean):
+    """(start, block) over rows of `images` minus `mean`, PCA_BLOCK rows at
+    a time. Every block is written into one reused buffer, so a caller must
+    be done with a block before asking for the next."""
+    buf = np.empty((min(len(images), PCA_BLOCK), images.shape[1]))
+    for start in range(0, len(images), PCA_BLOCK):
+        block = buf[: min(PCA_BLOCK, len(images) - start)]
+        np.subtract(images[start : start + block.shape[0]], mean, out=block)
+        yield start, block
+
+
+def _pca_fit(images, mean, dim):
+    """Top-`dim` principal axes of `images` centred on `mean`; components
+    past the data rank are zeroed so rank-deficient inputs project
+    deterministically. The covariance is summed over row blocks; one
+    block is exactly the product of the whole centred matrix."""
+    blocks = _centred_blocks(images, mean)
+    _, first = next(blocks)
+    cov = first.T @ first
+    for _, block in blocks:
+        cov += block.T @ block
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:dim]
     components = eigvecs[:, order].T  # (dim, D)
     eigvals = eigvals[order]
 
-    tol = max(eigvals.max(initial=0.0), 0.0) * len(centered) * np.finfo(np.float64).eps
+    tol = max(eigvals.max(initial=0.0), 0.0) * len(images) * np.finfo(np.float64).eps
     components[np.maximum(eigvals, 0.0) <= tol] = 0.0
     # fix sign per component so the projection is reproducible
     for comp in components:
@@ -165,11 +183,19 @@ def _pca_fit(centered, dim):
 
 
 def pca_embed(store, dim=10):
-    """Projection onto the top principal components of the centered data."""
+    """Projection onto the top principal components of the centered data.
+
+    Works in row blocks of PCA_BLOCK, so besides the store and the output
+    it holds one centred block, never a centred copy of the whole store.
+    """
     if not 1 <= dim <= store.dim:
         raise ValueError(f"dim must be in [1, {store.dim}], got {dim}")
-    centered = store.images - store.images.mean(axis=0)
-    return centered @ _pca_fit(centered, dim).T
+    mean = store.images.mean(axis=0)
+    components_t = _pca_fit(store.images, mean, dim).T
+    out = np.empty((len(store), dim))
+    for start, block in _centred_blocks(store.images, mean):
+        np.matmul(block, components_t, out=out[start : start + block.shape[0]])
+    return out
 
 
 def save_embedding(path, matrix, meta=None):

@@ -2,6 +2,8 @@
 
 Everything is plain numpy. Layers cache what they need on forward and fill
 their grad buffers on backward; SGDMomentum updates parameters in place.
+`forward(x, cache=False)` runs the same arithmetic but keeps no backward
+cache (and drops any older one), for inference-only passes.
 Determinism: all randomness comes from the rng handed to the constructors,
 and batch order is owned by the callers.
 
@@ -44,8 +46,8 @@ class Dense:
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, cache=True):
+        self._x = x if cache else None
         return x @ self.W + self.b
 
     def backward(self, grad):
@@ -58,9 +60,10 @@ class Dense:
 
 
 class ReLU:
-    def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x, cache=True):
+        mask = x > 0
+        self._mask = mask if cache else None
+        return x * mask
 
     def backward(self, grad):
         return grad * self._mask
@@ -91,7 +94,7 @@ class Conv2d:
         # (kh*kw*C, F) matrix for the im2col product
         return self.W.transpose(2, 3, 1, 0).reshape(-1, self.W.shape[0])
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         kh, kw = self.kernel
         xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
         b_, h, w, c = xl.shape
@@ -100,9 +103,10 @@ class Conv2d:
         for p in range(kh):
             for q in range(kw):
                 cols[:, :, :, p, q, :] = xl[:, p : p + ho, q : q + wo, :]
-        self._cols = cols.reshape(b_ * ho * wo, -1)
+        cols = cols.reshape(b_ * ho * wo, -1)
         self._xshape = xl.shape
-        out = self._cols @ self._wmat()
+        out = cols @ self._wmat()
+        self._cols = cols if cache else None
         out += self.b
         return out.reshape(b_, ho, wo, -1).transpose(0, 3, 1, 2)
 
@@ -132,7 +136,7 @@ class MaxPool2x2:
     Only that index is kept, as uint8, never the input.
     """
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
         self._xshape = xl.shape
         ho, wo = xl.shape[1] // 2, xl.shape[2] // 2
@@ -140,9 +144,11 @@ class MaxPool2x2:
             xl[:, p : 2 * ho : 2, q : 2 * wo : 2, :] for p in (0, 1) for q in (0, 1)
         )
         top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
-        first = (q1 > q0).view(np.uint8)  # 0 or 1: first max of the top pair
-        second = (q3 > q2).view(np.uint8) + np.uint8(2)  # 2 or 3: bottom pair
-        self._index = first + (bottom > top).view(np.uint8) * (second - first)
+        self._index = None
+        if cache:
+            first = (q1 > q0).view(np.uint8)  # 0 or 1: first max of the top pair
+            second = (q3 > q2).view(np.uint8) + np.uint8(2)  # 2 or 3: bottom pair
+            self._index = first + (bottom > top).view(np.uint8) * (second - first)
         out = np.maximum(top, bottom, out=top)
         return out.transpose(0, 3, 1, 2)
 
@@ -160,7 +166,7 @@ class MaxPool2x2:
 
 
 class Flatten:
-    def forward(self, x):
+    def forward(self, x, cache=True):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -171,9 +177,9 @@ class Flatten:
         return []
 
 
-def forward(layers, x):
+def forward(layers, x, cache=True):
     for layer in layers:
-        x = layer.forward(x)
+        x = layer.forward(x, cache=cache)
     return x
 
 

@@ -254,7 +254,11 @@ def write_corpus(config, store, out_dir):
 
 
 def _stage_data(config, ctx):
-    store, test_store = load_stores(config)
+    stores, key = ctx["stores"], config.store_key()
+    if key not in stores:
+        stores.clear()  # drop the previous store before loading the next
+        stores[key] = load_stores(config)
+    store, test_store = stores[key]
     corpus = write_corpus(config, store, ctx["artifacts_dir"])
     test_corpus = ds.build_corpus(test_store, config.w, config.h, 1, seed=config.seed)
     ctx.update(store=store, test_store=test_store, corpus=corpus, test_corpus=test_corpus)
@@ -423,18 +427,21 @@ _STAGES = [
 ]
 
 
-def run_pipeline(config):
+def run_pipeline(config, stores=None):
     """Execute the four pipeline steps in order; resumable per stage.
 
     On stage failure the report carries partial results plus a failure
-    marker and downstream stages are skipped.
+    marker and downstream stages are skipped. `stores` maps a
+    `store_key()` to its loaded (train, test) stores; the data stage
+    reuses the entry for this config's key, or replaces the map's
+    contents with a fresh load, so it never holds two stores.
     """
     config.validate()
     artifacts_dir, reports_dir = Path(config.artifacts_dir), Path(config.reports_dir)
     for directory in (artifacts_dir, reports_dir):
         directory.mkdir(parents=True, exist_ok=True)
 
-    ctx = {"artifacts_dir": artifacts_dir, "metrics": {}}
+    ctx = {"artifacts_dir": artifacts_dir, "metrics": {}, "stores": {} if stores is None else stores}
     timings = {}
     failure = None
     for name, fn in _STAGES:
@@ -464,12 +471,14 @@ def sweep(configs, csv_path):
 
     Configs sharing data and embedding settings reuse the persisted
     autoencoder/embedding artifacts automatically, so the encoder is
-    trained once for a whole w x h grid.
+    trained once for a whole w x h grid. Consecutive configs with the same
+    `store_key()` share one loaded store; a new key replaces it.
     """
     reports = []
+    stores = {}
     for config in configs:
         try:
-            reports.append(run_pipeline(config))
+            reports.append(run_pipeline(config, stores))
         except Exception as exc:  # noqa: BLE001 - config-level failures become rows
             reports.append(
                 RunReport(

@@ -296,6 +296,24 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(params, np.zeros((2, 197)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [14, 17])  # 17: both pools see odd sizes
+    def test_cache_free_forward_bitwise_equal(self, rng, dtype, side):
+        params = CnnParams(seed=8, side=side, dtype=dtype)
+        x = rng.random((5, 1, side, side)).astype(dtype)
+        cached = nn.forward(params.layers, x)
+        assert np.array_equal(nn.forward(params.layers, x, cache=False), cached)
+
+    def test_classify_keeps_no_backward_cache(self, rng):
+        params = CnnParams(seed=9, side=14)
+        images = rng.random((5, 196))
+        classify(params, images)
+        caches = ("_cols", "_mask", "_index", "_x")
+        assert all(getattr(l, name, None) is None for l in params.layers for name in caches)
+        nn.forward(params.layers, images.reshape(5, 1, 14, 14))  # a training-style pass
+        classify(params, images)  # drops the cache that pass left
+        assert all(getattr(l, name, None) is None for l in params.layers for name in caches)
+
 
 class TestEval:
     def trained_blob_cnn(self):

@@ -239,3 +239,13 @@ class TestImageStore:
         store = ImageStore(rng.random((3, 2)), [1, 2, 3])
         with pytest.raises(ValueError):
             store.evaluation_labels()[0] = 5
+
+    def test_images_read_only_view(self, rng):
+        pixels = rng.random((3, 2))
+        store = ImageStore(pixels, [1, 2, 3])
+        with pytest.raises(ValueError):
+            store.images[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            store.images -= 1.0
+        pixels[0, 0] = 5.0  # the caller's array keeps its flags
+        assert store.images[0, 0] == 5.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from sumlearn import nn
 from sumlearn.clustering import kmeans, purity
 from sumlearn.dataset import ImageStore, generate_synthetic
 from sumlearn.embedding import (
+    PCA_BLOCK,
     AutoencoderParams,
     TrainingHyper,
     _pca_fit,
@@ -136,6 +139,21 @@ class TestParamsPersistence:
         assert np.array_equal(encode(loaded, store), encode(params, store))
 
 
+def unblocked_pca(images, dim):
+    """The whole-matrix float64 PCA: centre, covariance, eigh, project."""
+    centred = images - images.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(centred.T @ centred)
+    order = np.argsort(eigvals)[::-1][:dim]
+    components = eigvecs[:, order].T
+    eigvals = eigvals[order]
+    tol = max(eigvals.max(initial=0.0), 0.0) * len(images) * np.finfo(np.float64).eps
+    components[np.maximum(eigvals, 0.0) <= tol] = 0.0
+    for comp in components:
+        if comp.any() and comp[np.argmax(np.abs(comp))] < 0:
+            comp *= -1.0
+    return centred @ components.T
+
+
 class TestPca:
     def test_shape(self, rng):
         store = ImageStore(rng.random((20, 12)), rng.integers(0, 10, 20))
@@ -147,10 +165,34 @@ class TestPca:
         images = coeffs @ basis + rng.random(10)  # affine 3-d subspace
         store = ImageStore(images, np.zeros(30, dtype=int))
         mean = store.images.mean(axis=0)
-        components = _pca_fit(store.images - mean, 3)
+        components = _pca_fit(store.images, mean, 3)
         proj = (store.images - mean) @ components.T
         recon = proj @ components + mean
         assert np.abs(recon - store.images).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [30, PCA_BLOCK])
+    def test_one_block_bitwise_equal_to_unblocked(self, rng, n):
+        store = ImageStore(rng.random((n, 64)), np.zeros(n, dtype=int))
+        assert np.array_equal(pca_embed(store, dim=10), unblocked_pca(store.images, 10))
+
+    def test_blocks_match_unblocked(self, rng):
+        n = 2 * PCA_BLOCK + 808  # ragged last block
+        store = ImageStore(rng.random((n, 64)), np.zeros(n, dtype=int))
+        ref = unblocked_pca(store.images, 10)
+        assert np.abs(pca_embed(store, dim=10) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_no_centred_copy_of_the_store(self, rng):
+        n = 4 * PCA_BLOCK + 808  # one block buffer plus the output stay under half
+        store = ImageStore(rng.random((n, 64)), np.zeros(n, dtype=int))
+        tracemalloc.start()
+        try:
+            live, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pca_embed(store, dim=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - live < store.images.nbytes / 2
 
     def test_rank_deficient_zero_pads(self, rng):
         images = np.tile(rng.random(6), (15, 1)) * rng.random((15, 1))  # rank 1 + mean

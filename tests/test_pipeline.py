@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from sumlearn import assignment as asg
 from sumlearn import classifier as clf
 from sumlearn import cli
 from sumlearn import clustering as clu
+from sumlearn import dataset as ds
 from sumlearn import embedding as emb
 from sumlearn import inference as inf
 from sumlearn import pipeline as pl
@@ -306,7 +309,7 @@ class TestMnistFormatPath:
     """Exercise the IDX data path end to end with lookalike files."""
 
     @staticmethod
-    def fake_mnist_dir(tmp_path, n_train=600, n_test=200):
+    def fake_mnist_dir(tmp_path, n_train=600, n_test=200, seed=0):
         # ten distinguishable 28x28 patterns standing in for digits
         from conftest import write_idx_pair
 
@@ -325,8 +328,9 @@ class TestMnistFormatPath:
 
         data = tmp_path / "mnist"
         data.mkdir()
-        for split, (n, seed) in {"train": (n_train, 1), "t10k": (n_test, 2)}.items():
-            images, labels = make(n, seed)
+        splits = {"train": (n_train, 1 + 10 * seed), "t10k": (n_test, 2 + 10 * seed)}
+        for split, (n, split_seed) in splits.items():
+            images, labels = make(n, split_seed)
             img, lbl = write_idx_pair(data, images, labels, gz=(split == "t10k"))
             img.rename(data / f"{split}-images-idx3-ubyte{'.gz' if split == 't10k' else ''}")
             lbl.rename(data / f"{split}-labels-idx1-ubyte{'.gz' if split == 't10k' else ''}")
@@ -378,6 +382,38 @@ class TestSweep:
         assert reports[0].failure is not None
         assert reports[1].failure is None
         assert len(csv_path.read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("dirs", [("a", "a", "a"), ("a", "a", "b")])
+    def test_loads_each_store_once(self, tmp_path, monkeypatch, dirs):
+        data = {}  # in first-use order
+        for seed, name in enumerate(dict.fromkeys(dirs)):
+            (tmp_path / name).mkdir()
+            data[name] = TestMnistFormatPath.fake_mnist_dir(tmp_path / name, seed=seed)
+        configs = [
+            RunConfig(
+                w=w, h=2, backend="pca", classifier_epochs=0, batch_size=50,
+                data_dir=str(data[name]), artifacts_dir=str(tmp_path / "swept"),
+                reports_dir=str(tmp_path / f"reports{w}"),
+            )
+            for w, name in zip((1, 2, 4), dirs)
+        ]
+        calls, load_idx = [], ds.load_idx
+
+        def counting(images_path, labels_path, split="train"):
+            calls.append((Path(images_path).parent, split))
+            return load_idx(images_path, labels_path, split=split)
+
+        monkeypatch.setattr(ds, "load_idx", counting)  # where the pipeline looks it up
+        reports = sweep(configs, tmp_path / "sweep.csv")
+
+        assert calls == [(data[name], split) for name in data for split in ("train", "test")]
+        for i, (config, swept) in enumerate(zip(configs, reports)):
+            alone = run_pipeline(dataclasses.replace(
+                config, artifacts_dir=str(tmp_path / f"alone{i}" / "artifacts"),
+                reports_dir=str(tmp_path / f"alone{i}" / "reports"),
+            ))
+            assert swept.failure is None
+            assert swept.metrics == alone.metrics
 
     def test_single_config_matches_run_pipeline(self, tmp_path):
         direct = run_pipeline(tiny_config(tmp_path / "d"))
