@@ -3,7 +3,9 @@
 Pipeline: embed images (autoencoder or PCA), cluster with k-means++,
 assign each cluster a digit by exactly solving a small integer program per
 batch with a cross-batch vote, repair labels by constraint propagation,
-then train a CNN on the inferred labels.
+then train a CNN on the inferred labels. The supervision is a Corpus: the
+(n, h, w) grids of image ids of one shape and the (n,) sums they spell out,
+which every step reads as whole arrays.
 """
 
 from .assignment import (
@@ -17,11 +19,10 @@ from .classifier import CnnParams, classify, eval_addition, eval_classification,
 from .clustering import ClusterModel, distance_percentiles, kmeans, purity
 from .dataset import (
     Corpus,
-    Example,
     ImageStore,
     build_corpus,
     generate_synthetic,
-    grid_sum,
+    grid_sums,
     load_corpus,
     load_idx,
     save_corpus,

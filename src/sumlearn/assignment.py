@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import grid_cells
+from .dataset import _INT64_MAX, grid_cells
 from .errors import ConsistencyError
 from .tensorfile import save_json
 
@@ -81,21 +81,21 @@ class DigitAssignment:
             return cls.from_json(json.load(f))
 
 
-def build_batch_system(examples, model):
+def build_batch_system(corpus, model):
     """Aggregate positional weights per (example, cluster). Exact integers.
 
     One int64 scatter over the cells of all grids: the cell in column i of
     a width-w grid adds 10^(w-1-i) at (its example, its image's cluster).
+    The targets are the corpus's sums.
     """
     k = model.k
-    coeffs = np.zeros((len(examples), k), dtype=np.int64)
-    targets = np.array([ex.sum for ex in examples], dtype=np.int64)
-    row, ids, weights = grid_cells(examples)
+    coeffs = np.zeros((len(corpus), k), dtype=np.int64)
+    row, ids, weights = grid_cells(corpus)
     bad = (ids < 0) | (ids >= len(model))
     if bad.any():
         raise ConsistencyError(f"example {row[bad.argmax()]} references unclustered image ids")
     np.add.at(coeffs.ravel(), row * k + model.assignment[ids], weights)
-    return BatchSystem(coeffs=coeffs, targets=targets)
+    return BatchSystem(coeffs=coeffs, targets=corpus.sums)
 
 
 def residuals(system, digits):
@@ -105,7 +105,6 @@ def residuals(system, digits):
 
 
 _DUAL_SCALE = 256  # multipliers quantized to n/256 for exact integer bounds
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _PRIME = 2_147_483_647  # 2^31 - 1: a product of two residues stays below 2^62
 
 
@@ -381,12 +380,12 @@ def solve_corpus(corpus, model, batch_size=100):
     the whole corpus; ties break toward lower corpus L1 residual, then
     lower batch index.
     """
-    if not corpus.examples:
+    if not len(corpus):
         raise ValueError("corpus is empty")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
-    full = build_batch_system(corpus.examples, model)
+    full = build_batch_system(corpus, model)
     candidates = []
     warm = None
     for start in range(0, full.n_examples, batch_size):

@@ -9,7 +9,7 @@ Intermediate sizes: 28 -> 26 -> 13 -> 11 -> 9 -> 4, flattened 1024.
 import numpy as np
 
 from . import nn
-from .dataset import grid_sum
+from .dataset import grid_sums
 from .errors import DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
@@ -141,5 +141,5 @@ def _classification_accuracy(preds, test_store):
 
 
 def _addition_accuracy(preds, test_corpus):
-    correct = sum(grid_sum(ex.grid, preds) == ex.sum for ex in test_corpus.examples)
-    return correct / len(test_corpus.examples)
+    correct = grid_sums(test_corpus.grids, preds) == test_corpus.sums
+    return int(correct.sum()) / len(test_corpus)

@@ -16,7 +16,7 @@ from . import embedding as emb
 from . import inference as inf
 from . import pipeline as pl
 from .pipeline import RunConfig, run_pipeline, sweep
-from .tensorfile import save_json
+from .tensorfile import load_int64, save_json
 
 DATA_DIR_ENV = "SUMLEARN_DATA_DIR"
 
@@ -221,7 +221,7 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
     """Train the CNN on the inferred labels."""
     config = RunConfig(classifier_epochs=epochs, seed=seed)
     store = _store(store_path, data_dir, "train")
-    pl.train_classifier(config, store, inf.load_labels(labels_path)).save(_out_path(out))
+    pl.train_classifier(config, store, load_int64(labels_path)).save(_out_path(out))
     click.echo(f"cnn -> {out}")
 
 

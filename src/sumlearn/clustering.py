@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError
-from .tensorfile import atomic_write, load_tensors, save_tensors
+from .tensorfile import load_tensors, save_tensors
 
 
 @dataclass
@@ -201,12 +201,3 @@ def distance_percentiles(model, cluster, q):
         raise ValueError(f"cluster {cluster} is empty")
     return float(np.quantile(model.distance[members], q))
 
-
-def save_assignment(path, assignment):
-    """Flat little-endian int64 file."""
-    with atomic_write(path) as f:
-        f.write(np.asarray(assignment, dtype="<i8").tobytes())
-
-
-def load_assignment(path):
-    return np.fromfile(path, dtype="<i8")

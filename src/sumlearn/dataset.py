@@ -1,13 +1,17 @@
 """MNIST ingestion and sum-supervised corpus construction.
 
 A corpus example is an h x w grid of image ids plus the integer sum of the
-h row-numbers the grid spells out (each row read as a w-digit number). Only
-the sums are supervision; per-image ground truth stays behind
+h row-numbers the grid spells out (each row read as a w-digit number). All
+examples of a corpus share one grid shape, so a Corpus is two arrays, the
+(n, h, w) grids and the (n,) sums, and `grid_cells` and `grid_sums` hold
+the positional arithmetic every consumer reads them with. Only the sums
+are supervision; per-image ground truth stays behind
 ImageStore.evaluation_labels() and is never touched by the training path.
 """
 
 import gzip
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,33 +118,32 @@ def load_idx(images_path, labels_path, split="train"):
 
 
 @dataclass
-class Example:
-    """One training instance: grid of image ids and the supervised sum."""
+class Corpus:
+    """Examples of one grid shape as two arrays: `grids` (n, h, w) int64
+    image ids and `sums` (n,) int64, the sum each grid spells out."""
 
-    grid: np.ndarray  # (h, w) int64 image ids
-    sum: int
+    grids: np.ndarray
+    sums: np.ndarray
+
+    def __len__(self):
+        return self.grids.shape[0]
 
     @property
     def h(self):
-        return self.grid.shape[0]
+        return self.grids.shape[1]
 
     @property
     def w(self):
-        return self.grid.shape[1]
+        return self.grids.shape[2]
+
+    @property
+    def examples(self):
+        """(grid, sum) named tuples, built on each access, for callers
+        outside the package; the package reads the arrays."""
+        return [GridSum(grid, int(s)) for grid, s in zip(self.grids, self.sums)]
 
 
-@dataclass
-class Corpus:
-    examples: list[Example]
-
-    def __len__(self):
-        return len(self.examples)
-
-    def image_ids(self):
-        """All ids across all grids, in corpus order (with repeats)."""
-        if not self.examples:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([ex.grid.ravel() for ex in self.examples])
+GridSum = namedtuple("GridSum", "grid sum")
 
 
 def place_value(w, column):
@@ -150,18 +153,12 @@ def place_value(w, column):
     return 10 ** (w - 1 - column)
 
 
-def grid_cells(examples):
-    """Every cell of the examples' grids as flat arrays (example index,
+def grid_cells(corpus):
+    """Every cell of the corpus's grids as flat arrays (example index,
     image id, positional weight), row-major within each grid."""
-    if not examples:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    ids = np.concatenate([ex.grid.ravel() for ex in examples]).astype(np.int64, copy=False)
-    sizes = np.array([ex.grid.size for ex in examples])
-    row = np.repeat(np.arange(len(examples)), sizes)
-    width = np.repeat([ex.w for ex in examples], sizes)
-    cell = np.arange(ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return row, ids, place_value(width, cell % width)
+    n, h, w = corpus.grids.shape
+    rows = np.repeat(np.arange(n), h * w)
+    return rows, corpus.grids.reshape(-1), np.tile(place_value(w, np.arange(w)), n * h)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -180,13 +177,13 @@ def check_grid_shape(w, h):
         raise ValueError(f"w={w}, h={h}: sums up to {h * (10**w - 1)} overflow int64")
 
 
-def grid_sum(grid, labels_per_image):
-    """Sum spelled out by a grid under the given per-image digit labels."""
-    grid = np.asarray(grid)
-    h, w = grid.shape
+def grid_sums(grids, labels_per_image):
+    """Sums spelled out by (n, h, w) grids under per-image digit labels."""
+    grids = np.asarray(grids)
+    _, h, w = grids.shape
     check_grid_shape(w, h)
-    digits = np.asarray(labels_per_image, dtype=np.int64)[grid]
-    return int((digits * place_value(w, np.arange(w))).sum())
+    digits = np.asarray(labels_per_image, dtype=np.int64)[grids]
+    return (digits * place_value(w, np.arange(w))).sum(axis=(1, 2))
 
 
 def build_corpus(store, w, h, oversample_factor=1, seed=0):
@@ -208,21 +205,16 @@ def build_corpus(store, w, h, oversample_factor=1, seed=0):
     perm = np.concatenate([rng.permutation(n) for _ in range(oversample_factor)])
     n_examples = perm.shape[0] // cell
     grids = perm[: n_examples * cell].reshape(n_examples, h, w).astype(np.int64)
-
-    labels = store.evaluation_labels()
-    sums = (labels[grids] * place_value(w, np.arange(w))).sum(axis=(1, 2))
-
-    examples = [Example(grid=g, sum=int(s)) for g, s in zip(grids, sums)]
-    return Corpus(examples=examples)
+    return Corpus(grids, grid_sums(grids, store.evaluation_labels()))
 
 
-def generate_synthetic(n_images, n_clusters, separation, dim, w, h, seed=0):
+def generate_synthetic(n_images, n_clusters, separation, dim, seed=0):
     """Isotropic-Gaussian stand-in data for oracle testing.
 
     Centroids are scaled so the minimum pairwise distance equals
     `separation`; unit noise around them. The true label of a point is the
     index of its generating Gaussian, so n_clusters=3 restricts labels to
-    {0,1,2}. Returns (store, corpus) with the corpus built as build_corpus.
+    {0,1,2}. Returns the store.
     """
     if n_clusters > 10:
         raise ValueError(f"n_clusters must be <= 10, got {n_clusters}")
@@ -240,10 +232,7 @@ def generate_synthetic(n_images, n_clusters, separation, dim, w, h, seed=0):
     labels = np.tile(np.arange(n_clusters), n_images // n_clusters + 1)[:n_images]
     labels = labels[rng.permutation(n_images)]
     points = centroids[labels] + rng.standard_normal((n_images, dim))
-
-    store = ImageStore(points, labels, split="synthetic")
-    corpus = build_corpus(store, w, h, oversample_factor=1, seed=seed)
-    return store, corpus
+    return ImageStore(points, labels, split="synthetic")
 
 
 def normalize_unit(store):
@@ -260,29 +249,44 @@ def normalize_unit(store):
 
 def save_corpus(corpus, path):
     """Line-delimited records: `w h s id_11 ... id_hw` (row-major ids)."""
+    shape = f"{corpus.w} {corpus.h}"
+    cells = corpus.grids.reshape(len(corpus), corpus.h * corpus.w).tolist()
     lines = [
-        f"{ex.w} {ex.h} {ex.sum} {' '.join(map(str, ex.grid.ravel().tolist()))}\n"
-        for ex in corpus.examples
+        f"{shape} {s} {' '.join(map(str, ids))}\n" for s, ids in zip(corpus.sums.tolist(), cells)
     ]
     with atomic_write(path, "w", encoding="utf-8") as f:
         f.write("".join(lines))
 
 
 def load_corpus(path):
-    examples = []
+    """Read save_corpus's records. The file comes from outside, so a line
+    whose id count does not match its `w h`, whose shape differs from the
+    first line's, or whose shape check_grid_shape refuses is named in a
+    ConsistencyError. An empty file is an empty 1 x 1 corpus."""
+    shape, sums, ids = None, [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            w, h, s = int(parts[0]), int(parts[1]), int(parts[2])
-            ids = np.array([int(p) for p in parts[3:]], dtype=np.int64)
-            if ids.shape[0] != w * h:
-                raise ConsistencyError(
-                    f"line {lineno}: expected {w * h} ids, got {ids.shape[0]}"
-                )
-            examples.append(Example(grid=ids.reshape(h, w), sum=s))
-    return Corpus(examples=examples)
+            w, h = int(parts[0]), int(parts[1])
+            try:
+                if shape is None:
+                    check_grid_shape(w, h)
+                    shape = (w, h)
+                if (w, h) != shape:
+                    raise ValueError(f"grid shape w={w}, h={h} differs from the first "
+                                     f"line's w={shape[0]}, h={shape[1]}")
+                if len(parts) - 3 != w * h:
+                    raise ValueError(f"expected {w * h} ids, got {len(parts) - 3}")
+            except ValueError as exc:
+                raise ConsistencyError(f"line {lineno}: {exc}") from None
+            sums.append(int(parts[2]))
+            ids.extend(map(int, parts[3:]))
+    w, h = shape or (1, 1)
+    return Corpus(
+        np.array(ids, dtype=np.int64).reshape(-1, h, w), np.array(sums, dtype=np.int64)
+    )
 
 
 def save_store(store, path, meta=None):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .clustering import distance_percentiles
 from .dataset import grid_cells, place_value
-from .tensorfile import atomic_write, save_json
+from .tensorfile import save_int64, save_json
 
 PROV_CLUSTER = 0
 PROV_RADIUS = 1
@@ -77,14 +77,10 @@ def images_within_radius(model, radius):
     if radius not in RADII:
         raise ValueError(f"radius must be in 1..5, got {radius}")
     q = radius * 20 / 100.0
-    mask = np.zeros(len(model), dtype=bool)
-    for c in range(model.k):
-        members = model.members(c)
-        if members.size == 0:
-            continue
-        threshold = distance_percentiles(model, c, q)
-        mask[members[model.distance[members] <= threshold]] = True
-    return np.flatnonzero(mask)
+    thresholds = np.zeros(model.k)  # empty clusters have no member to compare
+    for c in np.flatnonzero(np.bincount(model.assignment, minlength=model.k)):
+        thresholds[c] = distance_percentiles(model, c, q)
+    return np.flatnonzero(model.distance <= thresholds[model.assignment])
 
 
 def _forced_digit(numerator, weight):
@@ -94,25 +90,25 @@ def _forced_digit(numerator, weight):
     return digit if remainder == 0 and 0 <= digit <= 9 else None
 
 
-def resolve_image_label(state, ex, img, ex_index=None):
-    """Digit forced on `img` by the example's sum, or None on inconsistency.
+def resolve_image_label(state, corpus, e, img):
+    """Digit forced on `img` by example e's sum, or None on inconsistency.
 
     All other images of the example must already be trusted. If the image
     occupies several cells (duplicated ids), the divisor is the sum of its
     positional weights. Non-integer or out-of-range results are recorded in
     state.inconsistent_examples instead of being clamped.
     """
-    ids = ex.grid.ravel()
+    ids = corpus.grids[e].ravel()
     unresolved = np.unique(ids[~state.correct[ids]])
     if unresolved.size != 1 or unresolved[0] != img:
         raise ValueError(f"image {img} is not the sole unresolved image")
 
-    weights = place_value(ex.w, np.arange(ids.size) % ex.w)
+    weights = place_value(corpus.w, np.arange(ids.size) % corpus.w)
     own = ids == img
     rest = int((state.labels[ids[~own]] * weights[~own]).sum())
-    digit = _forced_digit(ex.sum - rest, int(weights[own].sum()))
-    if digit is None and ex_index is not None:
-        state.inconsistent_examples.add(ex_index)
+    digit = _forced_digit(int(corpus.sums[e]) - rest, int(weights[own].sum()))
+    if digit is None:
+        state.inconsistent_examples.add(e)
     return digit
 
 
@@ -120,8 +116,8 @@ class _Propagation:
     """The corpus index, the per-example counters and the pass queue."""
 
     def __init__(self, corpus, n_images):
-        self.sums = [int(ex.sum) for ex in corpus.examples]
-        ex_ids, img_ids, weights = grid_cells(corpus.examples)
+        self.sums = corpus.sums.tolist()
+        ex_ids, img_ids, weights = grid_cells(corpus)
         # one entry per (example, distinct image) pair, sorted by image
         key = img_ids * len(self.sums) + ex_ids
         order = np.argsort(key)
@@ -230,10 +226,5 @@ def run_inference(state, corpus, model, radii=RADII):
 
 def save_labels(labels, summary, bin_path, json_path):
     """Flat int64 label file plus a JSON summary (LabelState.counts())."""
-    with atomic_write(bin_path) as f:
-        f.write(np.asarray(labels, dtype="<i8").tobytes())
+    save_int64(bin_path, labels)
     save_json(json_path, summary)
-
-
-def load_labels(bin_path):
-    return np.fromfile(bin_path, dtype="<i8")

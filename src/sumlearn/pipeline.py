@@ -28,7 +28,7 @@ from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
 from .errors import ConsistencyError
-from .tensorfile import peek_meta, save_json
+from .tensorfile import load_int64, peek_meta, save_int64, save_json
 
 SWEEP_COLUMNS = [
     "w", "h", "factor", "seed", "purity", "label_acc_pre", "label_acc_post",
@@ -227,13 +227,11 @@ def load_stores(config):
     if not config.synthetic:
         return idx_store(config.data_dir, "train"), idx_store(config.data_dir, "test")
     n_train = config.synthetic_images
-    full, _ = ds.generate_synthetic(
+    full = ds.generate_synthetic(
         n_train + config.synthetic_test_images,
         config.synthetic_clusters,
         config.synthetic_separation,
         config.synthetic_dim,
-        config.w,
-        config.h,
         seed=config.seed,
     )
     full = ds.normalize_unit(full)  # pixel-like inputs for the CNN
@@ -318,7 +316,7 @@ def embed_store(config, store, path, key=None):
 def save_cluster(model, path, meta=None):
     """The model as `path` plus its flat cluster_assignment.bin beside it."""
     model.save(path, meta=meta)
-    clu.save_assignment(path.with_name("cluster_assignment.bin"), model.assignment)
+    save_int64(path.with_name("cluster_assignment.bin"), model.assignment)
 
 
 def fit_clusters(config, matrix):
@@ -367,7 +365,7 @@ def _stage_infer(config, ctx):
     n_images = len(ctx["store"])
 
     def load(path):
-        labels = inf.load_labels(path.with_name("labels.bin"))
+        labels = load_int64(path.with_name("labels.bin"))
         # a truncated labels.bin keeps its key; resume only one label per image
         if labels.shape[0] != n_images:
             raise ValueError(f"{labels.shape[0]} labels for {n_images} images")

@@ -2,7 +2,9 @@
 
 Layout: one UTF-8 JSON line (format tag, free-form meta dict, ordered tensor
 descriptors), then the raw C-order bytes of each tensor back to back. Dtypes
-are stored with explicit byte order so files are portable. Every JSON
+are stored with explicit byte order so files are portable. Headerless
+vectors (labels.bin, cluster_assignment.bin) are flat little-endian int64
+files, written by save_int64 and read by load_int64. Every JSON
 artifact and report is written by save_json. Every artifact is written
 through atomic_write, so a reader finds the previous file or the whole
 new one, never a partial write.
@@ -45,6 +47,16 @@ def save_tensors(path, tensors, meta=None):
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for arr in arrays:
             f.write(arr.tobytes())
+
+
+def save_int64(path, values):
+    """A flat little-endian int64 file: the values' bytes and nothing else."""
+    with atomic_write(path) as f:
+        f.write(np.asarray(values, dtype="<i8").tobytes())
+
+
+def load_int64(path):
+    return np.fromfile(path, dtype="<i8")
 
 
 def save_json(path, obj, indent=None):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from sumlearn.dataset import Corpus, Example, ImageStore
+from sumlearn.dataset import Corpus, ImageStore
 from sumlearn.clustering import ClusterModel
 
 
@@ -48,10 +48,13 @@ def identity_model(labels, k=None, distance=None):
     )
 
 
-def corpus_from_grids(grids):
-    """Corpus from explicit (grid, sum) pairs or (grid_ids, labels) sums."""
-    examples = [Example(grid=np.asarray(g, dtype=np.int64), sum=int(s)) for g, s in grids]
-    return Corpus(examples=examples)
+def corpus_from_grids(pairs):
+    """Corpus from explicit (grid, sum) pairs of one grid shape; no pairs
+    make an empty 1 x 1 corpus."""
+    if not pairs:
+        return Corpus(np.zeros((0, 1, 1), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    grids, sums = zip(*pairs)
+    return Corpus(np.array(grids, dtype=np.int64), np.array(sums, dtype=np.int64))
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ import pytest
 from sumlearn import nn
 from sumlearn.assignment import BatchSystem, residuals, solve_batch, solve_corpus
 from sumlearn.clustering import ClusterModel, kmeans, purity
-from sumlearn.dataset import generate_synthetic
+from sumlearn.dataset import Corpus, build_corpus, generate_synthetic
 from sumlearn.embedding import AutoencoderParams, pca_embed
 from sumlearn.inference import (
     LabelState,
@@ -87,9 +87,8 @@ def test_c1_solver_exactness():
 def test_c2_synthetic_end_to_end_recovery():
     started = time.perf_counter()
     for seed in range(10):
-        store, corpus = generate_synthetic(
-            800, 10, separation=100, dim=12, w=2, h=2, seed=seed
-        )
+        store = generate_synthetic(800, 10, separation=100, dim=12, seed=seed)
+        corpus = build_corpus(store, w=2, h=2, seed=seed)
         truth = store.evaluation_labels()
         emb = pca_embed(store, dim=10)
         model = kmeans(emb, k=10, seed=seed)
@@ -120,14 +119,11 @@ def perturbed_single_error_instance(seed):
     store_labels = truth.copy()
     distance = np.full(n, 0.05)
 
-    corpus_order = rng.permutation(n).reshape(-1, h, w)
-    examples = []
-    from sumlearn.dataset import Corpus, Example
-
-    for grid in corpus_order:
+    grids = rng.permutation(n).reshape(-1, h, w)
+    sums = []
+    for grid in grids:
         weights = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
-        s = int((truth[grid] * weights).sum())
-        examples.append(Example(grid=grid.astype(np.int64), sum=s))
+        sums.append(int((truth[grid] * weights).sum()))
         if rng.random() < 0.6:  # perturb at most one image of this example
             victim = int(grid.ravel()[rng.integers(0, w * h)])
             store_labels[victim] = (truth[victim] + 1 + rng.integers(0, 9)) % 10
@@ -144,7 +140,7 @@ def perturbed_single_error_instance(seed):
         correct=np.zeros(n, dtype=bool),
         provenance=np.full(n, PROV_CLUSTER, dtype=np.int8),
     )
-    return truth, Corpus(examples=examples), model, state
+    return truth, Corpus(grids, np.array(sums, dtype=np.int64)), model, state
 
 
 def test_c3_inference_soundness():

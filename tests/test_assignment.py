@@ -17,7 +17,7 @@ from sumlearn.assignment import (
     solve_batch,
     solve_corpus,
 )
-from sumlearn.dataset import Example, build_corpus
+from sumlearn.dataset import Corpus, build_corpus
 from sumlearn.errors import ConsistencyError
 
 from conftest import corpus_from_grids, identity_model, planted_clustering, store_with_labels
@@ -58,7 +58,7 @@ def chunked_brute_force(system, chunk=20_000):
 def planted_batch(seed, k, reassigned):
     """The first 100-example batch of a w=2 h=2 planted corpus over k clusters."""
     _, corpus, model, _ = planted_clustering(seed, 400, reassigned=reassigned, k=k)
-    return build_batch_system(corpus.examples[:100], model)
+    return build_batch_system(Corpus(corpus.grids[:100], corpus.sums[:100]), model)
 
 
 def milp_lexicographic(system):
@@ -126,7 +126,7 @@ class TestBuildBatchSystem:
     def test_two_cells_same_cluster(self):
         model = identity_model([3, 3], k=5)
         corpus = corpus_from_grids([(np.array([[0, 1]]), 33)])
-        system = build_batch_system(corpus.examples, model)
+        system = build_batch_system(corpus, model)
         row = np.zeros(5, dtype=np.int64)
         row[3] = 11  # 10 + 1
         assert np.array_equal(system.coeffs[0], row)
@@ -134,7 +134,7 @@ class TestBuildBatchSystem:
     def test_single_cell_equation(self):
         model = identity_model([7], k=10)
         corpus = corpus_from_grids([(np.array([[0]]), 4)])
-        system = build_batch_system(corpus.examples, model)
+        system = build_batch_system(corpus, model)
         assert system.coeffs[0, 7] == 1
         assert system.targets[0] == 4
 
@@ -144,38 +144,38 @@ class TestBuildBatchSystem:
         model = identity_model(labels, k=10)
         store = store_with_labels(labels)
         corpus = build_corpus(store, w=2, h=3, seed=0)
-        system = build_batch_system(corpus.examples, model)
+        system = build_batch_system(corpus, model)
         assert (system.coeffs.sum(axis=1) == 33).all()
 
     def test_unclustered_id_rejected(self):
         model = identity_model([1, 2], k=3)
         corpus = corpus_from_grids([(np.array([[0, 5]]), 12)])
         with pytest.raises(ConsistencyError):
-            build_batch_system(corpus.examples, model)
+            build_batch_system(corpus, model)
 
     def test_error_names_first_bad_example(self):
         model = identity_model([1, 2, 0], k=3)
-        grids = [(np.array([[0, 1]]), 3), (np.array([[2], [-1]]), 1), (np.array([[7]]), 2)]
+        grids = [(np.array([[0, 1]]), 3), (np.array([[2, -1]]), 1), (np.array([[7, 0]]), 2)]
         with pytest.raises(ConsistencyError, match="example 1 "):
-            build_batch_system(corpus_from_grids(grids).examples, model)
+            build_batch_system(corpus_from_grids(grids), model)
 
     def test_mixed_shapes_match_per_example_reference(self, rng):
+        # every shape up to 4 x 4, each its own corpus; ids repeat within
+        # and across grids
         model = identity_model(rng.integers(0, 6, size=50), k=6)
-        examples = [
-            Example(grid=rng.integers(0, 50, size=tuple(rng.integers(1, 5, size=2))), sum=int(s))
-            for s in rng.integers(0, 10000, size=40)
-        ]
-        want = np.zeros((40, 6), dtype=np.int64)
-        for e, ex in enumerate(examples):
-            weights = 10 ** np.arange(ex.w - 1, -1, -1, dtype=np.int64)
-            np.add.at(want[e], model.assignment[ex.grid].ravel(), np.tile(weights, ex.h))
-        system = build_batch_system(examples, model)
-        assert system.coeffs.dtype == np.int64 and system.targets.dtype == np.int64
-        assert np.array_equal(system.coeffs, want)
-        assert np.array_equal(system.targets, [ex.sum for ex in examples])
+        for h, w in itertools.product(range(1, 5), repeat=2):
+            corpus = Corpus(rng.integers(0, 50, size=(10, h, w)), rng.integers(0, 10000, size=10))
+            want = np.zeros((10, 6), dtype=np.int64)
+            weights = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+            for e, grid in enumerate(corpus.grids):
+                np.add.at(want[e], model.assignment[grid].ravel(), np.tile(weights, h))
+            system = build_batch_system(corpus, model)
+            assert system.coeffs.dtype == np.int64 and system.targets.dtype == np.int64
+            assert np.array_equal(system.coeffs, want)
+            assert np.array_equal(system.targets, corpus.sums)
 
     def test_empty_list(self):
-        system = build_batch_system([], identity_model([0, 1], k=4))
+        system = build_batch_system(corpus_from_grids([]), identity_model([0, 1], k=4))
         assert system.coeffs.shape == (0, 4)
         assert system.targets.shape == (0,)
 
@@ -266,7 +266,7 @@ class TestSolveBatch:
     def test_forced_single_variable(self):
         model = identity_model([7], k=10)
         corpus = corpus_from_grids([(np.array([[0]]), 4)])
-        system = build_batch_system(corpus.examples, model)
+        system = build_batch_system(corpus, model)
         result = solve_batch(system)
         assert result.digits[7] == 4
         assert result.objective == 0
@@ -300,7 +300,7 @@ class TestSolveBatch:
         model = identity_model(labels, k=4)
         store = store_with_labels(truth[labels])
         corpus = build_corpus(store, w=2, h=1, seed=1)
-        system = build_batch_system(corpus.examples, model)
+        system = build_batch_system(corpus, model)
         result = solve_batch(system)
         assert result.objective == 0
         assert np.array_equal(result.digits, truth)
@@ -418,7 +418,7 @@ class TestOracleAtBatchShape:
 
 def count_satisfied(assignment, corpus, model):
     """Corpus examples the assignment's digits satisfy exactly, as the vote counts them."""
-    system = build_batch_system(corpus.examples, model)
+    system = build_batch_system(corpus, model)
     return int((residuals(system, assignment.digits) == 0).sum())
 
 
@@ -475,16 +475,12 @@ class TestSolveCorpus:
         store = store_with_labels(truth[labels])
         corpus = build_corpus(store, w=1, h=2, seed=0)
         # poison the sums of the first batch only
-        for ex in corpus.examples[:20]:
-            ex.sum += int(rng.integers(1, 4))
+        corpus.sums[:20] += rng.integers(1, 4, size=20)
         winner = solve_corpus(corpus, model, batch_size=20)
         assert winner.batch_index > 0
         assert np.array_equal(winner.digits, truth)
-        assert winner.satisfied_count == len(corpus) - sum(
-            1
-            for ex in corpus.examples[:20]
-            if residuals(build_batch_system([ex], model), truth)[0] != 0
-        )
+        unsatisfied = residuals(build_batch_system(corpus, model), truth)[:20] != 0
+        assert winner.satisfied_count == len(corpus) - int(unsatisfied.sum())
 
     def test_batch_size_100_default_shape(self, rng):
         labels = rng.integers(0, 4, size=300)

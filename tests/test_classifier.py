@@ -368,6 +368,12 @@ class TestEval:
         )
         acc = eval_addition(object(), corpus, store)
         assert abs(acc - p ** (w * h)) < 0.03
+        # exactly the share of grids whose rows, read as numbers, add up
+        spelled = [
+            sum(int("".join(str(noisy[i]) for i in row)) for row in grid)
+            for grid in corpus.grids.tolist()
+        ]
+        assert acc == sum(np.array(spelled) == corpus.sums) / len(corpus)
 
 
 class TestPersistence:

@@ -8,12 +8,11 @@ from sumlearn.clustering import (
     ClusterModel,
     distance_percentiles,
     kmeans,
-    load_assignment,
     purity,
-    save_assignment,
 )
 from sumlearn.dataset import generate_synthetic
 from sumlearn.errors import ConsistencyError
+from sumlearn.tensorfile import load_int64, save_int64
 
 from conftest import identity_model
 
@@ -26,7 +25,7 @@ class TestKmeans:
         assert sorted(model.assignment) == list(range(6))
 
     def test_separated_gaussians_purity_one(self):
-        store, _ = generate_synthetic(400, 4, separation=80, dim=6, w=2, h=1, seed=1)
+        store = generate_synthetic(400, 4, separation=80, dim=6, seed=1)
         model = kmeans(store.images, k=4, seed=1)
         assert purity(model, store.evaluation_labels()) == 1.0
 
@@ -278,5 +277,6 @@ class TestPersistence:
 
     def test_assignment_flat_file(self, tmp_path):
         path = tmp_path / "assign.bin"
-        save_assignment(path, [3, 1, 4, 1, 5])
-        assert np.array_equal(load_assignment(path), [3, 1, 4, 1, 5])
+        save_int64(path, [3, 1, 4, 1, 5])
+        assert np.array_equal(load_int64(path), [3, 1, 4, 1, 5])
+        assert path.read_bytes() == np.array([3, 1, 4, 1, 5], dtype="<i8").tobytes()

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from sumlearn.dataset import (
     Corpus,
-    Example,
     ImageStore,
     build_corpus,
     generate_synthetic,
-    grid_sum,
+    grid_sums,
     load_corpus,
     load_idx,
     load_store,
@@ -78,45 +77,47 @@ class TestBuildCorpus:
     def test_positional_sum(self):
         store = store_with_labels([1, 2, 3, 4])
         corpus = build_corpus(store, w=2, h=2, seed=0)
-        ex = corpus.examples[0]
+        grid = corpus.grids[0]
         # sum must equal the two grid rows read as 2-digit numbers
         expected = sum(
-            store.evaluation_labels()[ex.grid[i, j]] * 10 ** (2 - (j + 1))
+            store.evaluation_labels()[grid[i, j]] * 10 ** (2 - (j + 1))
             for i in range(2)
             for j in range(2)
         )
-        assert ex.sum == expected
+        assert corpus.sums[0] == expected
 
     def test_known_grid_value(self):
         labels = np.array([1, 2, 3, 4])
-        assert grid_sum(np.array([[0, 1], [2, 3]]), labels) == 12 + 34
+        grids = np.array([[[0, 1], [2, 3]], [[3, 3], [0, 0]]])
+        assert np.array_equal(grid_sums(grids, labels), [12 + 34, 44 + 11])
 
     def test_example_count_and_partition(self):
         store = store_with_labels(np.arange(103) % 10)
         corpus = build_corpus(store, w=5, h=2, seed=7)
         assert len(corpus) == 10  # floor(103/10)
-        ids = corpus.image_ids()
+        ids = corpus.grids.ravel()
         assert len(np.unique(ids)) == len(ids)  # factor 1: each id at most once
 
     def test_oversample_factor(self):
         store = store_with_labels(np.arange(60) % 10)
         corpus = build_corpus(store, w=5, h=2, oversample_factor=3, seed=1)
         assert len(corpus) == 18
-        counts = np.bincount(corpus.image_ids(), minlength=60)
+        counts = np.bincount(corpus.grids.ravel(), minlength=60)
         assert (counts == 3).all()
 
     def test_round_trip_sums(self, rng):
         store = store_with_labels(rng.integers(0, 10, 48))
         corpus = build_corpus(store, w=3, h=2, seed=3)
-        for ex in corpus.examples:
-            assert grid_sum(ex.grid, store.evaluation_labels()) == ex.sum
+        labels = store.evaluation_labels().tolist()
+        for grid, s in zip(corpus.grids.tolist(), corpus.sums):
+            assert sum(int("".join(str(labels[i]) for i in row)) for row in grid) == s
 
     def test_w18_sums_exact(self):
         # h=2, w=18, every digit 9: 2 * (10^18 - 1) still fits int64
         store = store_with_labels(np.full(36, 9))
-        [ex] = build_corpus(store, w=18, h=2).examples
-        assert ex.sum == 2 * (10**18 - 1)
-        assert grid_sum(ex.grid, store.evaluation_labels()) == 2 * (10**18 - 1)
+        corpus = build_corpus(store, w=18, h=2)
+        assert corpus.sums.tolist() == [2 * (10**18 - 1)]
+        assert grid_sums(corpus.grids, store.evaluation_labels()).tolist() == [2 * (10**18 - 1)]
 
     @pytest.mark.parametrize("w, h", [(19, 2), (19, 1), (18, 10)])
     def test_int64_overflow_refused(self, w, h):
@@ -125,7 +126,7 @@ class TestBuildCorpus:
         with pytest.raises(ValueError, match="overflow int64"):
             build_corpus(store, w=w, h=h)
         with pytest.raises(ValueError, match="overflow int64"):
-            grid_sum(np.arange(w * h).reshape(h, w), store.evaluation_labels())
+            grid_sums(np.arange(w * h).reshape(1, h, w), store.evaluation_labels())
 
     def test_determinism_byte_for_byte(self, tmp_path):
         store = store_with_labels(np.arange(40) % 10)
@@ -152,7 +153,7 @@ class TestBuildCorpus:
             return
         store = store_with_labels(np.arange(n) % 10)
         corpus = build_corpus(store, w, h, seed=seed)
-        ids = corpus.image_ids()
+        ids = corpus.grids.ravel()
         assert len(np.unique(ids)) == len(ids)
         assert n - len(ids) < w * h  # discarded remainder only
         assert len(corpus) == n // (w * h)
@@ -160,15 +161,16 @@ class TestBuildCorpus:
 
 class TestGenerateSynthetic:
     def test_labels_restricted_to_clusters(self):
-        store, _ = generate_synthetic(90, 3, separation=10, dim=5, w=2, h=1, seed=0)
+        store = generate_synthetic(90, 3, separation=10, dim=5, seed=0)
         assert set(np.unique(store.evaluation_labels())) <= {0, 1, 2}
 
     def test_example_count(self):
-        _, corpus = generate_synthetic(1000, 4, separation=10, dim=5, w=2, h=2, seed=0)
-        assert len(corpus) == 250
+        store = generate_synthetic(1000, 4, separation=10, dim=5, seed=0)
+        assert len(store) == 1000
+        assert len(build_corpus(store, w=2, h=2, seed=0)) == 250
 
     def test_separation_holds(self):
-        store, _ = generate_synthetic(200, 4, separation=50, dim=8, w=2, h=1, seed=5)
+        store = generate_synthetic(200, 4, separation=50, dim=8, seed=5)
         labels = store.evaluation_labels()
         centroids = np.stack([store.images[labels == c].mean(0) for c in range(4)])
         diff = centroids[:, None] - centroids[None]
@@ -178,9 +180,9 @@ class TestGenerateSynthetic:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            generate_synthetic(10, 11, 1.0, 4, 1, 1)
+            generate_synthetic(10, 11, 1.0, 4)
         with pytest.raises(ValueError):
-            generate_synthetic(10, 2, 0.0, 4, 1, 1)
+            generate_synthetic(10, 2, 0.0, 4)
 
 
 class TestSerialization:
@@ -190,10 +192,31 @@ class TestSerialization:
         path = tmp_path / "corpus.txt"
         save_corpus(corpus, path)
         loaded = load_corpus(path)
-        assert len(loaded) == len(corpus)
-        for a, b in zip(corpus.examples, loaded.examples):
-            assert np.array_equal(a.grid, b.grid)
-            assert a.sum == b.sum
+        assert (loaded.w, loaded.h) == (3, 2)
+        assert np.array_equal(loaded.grids, corpus.grids)
+        assert np.array_equal(loaded.sums, corpus.sums)
+        assert loaded.grids.dtype == loaded.sums.dtype == np.int64
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 18])
+    def test_corpus_file_round_trip_is_byte_identical(self, tmp_path, rng, w):
+        store = store_with_labels(rng.integers(0, 10, 6 * w))
+        save_corpus(build_corpus(store, w=w, h=2, oversample_factor=2, seed=w), tmp_path / "a.txt")
+        save_corpus(load_corpus(tmp_path / "a.txt"), tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 1 12 0 1\n1 2 3 2 3\n", "line 2: grid shape w=1, h=2 differs"),
+            ("2 1 12 0 1\n\n2 1 5 2\n", "line 3: expected 2 ids, got 1"),
+            ("19 1 5 " + " ".join(["0"] * 19) + "\n", "line 1: w=19, h=1: sums up to"),
+        ],
+    )
+    def test_load_corpus_refuses_bad_lines(self, tmp_path, text, message):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        with pytest.raises(ConsistencyError, match=message):
+            load_corpus(path)
 
     def test_corpus_line_format(self, tmp_path):
         store = store_with_labels([1, 2, 3, 4])
@@ -205,20 +228,18 @@ class TestSerialization:
         assert len(parts) == 3 + 4
 
     def test_corpus_bytes_with_mixed_grid_shapes(self, tmp_path):
-        # reference: every id through str(), one line per example, over grids
-        # of several shapes and one with no ids
+        # reference: every id through str(), one line per example, for a
+        # corpus of each of several grid shapes, one with no ids
         rng = np.random.default_rng(5)
-        examples = [
-            Example(grid=rng.integers(0, 10**7, size=(h, w)), sum=int(rng.integers(0, 10**12)))
-            for h, w in [(1, 1), (2, 2), (3, 1), (1, 4), (2, 3), (4, 2), (0, 2)] * 3
-        ]
         path = tmp_path / "corpus.txt"
-        save_corpus(Corpus(examples=examples), path)
-        expected = "".join(
-            f"{ex.w} {ex.h} {ex.sum} {' '.join(str(i) for i in ex.grid.ravel())}\n"
-            for ex in examples
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
+        for h, w in [(1, 1), (2, 2), (3, 1), (1, 4), (2, 3), (4, 2), (0, 2)]:
+            corpus = Corpus(rng.integers(0, 10**7, size=(3, h, w)), rng.integers(0, 10**12, size=3))
+            save_corpus(corpus, path)
+            expected = "".join(
+                f"{w} {h} {s} {' '.join(str(i) for i in grid.ravel())}\n"
+                for grid, s in zip(corpus.grids, corpus.sums)
+            )
+            assert path.read_bytes() == expected.encode("utf-8")
 
     def test_store_roundtrip(self, tmp_path, rng):
         store = ImageStore(rng.random((5, 6)), rng.integers(0, 10, 5), split="test")

@@ -201,7 +201,7 @@ class TestPca:
         assert np.abs(emb[:, 2:]).max() < 1e-9
 
     def test_downstream_purity_on_separated_gaussians(self):
-        store, _ = generate_synthetic(300, 3, separation=100, dim=12, w=1, h=1, seed=0)
+        store = generate_synthetic(300, 3, separation=100, dim=12, seed=0)
         emb = pca_embed(store, dim=5)
         model = kmeans(emb, k=3, seed=0)
         assert purity(model, store.evaluation_labels()) == 1.0

@@ -5,7 +5,9 @@ import pytest
 
 from sumlearn import inference as inf
 from sumlearn.assignment import DigitAssignment
+from sumlearn.clustering import distance_percentiles
 from sumlearn.dataset import build_corpus
+from sumlearn.tensorfile import load_int64
 from sumlearn.inference import (
     PROV_CLUSTER,
     PROV_INFERRED,
@@ -13,7 +15,6 @@ from sumlearn.inference import (
     images_within_radius,
     infer_correct_labels,
     init_labels,
-    load_labels,
     resolve_image_label,
     run_inference,
     save_labels,
@@ -75,6 +76,20 @@ class TestImagesWithinRadius:
         model = identity_model([0, 0, 1], distance=[0.1, 0.2, 7.5])
         assert 2 in images_within_radius(model, 1)
 
+    def test_matches_per_cluster_loop(self):
+        # planted clusters with tied distances, plus one empty cluster
+        _, _, model, _ = planted_clustering(3, 2000)
+        model.distance = np.round(model.distance, 1)
+        model.k, model.centroids = 11, np.zeros((11, 2))
+        for radius in (1, 2, 3, 4, 5):
+            mask = np.zeros(len(model), dtype=bool)
+            for c in range(model.k):
+                members = model.members(c)
+                if members.size:
+                    threshold = distance_percentiles(model, c, radius * 20 / 100.0)
+                    mask[members[model.distance[members] <= threshold]] = True
+            assert np.array_equal(images_within_radius(model, radius), np.flatnonzero(mask))
+
     def test_bad_radius(self):
         model = identity_model([0])
         with pytest.raises(ValueError):
@@ -85,36 +100,36 @@ class TestResolveImageLabel:
     def test_tens_place(self):
         corpus = corpus_from_grids([(np.array([[0, 1]]), 25)])
         state = make_state([0, 5], correct=[1])
-        assert resolve_image_label(state, corpus.examples[0], 0) == 2
+        assert resolve_image_label(state, corpus, 0, 0) == 2
 
     def test_pair_sum(self):
         corpus = corpus_from_grids([(np.array([[0], [1]]), 9)])  # w=1, h=2
         state = make_state([4, 0], correct=[0])
-        assert resolve_image_label(state, corpus.examples[0], 1) == 5
+        assert resolve_image_label(state, corpus, 0, 1) == 5
 
     def test_non_integer_quotient_is_inconsistent(self):
-        corpus = corpus_from_grids([(np.array([[0, 1]]), 25)])
+        corpus = corpus_from_grids([(np.array([[0, 1]]), 1)] * 4 + [(np.array([[0, 1]]), 25)])
         state = make_state([0, 6], correct=[1])
-        assert resolve_image_label(state, corpus.examples[0], 0, ex_index=4) is None
+        assert resolve_image_label(state, corpus, 4, 0) is None
         assert state.inconsistent_examples == {4}
 
     def test_out_of_range_is_inconsistent(self):
         corpus = corpus_from_grids([(np.array([[0], [1]]), 3)])
         state = make_state([9, 0], correct=[0])  # 3 - 9 < 0
-        assert resolve_image_label(state, corpus.examples[0], 1, ex_index=0) is None
+        assert resolve_image_label(state, corpus, 0, 1) is None
         assert 0 in state.inconsistent_examples
 
     def test_duplicated_image_resolves_via_weight_sum(self):
         # image 0 fills both cells: d * 11 = 88
         corpus = corpus_from_grids([(np.array([[0, 0]]), 88)])
         state = make_state([0], correct=[])
-        assert resolve_image_label(state, corpus.examples[0], 0) == 8
+        assert resolve_image_label(state, corpus, 0, 0) == 8
 
     def test_precondition_violation(self):
         corpus = corpus_from_grids([(np.array([[0, 1]]), 25)])
         state = make_state([0, 5])  # nothing correct: two unresolved
         with pytest.raises(ValueError):
-            resolve_image_label(state, corpus.examples[0], 0)
+            resolve_image_label(state, corpus, 0, 0)
 
 
 class TestInferCorrectLabels:
@@ -215,7 +230,8 @@ class TestPersistence:
         state.provenance[0] = PROV_INFERRED
         bin_path, json_path = tmp_path / "labels.bin", tmp_path / "labels.json"
         save_labels(state.labels, state.counts(), bin_path, json_path)
-        assert np.array_equal(load_labels(bin_path), [3, 1, 4])
+        assert np.array_equal(load_int64(bin_path), [3, 1, 4])
+        assert bin_path.read_bytes() == np.array([3, 1, 4], dtype="<i8").tobytes()
         summary = json.loads(json_path.read_text())
         assert summary["inferred"] == 1
         assert summary["correct"] == 1
@@ -225,13 +241,13 @@ def reference_pass(state, corpus):
     """The sequential pass: every example in index order, resolutions
     applied at once."""
     changed = False
-    for idx, ex in enumerate(corpus.examples):
-        ids = ex.grid.ravel()
+    for idx, grid in enumerate(corpus.grids):
+        ids = grid.ravel()
         unresolved = np.unique(ids[~state.correct[ids]])
         if unresolved.size != 1:
             continue
         img = int(unresolved[0])
-        digit = resolve_image_label(state, ex, img, ex_index=idx)
+        digit = resolve_image_label(state, corpus, idx, img)
         if digit is None:
             continue
         state.labels[img] = digit
@@ -255,15 +271,15 @@ def reference_inference(state, corpus, model, radii):
     return passes
 
 
-def noisy_instance(seed, n, shapes, replace, n_examples):
-    """A corpus of grids of the given (h, w) shapes over n images, with or
-    without repeated ids inside a grid, a one-cluster model at random
-    distances, and initial labels wrong on 30% of the images."""
+def noisy_instance(seed, n, shape, replace, n_examples):
+    """A corpus of (h, w) grids over n images, with or without repeated ids
+    inside a grid, a one-cluster model at random distances, and initial
+    labels wrong on 30% of the images."""
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, 10, n)
     grids = []
+    h, w = shape
     for _ in range(n_examples):
-        h, w = shapes[int(rng.integers(len(shapes)))]
         grid = rng.choice(n, size=(h, w), replace=replace)
         grids.append((grid, int((truth[grid] * 10 ** np.arange(w - 1, -1, -1)).sum())))
     corpus = corpus_from_grids(grids)
@@ -309,15 +325,17 @@ class TestMatchesSequentialReference:
             assert (got.provenance == PROV_INFERRED).any()
 
     def test_repeated_ids(self, monkeypatch):
-        corpus, model, labels = noisy_instance(1, 150, [(2, 2)], True, 150)
-        assert any(np.unique(ex.grid).size < ex.grid.size for ex in corpus.examples)
+        corpus, model, labels = noisy_instance(1, 150, (2, 2), True, 150)
+        assert any(np.unique(grid).size < grid.size for grid in corpus.grids)
         self.compare(monkeypatch, corpus, model, labels)
 
     def test_mixed_shapes(self, monkeypatch):
-        shapes = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]
-        corpus, model, labels = noisy_instance(2, 300, shapes, False, 250)
-        got = self.compare(monkeypatch, corpus, model, labels)
-        assert got.inconsistent_examples
+        inconsistent = 0
+        for shape in [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]:
+            corpus, model, labels = noisy_instance(2, 300, shape, False, 250)
+            got = self.compare(monkeypatch, corpus, model, labels)
+            inconsistent += len(got.inconsistent_examples)
+        assert inconsistent
 
     def test_lower_index_waits_for_next_pass(self, monkeypatch):
         # example 1 resolves image 1, which leaves example 0 with one

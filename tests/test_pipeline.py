@@ -433,12 +433,11 @@ class TestInferenceImprovesAccuracy:
     @staticmethod
     def run_once(seed, w, h):
         from sumlearn.assignment import solve_corpus
-        from sumlearn.dataset import generate_synthetic
+        from sumlearn.dataset import build_corpus, generate_synthetic
         from sumlearn.inference import init_labels, run_inference
 
-        store, corpus = generate_synthetic(
-            1600, 10, separation=6.0, dim=12, w=w, h=h, seed=seed
-        )
+        store = generate_synthetic(1600, 10, separation=6.0, dim=12, seed=seed)
+        corpus = build_corpus(store, w, h, seed=seed)
         matrix = emb.pca_embed(store, dim=10)
         model = clu.kmeans(matrix, k=10, seed=seed)
         winner = solve_corpus(corpus, model, batch_size=100)
