@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _INT64_MAX, grid_cells
-from .errors import ConsistencyError
+from .dataset import _INT64_MAX, check_image_ids, grid_cells
 from .tensorfile import save_json
 
 _DIGITS = np.arange(10, dtype=np.int64)
@@ -91,9 +90,7 @@ def build_batch_system(corpus, model):
     k = model.k
     coeffs = np.zeros((len(corpus), k), dtype=np.int64)
     row, ids, weights = grid_cells(corpus)
-    bad = (ids < 0) | (ids >= len(model))
-    if bad.any():
-        raise ConsistencyError(f"example {row[bad.argmax()]} references unclustered image ids")
+    check_image_ids(row, ids, len(model))
     np.add.at(coeffs.ravel(), row * k + model.assignment[ids], weights)
     return BatchSystem(coeffs=coeffs, targets=corpus.sums)
 

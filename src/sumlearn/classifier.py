@@ -4,6 +4,14 @@ Architecture for 28x28 single-channel input, valid convolutions:
 conv 32@3x3 -> pool 2x2 -> conv 64@3x3 -> conv 64@3x3 -> pool 2x2
 -> dense 100 -> dense 10, ReLU activations, He init, softmax output.
 Intermediate sizes: 28 -> 26 -> 13 -> 11 -> 9 -> 4, flattened 1024.
+
+Where a convolution is pooled, the layers run conv -> pool -> ReLU, so
+ReLU touches a quarter of the values. That is the same network as conv ->
+ReLU -> pool: ReLU is monotone, so the max of the rectified window is the
+rectified max. Backward agrees too: a window whose max is positive routes
+its gradient to the same first-maximal element either way, and any other
+window passes exact zeros. The weighted layers keep their order, so saved
+weights (W0..b4) are unchanged.
 """
 
 import numpy as np
@@ -24,13 +32,13 @@ class CnnParams:
         flat = after_pool2 * after_pool2 * 64
         self.layers = [
             nn.Conv2d(1, 32, (3, 3), rng, dtype=dtype),
-            nn.ReLU(),
             nn.MaxPool2x2(),
+            nn.ReLU(),
             nn.Conv2d(32, 64, (3, 3), rng, dtype=dtype),
             nn.ReLU(),
             nn.Conv2d(64, 64, (3, 3), rng, dtype=dtype),
-            nn.ReLU(),
             nn.MaxPool2x2(),
+            nn.ReLU(),
             nn.Flatten(),
             nn.Dense(flat, 100, rng, dtype=dtype),
             nn.ReLU(),

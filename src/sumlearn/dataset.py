@@ -161,7 +161,15 @@ def grid_cells(corpus):
     return rows, corpus.grids.reshape(-1), np.tile(place_value(w, np.arange(w)), n * h)
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+def check_image_ids(rows, ids, n_images):
+    """Refuse grid_cells ids outside 0..n_images-1 (images the cluster model
+    does not have), naming the first example that holds one."""
+    bad = (ids < 0) | (ids >= n_images)
+    if bad.any():
+        raise ConsistencyError(f"example {rows[bad.argmax()]} references unclustered image ids")
+
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def check_grid_shape(w, h):
@@ -259,30 +267,35 @@ def save_corpus(corpus, path):
 
 
 def load_corpus(path):
-    """Read save_corpus's records. The file comes from outside, so a line
-    whose id count does not match its `w h`, whose shape differs from the
-    first line's, or whose shape check_grid_shape refuses is named in a
-    ConsistencyError. An empty file is an empty 1 x 1 corpus."""
+    """Read save_corpus's records. The file comes from outside, so a bad line
+    is named in a ConsistencyError: fewer than 3 fields, a field that is not
+    an integer, a sum or id outside int64, an id count that does not match
+    its `w h`, a shape that differs from the first line's or that
+    check_grid_shape refuses. An empty file is an empty 1 x 1 corpus."""
     shape, sums, ids = None, [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts:
                 continue
-            w, h = int(parts[0]), int(parts[1])
             try:
+                if len(parts) < 3:
+                    raise ValueError(f"expected w, h and a sum, got {len(parts)} fields")
+                w, h, total, *cells = map(int, parts)
                 if shape is None:
                     check_grid_shape(w, h)
                     shape = (w, h)
                 if (w, h) != shape:
                     raise ValueError(f"grid shape w={w}, h={h} differs from the first "
                                      f"line's w={shape[0]}, h={shape[1]}")
-                if len(parts) - 3 != w * h:
-                    raise ValueError(f"expected {w * h} ids, got {len(parts) - 3}")
+                if len(cells) != w * h:
+                    raise ValueError(f"expected {w * h} ids, got {len(cells)}")
+                if min(total, *cells) < _INT64_MIN or max(total, *cells) > _INT64_MAX:
+                    raise ValueError("sum or id outside int64")
             except ValueError as exc:
                 raise ConsistencyError(f"line {lineno}: {exc}") from None
-            sums.append(int(parts[2]))
-            ids.extend(map(int, parts[3:]))
+            sums.append(total)
+            ids.extend(cells)
     w, h = shape or (1, 1)
     return Corpus(
         np.array(ids, dtype=np.int64).reshape(-1, h, w), np.array(sums, dtype=np.int64)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import distance_percentiles
-from .dataset import grid_cells, place_value
+from .dataset import check_image_ids, grid_cells, place_value
 from .tensorfile import save_int64, save_json
 
 PROV_CLUSTER = 0
@@ -118,6 +118,7 @@ class _Propagation:
     def __init__(self, corpus, n_images):
         self.sums = corpus.sums.tolist()
         ex_ids, img_ids, weights = grid_cells(corpus)
+        check_image_ids(ex_ids, img_ids, n_images)
         # one entry per (example, distinct image) pair, sorted by image
         key = img_ids * len(self.sums) + ex_ids
         order = np.argsort(key)
@@ -200,7 +201,9 @@ def run_inference(state, corpus, model, radii=RADII):
     Images pulled in by a radius keep their current labels; inferred
     labels are never overwritten by later radii. Each radius appends to
     state.radii the images it trusted, the images inferred after it, the
-    examples newly found inconsistent and the passes it took.
+    examples newly found inconsistent and the passes it took. A corpus
+    image id the model does not have is a ConsistencyError that names the
+    example.
     """
     propagation = _Propagation(corpus, state.labels.shape[0])
     for radius in radii:

@@ -4,6 +4,10 @@ Everything is plain numpy. Layers cache what they need on forward and fill
 their grad buffers on backward; SGDMomentum updates parameters in place.
 `forward(x, cache=False)` runs the same arithmetic but keeps no backward
 cache (and drops any older one), for inference-only passes.
+`nn.backward` fills the parameter gradients and returns nothing: no caller
+reads the gradient w.r.t. the network input, so the first weighted layer is
+called with `input_grad=False` and skips its input-gradient product, and
+parameter-free layers in front of it are not run.
 Determinism: all randomness comes from the rng handed to the constructors,
 and batch order is owned by the callers.
 
@@ -15,9 +19,15 @@ buffers; MaxPool2x2's output and ReLU keep the layout they are given. So
 between a CNN's first convolution and its Flatten, activations and
 gradients stay channels-last in memory. Any (B, C, H, W) array is accepted;
 one that is not channels-last costs strided reads, not a different result.
+
+Conv2d's input gradient (col2im) is formed per window offset: one batched
+product gives a (kh*kw, B*Ho*Wo, C) array, one contiguous slab per offset,
+and each slab is added into its shifted window of the input gradient in
+(p, q) order, the order of the im2col columns.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def weight_tensors(layers):
@@ -50,10 +60,10 @@ class Dense:
         self._x = x if cache else None
         return x @ self.W + self.b
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.dW[...] = self._x.T @ grad
         self.db[...] = grad.sum(axis=0)
-        return grad @ self.W.T
+        return grad @ self.W.T if input_grad else None
 
     def params(self):
         return [(self.W, self.dW), (self.b, self.db)]
@@ -75,10 +85,12 @@ class ReLU:
 class Conv2d:
     """Valid (no-padding) stride-1 convolution on (B, C, H, W) input.
 
-    im2col rows are ordered (kh, kw, C), so each of the kh*kw window
-    offsets is one slice copy of contiguous channel runs when the input is
-    channels-last in memory. W keeps its (F, C, kh, kw) shape; `_wmat`
-    reorders it to match the columns.
+    im2col rows are ordered (kh, kw, C). With several channels they are one
+    copy of a sliding-window view whose (kw, C) runs are contiguous when the
+    input is channels-last in memory; a single channel copies one slice per
+    window offset instead, since its runs would be only kw values long.
+    W keeps its (F, C, kh, kw) shape; `_wmat` reorders it to match the
+    columns.
     """
 
     def __init__(self, in_channels, filters, kernel, rng, dtype=np.float64):
@@ -99,10 +111,14 @@ class Conv2d:
         xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
         b_, h, w, c = xl.shape
         ho, wo = h - kh + 1, w - kw + 1
-        cols = np.empty((b_, ho, wo, kh, kw, c), dtype=x.dtype)
-        for p in range(kh):
-            for q in range(kw):
-                cols[:, :, :, p, q, :] = xl[:, p : p + ho, q : q + wo, :]
+        if c > 1:
+            windows = sliding_window_view(xl, (kh, kw), axis=(1, 2))  # (B, Ho, Wo, C, kh, kw)
+            cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+        else:
+            cols = np.empty((b_, ho, wo, kh, kw, c), dtype=x.dtype)
+            for p in range(kh):
+                for q in range(kw):
+                    cols[:, :, :, p, q, :] = xl[:, p : p + ho, q : q + wo, :]
         cols = cols.reshape(b_ * ho * wo, -1)
         self._xshape = xl.shape
         out = cols @ self._wmat()
@@ -110,18 +126,26 @@ class Conv2d:
         out += self.b
         return out.reshape(b_, ho, wo, -1).transpose(0, 3, 1, 2)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         kh, kw = self.kernel
         f, c = self.W.shape[:2]
         b_, ho, wo = grad.shape[0], grad.shape[2], grad.shape[3]
         g = grad.transpose(0, 2, 3, 1).reshape(-1, f)  # (B*Ho*Wo, F)
         self.dW[...] = (self._cols.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
         self.db[...] = g.sum(axis=0)
-        dcols = (g @ self._wmat().T).reshape(b_, ho, wo, kh, kw, c)
+        if not input_grad:
+            return None
+        wk = self.W.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
+        if c > 1:
+            slabs = np.matmul(g, wk)  # (kh*kw, B*Ho*Wo, C)
+        else:  # one (B*Ho*Wo, kh*kw) GEMM, read transposed: per offset the
+            # product would be matrix-vector, slower and summed in another order
+            slabs = (g @ wk[:, :, 0].T).T
+        slabs = slabs.reshape(kh, kw, b_, ho, wo, c)
         dx = np.zeros(self._xshape, dtype=grad.dtype)  # (B, H, W, C)
         for p in range(kh):
             for q in range(kw):
-                dx[:, p : p + ho, q : q + wo, :] += dcols[:, :, :, p, q, :]
+                dx[:, p : p + ho, q : q + wo, :] += slabs[p, q]
         return dx.transpose(0, 3, 1, 2)
 
     def params(self):
@@ -184,9 +208,13 @@ def forward(layers, x, cache=True):
 
 
 def backward(layers, grad):
-    for layer in reversed(layers):
+    """Fill the parameter gradients of `layers` from the loss gradient
+    `grad`; returns nothing. The input gradient of the first weighted layer
+    is not computed, and the parameter-free layers before it are not run."""
+    first = next(i for i, layer in enumerate(layers) if layer.params())
+    for layer in reversed(layers[first + 1 :]):
         grad = layer.backward(grad)
-    return grad
+    layers[first].backward(grad, input_grad=False)
 
 
 def parameters(layers):

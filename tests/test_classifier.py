@@ -12,6 +12,7 @@ from sumlearn.classifier import (
     train_cnn,
 )
 from sumlearn.dataset import ImageStore, build_corpus
+from sumlearn.embedding import AutoencoderParams
 from sumlearn.errors import DivergenceError
 
 from conftest import store_with_labels
@@ -70,6 +71,75 @@ class TestGradients:
                 assert np.abs(analytic[~mask]).max(initial=0.0) < 1e-8
 
 
+def full_backward(layers, grad):
+    """Every layer's backward in turn, the network input's gradient included."""
+    for layer in reversed(layers):
+        grad = layer.backward(grad)
+    return grad
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+class TestBackward:
+    @pytest.mark.parametrize("net", ["cnn", "autoencoder"])
+    def test_parameter_grads_match_full_backward(self, net):
+        rng = np.random.default_rng(17)
+        if net == "cnn":
+            layers = CnnParams(seed=17, side=16, dtype=np.float32).layers
+            x = rng.random((8, 1, 16, 16)).astype(np.float32)
+            _, grad = nn.softmax_cross_entropy(nn.forward(layers, x), rng.integers(0, 10, 8))
+        else:
+            layers = AutoencoderParams(widths=(64, 24, 6), seed=17, dtype=np.float32).layers
+            x = rng.random((8, 64)).astype(np.float32)
+            _, grad = nn.mse(nn.forward(layers, x), x)
+        first, calls = layers[0], []
+
+        def spy(g, **kwargs):
+            result = type(first).backward(first, g, **kwargs)
+            calls.append((kwargs, result))
+            return result
+
+        first.backward = spy
+        assert nn.backward(layers, grad) is None
+        assert calls == [({"input_grad": False}, None)]
+        del first.backward
+        skipped = [g.copy() for _, g in nn.parameters(layers)]
+
+        assert full_backward(layers, grad).shape == x.shape
+        for ours, (_, full) in zip(skipped, nn.parameters(layers)):
+            assert same_bits(ours, full)
+
+    def test_parameter_free_front_layers_are_not_run(self):
+        class NoBackward(nn.Flatten):
+            def backward(self, grad):
+                raise AssertionError("front layer ran backward")
+
+        rng = np.random.default_rng(18)
+        layers = [NoBackward(), nn.Dense(12, 5, rng), nn.ReLU(), nn.Dense(5, 3, rng)]
+        _, grad = nn.softmax_cross_entropy(nn.forward(layers, rng.random((4, 3, 4))), [0, 1, 2, 1])
+        nn.backward(layers, grad)
+        assert layers[1].dW.any()
+
+
+def scatter_input_grad(conv, grad):
+    """The former col2im: one (B*Ho*Wo, kh*kw*C) product, then kh*kw
+    strided adds whose inner run is C values."""
+    kh, kw = conv.kernel
+    f, c = conv.W.shape[:2]
+    b_, ho, wo = grad.shape[0], grad.shape[2], grad.shape[3]
+    g = grad.transpose(0, 2, 3, 1).reshape(-1, f)
+    dcols = (g @ conv._wmat().T).reshape(b_, ho, wo, kh, kw, c)
+    dx = np.zeros(conv._xshape, dtype=grad.dtype)
+    for p in range(kh):
+        for q in range(kw):
+            dx[:, p : p + ho, q : q + wo, :] += dcols[:, :, :, p, q, :]
+    return dx.transpose(0, 3, 1, 2)
+
+
 def conv_reference(x, W, b):
     """Valid stride-1 convolution by nested loops over (b, f, i, j)."""
     n, _, h, w = x.shape
@@ -122,6 +192,19 @@ class TestLayers:
         np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
         assert conv.W.shape == (4, 3, 3, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("channels, filters, side", [(1, 32, 28), (32, 64, 13)])
+    def test_conv_input_grad_matches_former_scatter(self, dtype, layout, channels, filters, side):
+        rng = np.random.default_rng(19)
+        conv = nn.Conv2d(channels, filters, (3, 3), rng, dtype=dtype)
+        x = rng.normal(size=(6, channels, side, side)).astype(dtype)
+        grad = rng.normal(size=(6, filters, side - 2, side - 2)).astype(dtype)
+        if layout == "channels_last":
+            x, grad = channels_last_view(x), channels_last_view(grad)
+        conv.forward(x)
+        assert same_bits(conv.backward(grad), scatter_input_grad(conv, grad))
+
     def test_pool_routes_all_equal_windows_to_first_element(self):
         x = np.full((1, 2, 4, 4), 0.5)
         pool = nn.MaxPool2x2()
@@ -166,18 +249,76 @@ class TestLayers:
             assert not (isinstance(value, np.ndarray) and np.shares_memory(value, x))
 
 
+def awkward_maps(layout):
+    """(3, 4, 7, 9) maps: odd sizes, tied maxima, all-negative windows,
+    signed and unsigned exact zeros."""
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(3, 4, 7, 9))
+    x[0, 0, :2, :2] = 0.5  # all four tied
+    x[0, 1, :2, :2] = [[-0.5, 1.0], [1.0, 1.0]]  # tie after a negative
+    x[1, 0, :4, :6] = -rng.random((4, 6)) - 0.1  # all negative
+    x[1, 1, 2:4, 2:4] = [[0.0, -1.0], [0.0, -2.0]]  # tied zero max
+    x[1, 2, :2, 2:4] = [[-1.0, -0.0], [0.0, -3.0]]  # -0 before +0
+    x[2, 0] = 0.0
+    x[2, 3] = np.round(2.0 * x[2, 3]) / 2.0  # many ties and zeros
+    return channels_last_view(x) if layout == "channels_last" else x
+
+
+def former_cnn_order(params):
+    """CnnParams' weighted layers in the former conv -> ReLU -> pool order."""
+    conv1, conv2, conv3, dense1, dense2 = params.weighted_layers()
+    return [
+        conv1, nn.ReLU(), nn.MaxPool2x2(),
+        conv2, nn.ReLU(),
+        conv3, nn.ReLU(), nn.MaxPool2x2(),
+        nn.Flatten(), dense1, nn.ReLU(), dense2,
+    ]
+
+
+class TestPoolBeforeRelu:
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    def test_pool_then_relu_equals_relu_then_pool(self, layout):
+        x = awkward_maps(layout)
+        grad = np.random.default_rng(21).normal(size=(3, 4, 3, 4))
+        grad[0, 0, 0, 0] = 0.0
+        relu_pool, pool_relu = [nn.ReLU(), nn.MaxPool2x2()], [nn.MaxPool2x2(), nn.ReLU()]
+        out = nn.forward(pool_relu, x)
+        assert np.array_equal(out, nn.forward(relu_pool, x))
+        dx = full_backward(pool_relu, grad)
+        assert np.array_equal(dx, full_backward(relu_pool, grad))
+        assert np.count_nonzero(dx) == np.count_nonzero(out * grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_former_order_trains_to_the_same_bits(self, dtype):
+        rng = np.random.default_rng(22)
+        pixels = rng.random((96, 28 * 28))
+        pixels[rng.random(pixels.shape) < 0.6] = 0.0  # blank regions: exact zeros
+        store = ImageStore(pixels, rng.integers(0, 10, 96))
+        labels = store.evaluation_labels()
+        ours, former = CnnParams(seed=22, dtype=dtype), CnnParams(seed=22, dtype=dtype)
+        former.layers = former_cnn_order(former)
+        initial = ours.weighted_layers()[0].W.copy()
+        train_cnn(ours, store, labels, epochs=2, seed=22)
+        train_cnn(former, store, labels, epochs=2, seed=22)
+        a, b = (nn.weight_tensors(p.weighted_layers()) for p in (ours, former))
+        assert a.keys() == b.keys()
+        for name in a:
+            assert same_bits(a[name], b[name]), name
+        assert not np.array_equal(a["W0"], initial)
+
+
 class TestInitCnn:
     def test_shape_audit(self):
         params = init_cnn(seed=0)
         x = np.random.default_rng(0).random((2, 1, 28, 28))
         expected = [
             (2, 32, 26, 26),
-            (2, 32, 26, 26),
+            (2, 32, 13, 13),
             (2, 32, 13, 13),
             (2, 64, 11, 11),
             (2, 64, 11, 11),
             (2, 64, 9, 9),
-            (2, 64, 9, 9),
+            (2, 64, 4, 4),
             (2, 64, 4, 4),
             (2, 1024),
             (2, 100),

@@ -9,7 +9,10 @@ from click.testing import CliRunner
 
 from sumlearn.assignment import DigitAssignment
 from sumlearn.cli import main
+from sumlearn.errors import ConsistencyError
 from sumlearn.tensorfile import load_tensors
+
+from conftest import identity_model
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -75,6 +78,21 @@ class TestStageCommands:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["cls_acc"] == 1.0
         assert metrics["add_acc"] == 1.0
+
+
+    def test_infer_refuses_ids_the_model_lacks(self, tmp_path):
+        (tmp_path / "corpus.txt").write_text("1 2 5 0 7\n")
+        identity_model([0, 1, 2]).save(tmp_path / "cluster.tf")
+        DigitAssignment(digits=np.arange(3), objective=0).save(tmp_path / "assignment.json")
+        with pytest.raises(ConsistencyError, match="example 0 references unclustered image ids"):
+            run_cli(
+                "infer", "--corpus", str(tmp_path / "corpus.txt"),
+                "--cluster", str(tmp_path / "cluster.tf"),
+                "--assignment", str(tmp_path / "assignment.json"),
+                "--out-labels", str(tmp_path / "labels.bin"),
+                "--out-summary", str(tmp_path / "labels.json"),
+            )
+        assert not (tmp_path / "labels.bin").exists()
 
 
 class TestStageChainMatchesRun:

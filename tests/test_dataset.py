@@ -218,6 +218,28 @@ class TestSerialization:
         with pytest.raises(ConsistencyError, match=message):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 1 99999999999999999999 0\n", "line 1: sum or id outside int64"),
+            ("1 1 5 0\n1 1 -9223372036854775809 0\n", "line 2: sum or id outside int64"),
+            ("1 1 5 0\n1 1 5 9223372036854775808\n", "line 2: sum or id outside int64"),
+            ("x 1 5 0\n", "line 1: invalid literal"),
+            ("1 1 5 0\n1 2.0 5 0 1\n", "line 2: invalid literal"),
+            ("1 1 5.5 0\n", "line 1: invalid literal"),
+            ("2 1 12 0 1\n2 1 12 0 one\n", "line 2: invalid literal"),
+            ("1 1 5 0\n\n1 1\n", "line 3: expected w, h and a sum, got 2 fields"),
+            ("7\n", "line 1: expected w, h and a sum, got 1 fields"),
+        ],
+        ids=["sum-above-int64", "sum-below-int64", "id-above-int64", "w-not-int",
+             "h-not-int", "sum-not-int", "id-not-int", "two-fields", "one-field"],
+    )
+    def test_load_corpus_names_malformed_lines(self, tmp_path, text, message):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        with pytest.raises(ConsistencyError, match=message):
+            load_corpus(path)
+
     def test_corpus_line_format(self, tmp_path):
         store = store_with_labels([1, 2, 3, 4])
         corpus = build_corpus(store, w=2, h=2, seed=0)
