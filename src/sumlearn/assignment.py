@@ -4,11 +4,12 @@ Each example contributes one linear equation: summing positional weights
 10^(w-j) over grid cells, grouped by the cell image's cluster, gives an
 integer row A[e] with Sum_c A[e][c] * v_c = s_e when the digit vector v is
 right. A batch is solved to *global* optimality under the L1 residual
-objective by depth-first branch and bound over the 10 bounded integer
-variables, pruned by interval and Lagrangian bounds. One search serves
-both phases: the first finds the optimum and a witness digit vector that
-reaches it, the second lowers that witness, digit by digit, to the
-lexicographically smallest optimum, which is the tie-break.
+objective, ties broken toward the lexicographically smallest digit vector,
+by one depth-first branch and bound over the 10 bounded integer variables.
+It minimizes the integer key residual * 10^m + rank, where rank reads the
+m active clusters' digits, in cluster index order, as one decimal number.
+A node is pruned when an interval or Lagrangian bound on its residual,
+times 10^m, plus the rank of its fixed digits reaches the best key.
 
 Most batches of a clean corpus need no search: when the warm start (the
 previous batch's digits) leaves zero residual and the active columns of A
@@ -215,21 +216,16 @@ class _Bounds:
         self.targets = targets
         self.n_cols = coeffs.shape[1]
         m = self.n_cols
-        # slack9[j] = 9 * coeffs[:, j:].sum(1)
+        # suffix sums over columns j.. (row m is the empty suffix):
+        # slack9[j] = 9 * coeffs[:, j:].sum(1), suffmin256[j] sums min(0, 9 * u256[j:])
         self.slack9 = np.zeros((m + 1, coeffs.shape[0]), dtype=np.int64)
-        for j in range(m - 1, -1, -1):
-            self.slack9[j] = self.slack9[j + 1] + 9 * coeffs[:, j]
+        self.slack9[:m] = np.cumsum(9 * coeffs.T[::-1], axis=0)[::-1]
         self.u256 = coeffs.T @ dual_n  # exact int64
-        self.dual_n = dual_n
         self.const256 = -int(dual_n @ targets)
         self.suffmin256 = np.zeros(m + 1, dtype=np.int64)
-        for j in range(m - 1, -1, -1):
-            self.suffmin256[j] = self.suffmin256[j + 1] + min(0, 9 * int(self.u256[j]))
+        self.suffmin256[:m] = np.cumsum(np.minimum(0, 9 * self.u256)[::-1])[::-1]
         self.coeffs_f = coeffs.astype(np.float64)
         self.targets_f = targets.astype(np.float64)
-
-    def root_fixed(self, fixed):
-        return int(self.dual_n @ fixed)
 
     def children(self, j, fixed, nfx256):
         """Cheap bounds and state for the 10 digit choices of column j.
@@ -266,60 +262,56 @@ class _Bounds:
         return -((-b256) // _DUAL_SCALE), best_lam
 
 
-def _search(bounds, fixed, lam, best, stop=-1):
-    """Depth-first branch and bound over the free columns.
+def _search(bounds, place, lam, best_key):
+    """Depth-first branch and bound for the smallest key below `best_key`.
 
-    Returns the best L1 residual below `best` and the per-column digits
-    reaching it (None if no completion beats `best`). Stops at the first
-    leaf whose residual is at or under `stop`.
+    A leaf's key is residual * 10^m + Sum_j path[j] * place[j], in Python
+    integers; free digits add rank >= 0, so a node's fixed rank bounds its
+    leaves'. Returns the best key and the per-column digits reaching it
+    (None if no leaf beats `best_key`).
     """
     m = bounds.n_cols
+    scale = 10**m
     path = np.zeros(m, dtype=np.int64)
     found = None
 
-    def rec(j, fx, nfx, lam):
-        nonlocal best, found
+    def rec(j, fx, nfx, rank, lam):
+        nonlocal best_key, found
         if j == m:
-            val = int(np.abs(fx - bounds.targets).sum())
-            if val < best:
-                best, found = val, path.copy()
-            return best <= stop
+            key = int(np.abs(fx - bounds.targets).sum()) * scale + rank
+            if key < best_key:
+                best_key, found = key, path.copy()
+            return
         if bounds.use_ascent(j):
             node_bound, lam = bounds.ascent_bound(j, fx, lam)
-            if node_bound >= best:
-                return False
+            if node_bound * scale + rank >= best_key:
+                return
         order_key, child, fxs, nfxs = bounds.children(j, fx, nfx)
-        for d in np.argsort(order_key, kind="stable"):
-            if order_key[d] >= best:
+        order, child = order_key.tolist(), child.tolist()
+        for d in np.argsort(order_key, kind="stable").tolist():
+            if order[d] * scale + rank >= best_key:
                 break  # ascending order: remaining digits prune too
-            if child[d] >= best:
+            child_rank = rank + d * place[j]
+            if child[d] * scale + child_rank >= best_key:
                 continue
             path[j] = d
-            if rec(j + 1, fxs[:, d], int(nfxs[d]), lam):
-                return True
-        return False
+            rec(j + 1, fxs[:, d], int(nfxs[d]), child_rank, lam)
 
-    rec(0, fixed, bounds.root_fixed(fixed), lam)
-    return best, found
+    rec(0, np.zeros_like(bounds.targets), 0, 0, lam)
+    return best_key, found
 
 
 def solve_batch(system, initial_digits=None):
-    """Globally optimal digit vector for one batch.
+    """Globally optimal, lexicographically smallest digit vector for one batch.
 
     If the warm start leaves zero residual and the active columns of A
     (clusters present in the batch) are linearly independent, A v = s has
     exactly one solution: the warm digits are the unique optimum and are
     returned on the active clusters without any search.
 
-    Otherwise phase 1 finds the optimal objective f* by depth-first branch
-    and bound: columns in descending mass order, children explored
-    best-bound-first, nodes pruned when their bound reaches the incumbent.
-    It also returns a witness, an optimal digit vector: the warm (or
-    all-zero) start unless a leaf beat it. Phase 2 lowers the witness to
-    the lexicographically smallest optimum: cluster by cluster, in index
-    order, it searches only digits below the witness's for one that still
-    completes to f*. The first that does is kept and its completion becomes
-    the witness; otherwise the witness's digit stands.
+    Otherwise one search for the smallest key residual * 10^m + rank over
+    the m active clusters starts from the warm (or all-zero) start's key.
+    It fixes columns in descending mass order, children best-bound first.
 
     Clusters absent from the batch get digit 0. Raises ValueError if the
     system is too large for the search's exact int64 bounds.
@@ -337,37 +329,19 @@ def solve_batch(system, initial_digits=None):
         if warm_obj < incumbent:
             warm = np.asarray(initial_digits, dtype=np.int64)
             incumbent = warm_obj
+    digits = np.zeros(k, dtype=np.int64)
     if incumbent == 0 and _rank_mod_p(coeffs[:, active]) == len(active):
-        digits = np.zeros(k, dtype=np.int64)
         digits[active] = warm[active]
         return DigitAssignment(digits=digits, objective=0)
     dual_n, lam = dual_multipliers(coeffs, targets, warm)
 
-    zero = np.zeros_like(targets)
+    m = len(active)
+    place = [10 ** sum(a > c for a in active) for c in active]  # 10^(later active clusters)
+    warm_rank = sum(int(warm[c]) * p for c, p in zip(active, place))
     bounds = _Bounds(coeffs[:, active], targets, dual_n)
-    f_star, cols = _search(bounds, zero, lam, incumbent)
-    witness = warm.copy()
-    if cols is not None:
-        witness[active] = cols
-
-    digits = np.zeros(k, dtype=np.int64)
-    fixed = zero
-    undecided = list(active)
-    for c in sorted(active):
-        undecided.remove(c)
-        if witness[c]:
-            rest = _Bounds(coeffs[:, undecided], targets, dual_n)
-        for d in range(witness[c]):
-            fx = fixed + coeffs[:, c] * d
-            _, cols = _search(rest, fx, lam, f_star + 1, stop=f_star)
-            if cols is not None:
-                witness[c] = d
-                witness[undecided] = cols
-                break
-        digits[c] = witness[c]
-        fixed = fixed + coeffs[:, c] * digits[c]
-
-    return DigitAssignment(digits=digits, objective=f_star)
+    best_key, cols = _search(bounds, place, lam, incumbent * 10**m + warm_rank)
+    digits[active] = warm[active] if cols is None else cols
+    return DigitAssignment(digits=digits, objective=best_key // 10**m)
 
 
 def solve_corpus(corpus, model, batch_size=100):

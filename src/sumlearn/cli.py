@@ -77,7 +77,10 @@ def _build_config(config_file, **kwargs):
         base[rename.get(key, key)] = value
     if not base.get("synthetic") and not base.get("data_dir"):
         base["data_dir"] = os.environ.get(DATA_DIR_ENV)
-    return RunConfig.from_json(base)
+    try:
+        return RunConfig.from_json(base)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--config'") from exc
 
 
 @main.command()

@@ -94,6 +94,8 @@ def kmeans(emb, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
     """
     points = np.asarray(emb, dtype=np.float64)
     n = points.shape[0]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points {n}")
     if max_iter < 1:

@@ -93,7 +93,10 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj):
-        kwargs = {k: v for k, v in obj.items() if k in cls.__dataclass_fields__}
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        kwargs = dict(obj)
         if "radius_schedule" in kwargs:
             kwargs["radius_schedule"] = tuple(kwargs["radius_schedule"])
         return cls(**kwargs)

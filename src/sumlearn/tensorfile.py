@@ -56,7 +56,10 @@ def save_int64(path, values):
 
 
 def load_int64(path):
-    return np.fromfile(path, dtype="<i8")
+    values = np.fromfile(path, dtype="<i8")
+    if (size := os.path.getsize(path)) != values.nbytes:
+        raise ValueError(f"{path}: {size} bytes is not a whole number of int64 values")
+    return values
 
 
 def save_json(path, obj, indent=None):

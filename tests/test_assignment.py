@@ -122,6 +122,30 @@ def grid_system(rng, k, n_rows, w, h):
     return BatchSystem(coeffs=coeffs, targets=targets)
 
 
+def twin_system(rng, k, n_rows, scale):
+    """A grid system with tied optima that mass order visits against index
+    order: the last cluster's column is `scale` times the first's, so moving
+    one unit from the last digit to `scale` units on the first keeps every
+    residual, and with scale 2 the last column is the heavier one."""
+    w, h = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    coeffs = grid_system(rng, k, n_rows, w, h).coeffs
+    coeffs[:, -1] = scale * coeffs[:, 0]
+    targets = coeffs @ rng.integers(0, 10, size=k)
+    noise = rng.integers(0, 3, size=n_rows) == 0
+    targets = np.maximum(targets + noise * rng.integers(-5, 6, size=n_rows), 0)
+    return BatchSystem(coeffs=coeffs, targets=targets)
+
+
+def larger_twin(digits, scale):
+    """The tied, lexicographically larger digit vector, or None."""
+    if digits[-1] < 1 or digits[0] + scale > 9:
+        return None
+    twin = digits.copy()
+    twin[0] += scale
+    twin[-1] -= 1
+    return twin
+
+
 class TestBuildBatchSystem:
     def test_two_cells_same_cluster(self):
         model = identity_model([3, 3], k=5)
@@ -231,7 +255,7 @@ class TestCompletionBound:
             fixed = coeffs[:, :n_fixed] @ fixed_digits if n_fixed else np.zeros(
                 8, dtype=np.int64
             )
-            interval, _, _, _ = bounds.children(n_fixed, fixed, bounds.root_fixed(fixed))
+            interval, _, _, _ = bounds.children(n_fixed, fixed, int(dual_n @ fixed))
             for d in range(10):
                 head = fixed + coeffs[:, n_fixed] * d
                 best = min(
@@ -314,12 +338,29 @@ class TestSolveBatch:
             assert np.array_equal(cold.digits, warm.digits)
 
     def test_warm_optimum_lowered_to_lex_smallest(self):
-        # the warm start (9, 0) is optimal; phase 2 must lower it to (0, 9)
-        # and carry the completion it found to the later cluster
+        # the warm start (9, 0) is optimal, but its key ranks above (0, 9),
+        # so the search must beat the warm key on rank alone, at equal
+        # residual, down to (0, 9)
         system = BatchSystem(np.array([[1, 1]], dtype=np.int64), np.array([9], dtype=np.int64))
         got = solve_batch(system, initial_digits=np.array([9, 0]))
         assert got.objective == 0
         assert np.array_equal(got.digits, [0, 9])
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_tied_twin_columns_match_brute_force(self, rng, scale):
+        # a warm start at the larger of two tied optima must be lowered to
+        # the smaller, also when the search fixes the heavier, later
+        # cluster's digit first
+        warmed = 0
+        for _ in range(20):
+            system = twin_system(rng, int(rng.integers(2, 5)), int(rng.integers(1, 31)), scale)
+            want_val, want_digits = brute_force(system)
+            twin = larger_twin(want_digits, scale)
+            warmed += twin is not None
+            got = solve_batch(system, initial_digits=twin)
+            assert got.objective == want_val
+            assert np.array_equal(got.digits, want_digits)
+        assert warmed >= 5
 
     def test_certified_warm_start_zeroes_absent_clusters(self, monkeypatch):
         # clusters 0 and 1 have independent columns and the warm start
@@ -400,6 +441,17 @@ class TestOracleAtBatchShape:
         got = solve_batch(system)
         want_val, want_digits = chunked_brute_force(system)
         assert want_val > 0  # the search ran: no zero-residual certificate
+        assert got.objective == want_val
+        assert np.array_equal(got.digits, want_digits)
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_k6_tied_twins_match_chunked_brute_force(self, scale):
+        rng = np.random.default_rng(60 + scale)
+        system = twin_system(rng, 6, 100, scale)
+        want_val, want_digits = chunked_brute_force(system)
+        twin = larger_twin(want_digits, scale)
+        assert twin is not None
+        got = solve_batch(system, initial_digits=twin)
         assert got.objective == want_val
         assert np.array_equal(got.digits, want_digits)
 

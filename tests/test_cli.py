@@ -255,6 +255,18 @@ class TestRunCommand:
         assert r.exit_code == 1
         assert "FAILED at stage data" in r.output
 
+    def test_misspelt_config_key_refused(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synthetic": True, "batchsize": 7}))
+        r = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config),
+             "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r")],
+        )
+        assert r.exit_code == 2
+        assert "unknown config keys: batchsize" in r.output
+        assert not (tmp_path / "a").exists()
+
     def test_env_var_supplies_data_dir(self, tmp_path):
         # SUMLEARN_DATA_DIR is picked up when neither --data nor --synthetic
         # is given; the missing dir then fails at the data stage, proving

@@ -53,6 +53,11 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(rng.random((3, 2)), k=4)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, rng, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            kmeans(rng.random((3, 2)), k=k)
+
     def test_no_empty_clusters(self, rng):
         points = rng.random((40, 2))
         model = kmeans(points, k=8, seed=0)
@@ -280,3 +285,9 @@ class TestPersistence:
         save_int64(path, [3, 1, 4, 1, 5])
         assert np.array_equal(load_int64(path), [3, 1, 4, 1, 5])
         assert path.read_bytes() == np.array([3, 1, 4, 1, 5], dtype="<i8").tobytes()
+
+    def test_flat_file_with_partial_value_refused(self, tmp_path):
+        path = tmp_path / "assign.bin"
+        path.write_bytes(np.array([3, 1], dtype="<i8").tobytes()[:13])
+        with pytest.raises(ValueError, match="13 bytes is not a whole number"):
+            load_int64(path)

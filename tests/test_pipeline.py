@@ -96,6 +96,10 @@ class TestRunConfig:
         again = RunConfig.from_json(cfg.to_json())
         assert again == cfg
 
+    def test_from_json_names_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown config keys: batchsize, seeed"):
+            RunConfig.from_json({"seeed": 1, "w": 2, "batchsize": 7})
+
     def test_embed_key_independent_of_grid_shape(self):
         a = RunConfig(w=1, h=2, synthetic=True)
         b = RunConfig(w=8, h=4, synthetic=True)
