@@ -65,8 +65,14 @@ class DigitAssignment:
 
     @classmethod
     def from_json(cls, obj):
+        digits = obj["digits"]
+        if not isinstance(digits, list):
+            raise ValueError(f"digits must be a list, got {digits!r}")
+        for cluster, digit in enumerate(digits):
+            if isinstance(digit, bool) or not isinstance(digit, int) or not 0 <= digit <= 9:
+                raise ValueError(f"cluster {cluster} has digit {digit!r}, not an int in 0..9")
         return cls(
-            digits=np.asarray(obj["digits"], dtype=np.int64),
+            digits=np.asarray(digits, dtype=np.int64),
             objective=int(obj["objective"]),
             satisfied_count=int(obj["satisfied"]),
             batch_index=int(obj["batch_index"]),

@@ -68,6 +68,8 @@ def _build_config(config_file, **kwargs):
     if config_file:
         with open(config_file, "r", encoding="utf-8") as f:
             base = json.load(f)
+        if not isinstance(base, dict):
+            raise click.BadParameter(f"must hold a JSON object, got {type(base).__name__}", param_hint="'--config'")
     rename = {"factor": "oversample_factor"}
     for key, value in kwargs.items():
         if value is None:
@@ -176,7 +178,7 @@ def embed(data_dir, store_path, backend, epochs, dim, seed, out):
 def cluster(embedding_path, k, seed, max_iter, tol, out):
     """k-means with k-means++ seeding over the embedding."""
     config = RunConfig(kmeans_k=k, seed=seed, kmeans_max_iter=max_iter, kmeans_tol=tol)
-    model = pl.fit_clusters(config, emb.load_embedding(embedding_path)[1])
+    model = pl.fit_clusters(config, emb.load_embedding(embedding_path))
     pl.save_cluster(model, _out_path(out))
     click.echo(f"k={k} clusters, inertia {model.inertia_history[-1]:.4g} -> {out}")
 

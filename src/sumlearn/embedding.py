@@ -92,7 +92,7 @@ def train_autoencoder(store, epochs, seed=0, hyper=None, widths=None):
     hyper = hyper or TrainingHyper()
     dtype = np.dtype(hyper.dtype).type
     if widths is None:
-        widths = (store.dim,) + ENCODER_WIDTHS[1:] if store.dim != 784 else ENCODER_WIDTHS
+        widths = (store.dim,) + ENCODER_WIDTHS[1:]
     params = AutoencoderParams(widths=widths, seed=seed, dtype=dtype)
     if epochs <= 0:
         return params
@@ -198,10 +198,9 @@ def pca_embed(store, dim=10):
     return out
 
 
-def save_embedding(path, matrix, meta=None):
+def save_embedding(matrix, path, meta=None):
     save_tensors(path, {"embedding": np.asarray(matrix, dtype=np.float64)}, meta=meta)
 
 
 def load_embedding(path):
-    meta, tensors = load_tensors(path)
-    return meta, tensors["embedding"]
+    return load_tensors(path)[1]["embedding"]

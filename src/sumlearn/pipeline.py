@@ -1,14 +1,16 @@
 """End-to-end orchestration: configuration, staged artifacts, reports, sweeps.
 
-Every stage persists its artifact tagged with a hash of exactly the config
-fields it depends on (a hash chain). Rerunning loads an artifact only when
-its recorded hash matches (`cached`); anything else is recomputed and
-overwritten. Because the embedding hash does not involve w or h, a sweep
-over grid shapes trains the autoencoder once and reuses it, and the
-reported total time covers the four pipeline steps, with embedding timed
-separately. The CLI's stage subcommands call the same stage functions
-(`load_stores`, `write_corpus`, `embed_store`, `fit_clusters`,
-`save_cluster`, `train_classifier`) without a key, so they never resume.
+`run_pipeline` is the method's chain read top to bottom: data, embed,
+cluster, assign, infer, train, evaluate, each a timed block binding plain
+locals; only evaluate reads ground truth. Every stage persists its artifact
+tagged with a hash of exactly the config fields it depends on (a hash
+chain), and a rerun resumes it only when that hash matches (`cached`).
+The embedding hash does not involve w or h, so a sweep over grid shapes
+trains the autoencoder once; the reported total covers the four pipeline
+steps, with embedding timed separately. The CLI's stage subcommands call
+the same functions (`load_stores`, `write_corpus`, `embed_store`,
+`fit_clusters`, `save_cluster`, `train_classifier`) without a key, so they
+never resume.
 """
 
 import csv
@@ -16,6 +18,7 @@ import hashlib
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -93,9 +96,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj):
-        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
+        fields = cls.__dataclass_fields__
+        unknown = sorted(set(obj) - set(fields))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in obj.items():
+            kind = fields[key].type
+            if not _fits(value, kind):
+                expected = "list of ints" if kind is tuple else getattr(kind, "__name__", kind)
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         kwargs = dict(obj)
         if "radius_schedule" in kwargs:
             kwargs["radius_schedule"] = tuple(kwargs["radius_schedule"])
@@ -163,6 +172,16 @@ class RunConfig:
             "epochs": self.classifier_epochs,
             "seed": self.seed,
         })
+
+
+def _fits(value, kind):
+    """Whether a JSON value fits a RunConfig field of type `kind`: a bool
+    is no int, an int is a float, and the radius tuple is a list of ints."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_fits(v, int) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _digest(obj):
@@ -254,17 +273,6 @@ def write_corpus(config, store, out_dir):
     return corpus
 
 
-def _stage_data(config, ctx):
-    stores, key = ctx["stores"], config.store_key()
-    if key not in stores:
-        stores.clear()  # drop the previous store before loading the next
-        stores[key] = load_stores(config)
-    store, test_store = stores[key]
-    corpus = write_corpus(config, store, ctx["artifacts_dir"])
-    test_corpus = ds.build_corpus(test_store, config.w, config.h, 1, seed=config.seed)
-    ctx.update(store=store, test_store=test_store, corpus=corpus, test_corpus=test_corpus)
-
-
 # -- resume ----------------------------------------------------------------
 
 def cached(path, key, load, compute, save):
@@ -310,9 +318,9 @@ def embed_store(config, store, path, key=None):
             emb.AutoencoderParams.save,
         )
     return cached(
-        path, key, lambda p: emb.load_embedding(p)[1],
+        path, key, emb.load_embedding,
         lambda: emb.encode(params, store) if params else emb.pca_embed(store, dim=config.embed_dim),
-        lambda matrix, p, meta: emb.save_embedding(p, matrix, meta=meta),
+        emb.save_embedding,
     )
 
 
@@ -339,130 +347,111 @@ def train_classifier(config, store, labels):
     return clf.train_cnn(params, store, labels, config.classifier_epochs, seed=config.seed)
 
 
-def _stage_embed(config, ctx):
-    ctx["embedding"] = embed_store(
-        config, ctx["store"], ctx["artifacts_dir"] / "embedding.tf", config.embed_key()
-    )
+# -- the run ----------------------------------------------------------------
+
+_PROVENANCES = ("cluster", "radius", "inferred")  # every image has one
 
 
-def _stage_cluster(config, ctx):
-    ctx["model"] = cached(
-        ctx["artifacts_dir"] / "cluster.tf", config.cluster_key(), clu.ClusterModel.load,
-        lambda: fit_clusters(config, ctx["embedding"]),
-        save_cluster,
-    )
+def _save_labels(value, path, meta):
+    labels, summary = value
+    inf.save_labels(labels, {**summary, **meta}, path.with_name("labels.bin"), path)
 
 
-def _stage_assign(config, ctx):
-    ctx["digit_assignment"] = cached(
-        ctx["artifacts_dir"] / "assignment.json", config.assign_key(),
-        asg.DigitAssignment.load,
-        lambda: asg.solve_corpus(ctx["corpus"], ctx["model"], batch_size=config.batch_size),
-        asg.DigitAssignment.save,
-    )
+def _load_labels(path):
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    if "inference_radii" not in summary:  # written before the per-radius record
+        raise ValueError("labels.json has no inference_radii")
+    labels = load_int64(path.with_name("labels.bin"))
+    # a truncated labels.bin keeps its key; resume only one label per image
+    n_images = sum(int(summary[name]) for name in _PROVENANCES)
+    if labels.shape[0] != n_images:
+        raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
+    return labels, summary
 
 
-def _stage_infer(config, ctx):
-    state = inf.init_labels(ctx["model"], ctx["digit_assignment"])
-    ctx["initial_labels"] = state.labels.copy()
-    n_images = len(ctx["store"])
-
-    def load(path):
-        labels = load_int64(path.with_name("labels.bin"))
-        # a truncated labels.bin keeps its key; resume only one label per image
-        if labels.shape[0] != n_images:
-            raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
-        summary = json.loads(path.read_text(encoding="utf-8"))
-        if "inference_radii" not in summary:  # written before the per-radius record
-            raise ValueError("labels.json has no inference_radii")
-        return labels, summary
-
-    def compute():
-        done = inf.run_inference(state, ctx["corpus"], ctx["model"], radii=config.radius_schedule)
-        return done.labels, done.counts()
-
-    def save(value, path, meta):
-        inf.save_labels(value[0], {**value[1], **meta}, path.with_name("labels.bin"), path)
-
-    ctx["labels"], ctx["label_summary"] = cached(
-        ctx["artifacts_dir"] / "labels.json", config.infer_key(), load, compute, save
-    )
-
-
-def _stage_train(config, ctx):
-    ctx["cnn"] = cached(
-        ctx["artifacts_dir"] / "cnn.tf", config.train_key(), clf.CnnParams.load,
-        lambda: train_classifier(config, ctx["store"], ctx["labels"]),
-        clf.CnnParams.save,
-    )
-
-
-# -- evaluation (the one place ground truth is read) --------------------------
-
-def _stage_evaluate(config, ctx):
-    store, test_store = ctx["store"], ctx["test_store"]
-    metrics = ctx["metrics"]
-    metrics["purity"] = clu.purity(ctx["model"], store.evaluation_labels())
-    metrics["label_acc_pre"] = label_accuracy(ctx["initial_labels"], store)
-    metrics["label_acc_post"] = label_accuracy(ctx["labels"], store)
-    metrics["objective"] = int(ctx["digit_assignment"].objective)
-    metrics["satisfied"] = int(ctx["digit_assignment"].satisfied_count)
-    metrics["batch_index"] = int(ctx["digit_assignment"].batch_index)
-    summary = ctx["label_summary"]
-    metrics["inconsistent_examples"] = int(summary["inconsistent_examples"])
-    metrics["provenance_counts"] = {
-        name: int(summary[name]) for name in ("cluster", "radius", "inferred")
+def _evaluate(store, test_store, test_corpus, model, assignment, initial_labels, labels, summary, cnn):
+    """The report's metrics: the one stage that reads ground truth."""
+    return {
+        "purity": clu.purity(model, store.evaluation_labels()),
+        "label_acc_pre": label_accuracy(initial_labels, store),
+        "label_acc_post": label_accuracy(labels, store),
+        "objective": int(assignment.objective),
+        "satisfied": int(assignment.satisfied_count),
+        "batch_index": int(assignment.batch_index),
+        "inconsistent_examples": int(summary["inconsistent_examples"]),
+        "provenance_counts": {name: int(summary[name]) for name in _PROVENANCES},
+        "inference_radii": summary["inference_radii"],
+        **clf.evaluate(cnn, test_corpus, test_store),
     }
-    metrics["inference_radii"] = summary["inference_radii"]
-    metrics.update(clf.evaluate(ctx["cnn"], ctx["test_corpus"], test_store))
-
-
-_STAGES = [
-    ("data", _stage_data),
-    ("embed", _stage_embed),
-    ("cluster", _stage_cluster),
-    ("assign", _stage_assign),
-    ("infer", _stage_infer),
-    ("train", _stage_train),
-    ("evaluate", _stage_evaluate),
-]
 
 
 def run_pipeline(config, stores=None):
-    """Execute the four pipeline steps in order; resumable per stage.
-
-    On stage failure the report carries partial results plus a failure
-    marker and downstream stages are skipped. `stores` maps a
-    `store_key()` to its loaded (train, test) stores; the data stage
-    reuses the entry for this config's key, or replaces the map's
-    contents with a fresh load, so it never holds two stores.
+    """The stages in order, each a timed block resumed from its artifact
+    when it can be. The first stage that raises ends the run, named in the
+    report's failure marker. `stores` maps a `store_key()` to its loaded
+    (train, test) stores; the data stage reuses this config's entry or
+    replaces the map's contents with a fresh load, never holding two.
     """
     config.validate()
     artifacts_dir, reports_dir = Path(config.artifacts_dir), Path(config.reports_dir)
     for directory in (artifacts_dir, reports_dir):
         directory.mkdir(parents=True, exist_ok=True)
+    stores = {} if stores is None else stores
+    timings, metrics, failure, stage = {}, {}, None, None
 
-    ctx = {"artifacts_dir": artifacts_dir, "metrics": {}, "stores": {} if stores is None else stores}
-    timings = {}
-    failure = None
-    for name, fn in _STAGES:
-        started = time.perf_counter()
-        try:
-            fn(config, ctx)
-        except Exception as exc:  # noqa: BLE001 - failures become report markers
-            failure = {"stage": name, "error": f"{type(exc).__name__}: {exc}"}
-            break
+    @contextmanager
+    def timed(name):
+        nonlocal stage
+        stage, started = name, time.perf_counter()
+        yield
         timings[f"t_{name}"] = time.perf_counter() - started
 
-    timings["t_total"] = sum(
-        timings.get(f"t_{stage}", 0.0) for stage in TOTAL_TIME_STAGES
-    )
-    report = RunReport(
-        config=config.to_json(),
-        metrics=ctx["metrics"],
-        timings=timings,
-        failure=failure,
-    )
+    try:
+        with timed("data"):
+            key = config.store_key()
+            if key not in stores:
+                stores.clear()  # drop the previous store before loading the next
+                stores[key] = load_stores(config)
+            store, test_store = stores[key]
+            corpus = write_corpus(config, store, artifacts_dir)
+            test_corpus = ds.build_corpus(test_store, config.w, config.h, 1, seed=config.seed)
+        with timed("embed"):
+            embedding = embed_store(config, store, artifacts_dir / "embedding.tf", config.embed_key())
+        with timed("cluster"):
+            model = cached(
+                artifacts_dir / "cluster.tf", config.cluster_key(), clu.ClusterModel.load,
+                lambda: fit_clusters(config, embedding), save_cluster,
+            )
+        with timed("assign"):
+            assignment = cached(
+                artifacts_dir / "assignment.json", config.assign_key(), asg.DigitAssignment.load,
+                lambda: asg.solve_corpus(corpus, model, batch_size=config.batch_size),
+                asg.DigitAssignment.save,
+            )
+        with timed("infer"):
+            state = inf.init_labels(model, assignment)
+            initial_labels = state.labels.copy()
+
+            def propagate():
+                done = inf.run_inference(state, corpus, model, radii=config.radius_schedule)
+                return done.labels, done.counts()
+
+            labels, label_summary = cached(
+                artifacts_dir / "labels.json", config.infer_key(), _load_labels, propagate, _save_labels
+            )
+        with timed("train"):
+            cnn = cached(
+                artifacts_dir / "cnn.tf", config.train_key(), clf.CnnParams.load,
+                lambda: train_classifier(config, store, labels), clf.CnnParams.save,
+            )
+        with timed("evaluate"):
+            metrics = _evaluate(store, test_store, test_corpus, model, assignment,
+                                initial_labels, labels, label_summary, cnn)
+    except Exception as exc:  # noqa: BLE001 - the failing stage becomes the report's marker
+        failure = {"stage": stage, "error": f"{type(exc).__name__}: {exc}"}
+
+    timings["t_total"] = sum(timings.get(f"t_{name}", 0.0) for name in TOTAL_TIME_STAGES)
+    report = RunReport(config=config.to_json(), metrics=metrics, timings=timings, failure=failure)
     save_json(reports_dir / "report.json", report.to_json(), indent=2)
     return report
 

@@ -94,6 +94,21 @@ class TestStageCommands:
             )
         assert not (tmp_path / "labels.bin").exists()
 
+    def test_infer_refuses_digit_out_of_range(self, tmp_path):
+        (tmp_path / "corpus.txt").write_text("1 2 5 0 1\n")
+        identity_model([0, 1, 2]).save(tmp_path / "cluster.tf")
+        DigitAssignment(digits=np.array([0, 1, 12]), objective=0).save(tmp_path / "assignment.json")
+        r = CliRunner().invoke(main, [
+            "infer", "--corpus", str(tmp_path / "corpus.txt"),
+            "--cluster", str(tmp_path / "cluster.tf"),
+            "--assignment", str(tmp_path / "assignment.json"),
+            "--out-labels", str(tmp_path / "labels.bin"),
+            "--out-summary", str(tmp_path / "labels.json"),
+        ])
+        assert r.exit_code != 0
+        assert "cluster 2 has digit 12, not an int in 0..9" in str(r.exception)
+        assert not (tmp_path / "labels.bin").exists()
+
 
 class TestStageChainMatchesRun:
     """The stage subcommands and `run` share each stage's code, so at equal
@@ -265,6 +280,26 @@ class TestRunCommand:
         )
         assert r.exit_code == 2
         assert "unknown config keys: batchsize" in r.output
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"synthetic": True, "batch_size": "7"}, "config key 'batch_size' must be int, got '7'"),
+            ([1, 2], "must hold a JSON object, got list"),
+        ],
+        ids=["wrong-type", "not-an-object"],
+    )
+    def test_malformed_config_refused(self, tmp_path, content, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        r = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config),
+             "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r")],
+        )
+        assert r.exit_code == 2
+        assert message in r.output
         assert not (tmp_path / "a").exists()
 
     def test_env_var_supplies_data_dir(self, tmp_path):

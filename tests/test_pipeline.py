@@ -100,6 +100,21 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config keys: batchsize, seeed"):
             RunConfig.from_json({"seeed": 1, "w": 2, "batchsize": 7})
 
+    @pytest.mark.parametrize("key, value", [("kmeans_tol", 1), ("data_dir", None), ("synthetic", False)])
+    def test_from_json_accepts_fitting_types(self, key, value):
+        assert getattr(RunConfig.from_json({key: value}), key) == value
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [({"w": True}, "w"), ({"w": 2.0}, "w"), ({"kmeans_tol": "1e-4"}, "kmeans_tol"),
+         ({"synthetic": 1}, "synthetic"), ({"backend": None}, "backend"),
+         ({"data_dir": 3}, "data_dir"), ({"radius_schedule": [1, 2.5]}, "radius_schedule"),
+         ({"radius_schedule": 3}, "radius_schedule")],
+    )
+    def test_from_json_names_mistyped_key(self, obj, key):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            RunConfig.from_json(obj)
+
     def test_embed_key_independent_of_grid_shape(self):
         a = RunConfig(w=1, h=2, synthetic=True)
         b = RunConfig(w=8, h=4, synthetic=True)
@@ -198,6 +213,21 @@ class TestRunPipeline:
         path = tmp_path / "artifacts" / name
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2])  # a tensor file keeps its header and key
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("bad", ["digit 12", "not a list"])
+    def test_bad_digits_recomputed(self, tmp_path, bad):
+        # a hand-edited assignment.json keeps its key but not digits in 0..9
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        path = tmp_path / "artifacts" / "assignment.json"
+        whole = path.read_bytes()
+        edited = json.loads(whole)
+        edited["digits"] = 5 if bad == "not a list" else [12] + edited["digits"][1:]
+        path.write_text(json.dumps(edited))
         rerun = run_pipeline(cfg)
         assert rerun.failure is None
         assert strip_timings(rerun) == strip_timings(cold)
@@ -307,6 +337,34 @@ class TestRunPipeline:
         )
         report = run_pipeline(cfg)
         assert report.failure["stage"] == "data"
+
+    # each stage with the call, made through its module, that does its work
+    STAGE_CALLS = [
+        ("data", pl, "load_stores"),
+        ("embed", emb, "pca_embed"),
+        ("cluster", clu, "kmeans"),
+        ("assign", asg, "solve_corpus"),
+        ("infer", inf, "run_inference"),
+        ("train", clf, "train_cnn"),
+        ("evaluate", clf, "evaluate"),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(STAGE_CALLS)), ids=[s[0] for s in STAGE_CALLS])
+    def test_failure_names_its_stage(self, tmp_path, monkeypatch, index):
+        stage, module, name = self.STAGE_CALLS[index]
+
+        def boom(*args, **kwargs):
+            raise RuntimeError(f"{name} broke")
+
+        monkeypatch.setattr(module, name, boom)
+        report = run_pipeline(tiny_config(tmp_path))
+        assert report.failure == {"stage": stage, "error": f"RuntimeError: {name} broke"}
+        earlier = [s for s, _, _ in self.STAGE_CALLS[:index]]
+        assert set(report.timings) == {f"t_{s}" for s in earlier} | {"t_total"}
+        if stage != "evaluate":
+            assert report.metrics == {}
+        saved = json.loads((tmp_path / "reports" / "report.json").read_text())
+        assert saved["failure"] == report.failure
 
 
 class TestMnistFormatPath:
@@ -498,11 +556,9 @@ class TestLabelFreedomAudit:
         clf.init_cnn,
         clf.train_cnn,
         clf.classify,
-        pl._stage_embed,
-        pl._stage_cluster,
-        pl._stage_assign,
-        pl._stage_infer,
-        pl._stage_train,
+        pl.run_pipeline,
+        pl._load_labels,
+        pl._save_labels,
         pl.cached,
         pl.embed_store,
         pl.save_cluster,
