@@ -527,6 +527,20 @@ class TestInferenceImprovesAccuracy:
         assert wins >= 3
 
 
+def _stage_block(name):
+    """The body of run_pipeline's `with timed(name):` block."""
+    lines = inspect.getsource(pl.run_pipeline).splitlines()
+    header = next(i for i, line in enumerate(lines) if line.strip() == f'with timed("{name}"):')
+    indent = len(lines[header]) - len(lines[header].lstrip())
+    body = []
+    for line in lines[header + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        body.append(line)
+    assert any(line.strip() for line in body), f"stage {name!r} has an empty block"
+    return "\n".join(body)
+
+
 class TestLabelFreedomAudit:
     """The training path must never read ground-truth labels.
 
@@ -571,8 +585,16 @@ class TestLabelFreedomAudit:
         cli.train.callback,
     ]
 
-    @pytest.mark.parametrize("fn", TRAINING_PATH, ids=lambda f: f.__qualname__)
-    def test_no_ground_truth_access(self, fn):
-        source = inspect.getsource(fn)
+    # The stages of run_pipeline before evaluation, each audited on its own
+    # block as well as within the whole function.
+    TRAINING_STAGES = ["embed", "cluster", "assign", "infer", "train"]
+
+    @pytest.mark.parametrize(
+        "read_source",
+        [pytest.param(lambda fn=fn: inspect.getsource(fn), id=fn.__qualname__) for fn in TRAINING_PATH]
+        + [pytest.param(lambda name=name: _stage_block(name), id=f"_stage_{name}") for name in TRAINING_STAGES],
+    )
+    def test_no_ground_truth_access(self, read_source):
+        source = read_source()
         assert "evaluation_labels" not in source
         assert "_true_labels" not in source
