@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import _INT64_MAX, check_image_ids, grid_cells
-from .tensorfile import save_json
+from .tensorfile import json_int, save_json
 
 _DIGITS = np.arange(10, dtype=np.int64)
 
@@ -73,9 +73,9 @@ class DigitAssignment:
                 raise ValueError(f"cluster {cluster} has digit {digit!r}, not an int in 0..9")
         return cls(
             digits=np.asarray(digits, dtype=np.int64),
-            objective=int(obj["objective"]),
-            satisfied_count=int(obj["satisfied"]),
-            batch_index=int(obj["batch_index"]),
+            objective=json_int(obj, "objective"),
+            satisfied_count=json_int(obj, "satisfied"),
+            batch_index=json_int(obj, "batch_index"),
         )
 
     def save(self, path, extra=None):

@@ -108,7 +108,7 @@ def train_autoencoder(store, epochs, seed=0, hyper=None, widths=None):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, bs):
-            batch = store.images[order[start : start + bs]].astype(dtype)
+            batch = store.rows(order[start : start + bs]).astype(dtype, copy=False)
             recon = nn.forward(layers, batch)
             loss, grad = nn.mse(recon, batch)
             if not np.isfinite(loss):
@@ -130,7 +130,7 @@ def encode(params, store, chunk=4096):
     dtype = params.encoder[0].W.dtype
     out = np.empty((len(store), params.widths[-1]), dtype=np.float64)
     for start in range(0, len(store), chunk):
-        x = store.images[start : start + chunk].astype(dtype)
+        x = store.rows(slice(start, start + chunk)).astype(dtype, copy=False)
         out[start : start + x.shape[0]] = nn.forward(params.encoder, x, cache=False)
     return out
 
@@ -139,29 +139,46 @@ def reconstruction_loss(params, store, chunk=4096):
     dtype = params.encoder[0].W.dtype
     total = 0.0
     for start in range(0, len(store), chunk):
-        x = store.images[start : start + chunk].astype(dtype)
+        x = store.rows(slice(start, start + chunk)).astype(dtype, copy=False)
         recon = nn.forward(params.layers, x, cache=False)
         total += float(((recon - x) ** 2).mean()) * x.shape[0]
     return total / len(store)
 
 
-def _centred_blocks(images, mean):
-    """(start, block) over rows of `images` minus `mean`, PCA_BLOCK rows at
-    a time. Every block is written into one reused buffer, so a caller must
-    be done with a block before asking for the next."""
-    buf = np.empty((min(len(images), PCA_BLOCK), images.shape[1]))
-    for start in range(0, len(images), PCA_BLOCK):
-        block = buf[: min(PCA_BLOCK, len(images) - start)]
-        np.subtract(images[start : start + block.shape[0]], mean, out=block)
+def _mean(store):
+    """store.rows().mean(axis=0), bit for bit, decoded PCA_BLOCK rows at a
+    time. A mean over axis 0 adds the rows in order, so the running sum
+    goes in as row 0 of the next block's reduction."""
+    n = len(store)
+    buf = np.empty((min(n, PCA_BLOCK) + 1, store.dim))
+    lead = 0  # the first block has no running sum above it
+    for start in range(0, n, PCA_BLOCK):
+        rows = lead + min(PCA_BLOCK, n - start)
+        store.rows(slice(start, start + rows - lead), out=buf[lead:rows])
+        buf[0] = np.add.reduce(buf[:rows], axis=0)
+        lead = 1
+    return buf[0] / n
+
+
+def _centred_blocks(store, mean):
+    """(start, block) over the store's rows decoded and centred on `mean`,
+    PCA_BLOCK rows at a time. Every block is written into one reused
+    buffer, so a caller must be done with a block before asking for the
+    next."""
+    buf = np.empty((min(len(store), PCA_BLOCK), store.dim))
+    for start in range(0, len(store), PCA_BLOCK):
+        block = buf[: min(PCA_BLOCK, len(store) - start)]
+        store.rows(slice(start, start + block.shape[0]), out=block)
+        block -= mean
         yield start, block
 
 
-def _pca_fit(images, mean, dim):
-    """Top-`dim` principal axes of `images` centred on `mean`; components
-    past the data rank are zeroed so rank-deficient inputs project
-    deterministically. The covariance is summed over row blocks; one
-    block is exactly the product of the whole centred matrix."""
-    blocks = _centred_blocks(images, mean)
+def _pca_fit(store, mean, dim):
+    """Top-`dim` principal axes of the store's rows centred on `mean`;
+    components past the data rank are zeroed so rank-deficient inputs
+    project deterministically. The covariance is summed over row blocks;
+    one block is exactly the product of the whole centred matrix."""
+    blocks = _centred_blocks(store, mean)
     _, first = next(blocks)
     cov = first.T @ first
     for _, block in blocks:
@@ -171,7 +188,7 @@ def _pca_fit(images, mean, dim):
     components = eigvecs[:, order].T  # (dim, D)
     eigvals = eigvals[order]
 
-    tol = max(eigvals.max(initial=0.0), 0.0) * len(images) * np.finfo(np.float64).eps
+    tol = max(eigvals.max(initial=0.0), 0.0) * len(store) * np.finfo(np.float64).eps
     components[np.maximum(eigvals, 0.0) <= tol] = 0.0
     # fix sign per component so the projection is reproducible
     for comp in components:
@@ -185,15 +202,16 @@ def _pca_fit(images, mean, dim):
 def pca_embed(store, dim=10):
     """Projection onto the top principal components of the centered data.
 
-    Works in row blocks of PCA_BLOCK, so besides the store and the output
-    it holds one centred block, never a centred copy of the whole store.
+    Works in row blocks of PCA_BLOCK, decoded from the store's pixels, so
+    besides the store and the output it holds one decoded block, never a
+    decoded or centred copy of the whole store.
     """
     if not 1 <= dim <= store.dim:
         raise ValueError(f"dim must be in [1, {store.dim}], got {dim}")
-    mean = store.images.mean(axis=0)
-    components_t = _pca_fit(store.images, mean, dim).T
+    mean = _mean(store)
+    components_t = _pca_fit(store, mean, dim).T
     out = np.empty((len(store), dim))
-    for start, block in _centred_blocks(store.images, mean):
+    for start, block in _centred_blocks(store, mean):
         np.matmul(block, components_t, out=out[start : start + block.shape[0]])
     return out
 

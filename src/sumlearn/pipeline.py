@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import time
+import traceback
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -31,7 +32,7 @@ from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
 from .errors import ConsistencyError
-from .tensorfile import load_int64, peek_meta, save_int64, save_json
+from .tensorfile import json_int, load_int64, peek_meta, save_int64, save_json
 
 SWEEP_COLUMNS = [
     "w", "h", "factor", "seed", "purity", "label_acc_pre", "label_acc_post",
@@ -298,7 +299,8 @@ def cached(path, key, load, compute, save):
 def _recorded_key(path):
     if path.suffix == ".tf":
         return peek_meta(path).get("config_key")
-    return json.loads(path.read_text(encoding="utf-8")).get("config_key")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    return record.get("config_key") if isinstance(record, dict) else None
 
 
 # -- training stages (audited: these never touch evaluation_labels) ----------
@@ -361,9 +363,10 @@ def _load_labels(path):
     summary = json.loads(path.read_text(encoding="utf-8"))
     if "inference_radii" not in summary:  # written before the per-radius record
         raise ValueError("labels.json has no inference_radii")
+    json_int(summary, "inconsistent_examples")  # the report reads it
     labels = load_int64(path.with_name("labels.bin"))
     # a truncated labels.bin keeps its key; resume only one label per image
-    n_images = sum(int(summary[name]) for name in _PROVENANCES)
+    n_images = sum(json_int(summary, name) for name in _PROVENANCES)
     if labels.shape[0] != n_images:
         raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
     return labels, summary
@@ -382,6 +385,17 @@ def _evaluate(store, test_store, test_corpus, model, assignment, initial_labels,
         "provenance_counts": {name: int(summary[name]) for name in _PROVENANCES},
         "inference_radii": summary["inference_radii"],
         **clf.evaluate(cnn, test_corpus, test_store),
+    }
+
+
+def _failure(stage, exc):
+    """The report's failure marker: the stage, the exception, and the
+    `<file>:<line> in <function>` of the innermost frame that raised it."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return {
+        "stage": stage,
+        "error": f"{type(exc).__name__}: {exc}",
+        "where": f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}",
     }
 
 
@@ -448,7 +462,7 @@ def run_pipeline(config, stores=None):
             metrics = _evaluate(store, test_store, test_corpus, model, assignment,
                                 initial_labels, labels, label_summary, cnn)
     except Exception as exc:  # noqa: BLE001 - the failing stage becomes the report's marker
-        failure = {"stage": stage, "error": f"{type(exc).__name__}: {exc}"}
+        failure = _failure(stage, exc)
 
     timings["t_total"] = sum(timings.get(f"t_{name}", 0.0) for name in TOTAL_TIME_STAGES)
     report = RunReport(config=config.to_json(), metrics=metrics, timings=timings, failure=failure)
@@ -473,7 +487,7 @@ def sweep(configs, csv_path):
             reports.append(
                 RunReport(
                     config=config.to_json(),
-                    failure={"stage": "config", "error": f"{type(exc).__name__}: {exc}"},
+                    failure=_failure("config", exc),
                 )
             )
     with open(csv_path, "w", encoding="utf-8", newline="") as f:

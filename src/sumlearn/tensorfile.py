@@ -69,6 +69,15 @@ def save_json(path, obj, indent=None):
         f.write("\n")
 
 
+def json_int(obj, key):
+    """obj[key] from a loaded JSON artifact; a value that is not an int (a
+    bool is not) is refused with a ValueError naming `key`."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an int, got {value!r}")
+    return value
+
+
 def load_tensors(path):
     """Read a tensor file; returns (meta, {name: ndarray})."""
     with open(path, "rb") as f:

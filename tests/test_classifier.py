@@ -12,10 +12,10 @@ from sumlearn.classifier import (
     train_cnn,
 )
 from sumlearn.dataset import ImageStore, build_corpus
-from sumlearn.embedding import AutoencoderParams
+from sumlearn.embedding import PCA_BLOCK, AutoencoderParams
 from sumlearn.errors import DivergenceError
 
-from conftest import store_with_labels
+from conftest import store_with_labels, uint8_store_pair
 
 
 def blob_store(n=60, side=14, n_classes=4, seed=0, split="train"):
@@ -305,6 +305,22 @@ class TestPoolBeforeRelu:
         for name in a:
             assert same_bits(a[name], b[name]), name
         assert not np.array_equal(a["W0"], initial)
+
+
+class TestUint8Store:
+    def test_train_and_classify_bitwise_equal_to_its_decode(self):
+        u8, f64 = uint8_store_pair(2 * PCA_BLOCK + 7, 14 * 14, seed=4)
+        labels = u8.evaluation_labels()
+        trained = []
+        for store in (u8, f64):
+            params = CnnParams(seed=4, side=14, dtype=np.float32)
+            train_cnn(params, store, labels, epochs=1, seed=4, batch_size=256)
+            trained.append((nn.weight_tensors(params.weighted_layers()), classify(params, store)))
+        (weights, (preds, probs)), (weights_f, (preds_f, probs_f)) = trained
+        assert weights.keys() == weights_f.keys()
+        for name in weights:
+            assert same_bits(weights[name], weights_f[name]), name
+        assert same_bits(probs, probs_f) and same_bits(preds, preds_f)
 
 
 class TestInitCnn:

@@ -5,11 +5,12 @@ import pytest
 
 from sumlearn import nn
 from sumlearn.clustering import kmeans, purity
-from sumlearn.dataset import ImageStore, generate_synthetic
+from sumlearn.dataset import ImageStore, generate_synthetic, load_idx
 from sumlearn.embedding import (
     PCA_BLOCK,
     AutoencoderParams,
     TrainingHyper,
+    _mean,
     _pca_fit,
     encode,
     pca_embed,
@@ -17,6 +18,8 @@ from sumlearn.embedding import (
     train_autoencoder,
 )
 from sumlearn.errors import DivergenceError
+
+from conftest import uint8_store_pair, write_idx_pair
 
 TOY_WIDTHS = (8, 6, 4, 3)
 F64 = TrainingHyper(dtype="float64")
@@ -164,11 +167,11 @@ class TestPca:
         coeffs = rng.random((30, 3))
         images = coeffs @ basis + rng.random(10)  # affine 3-d subspace
         store = ImageStore(images, np.zeros(30, dtype=int))
-        mean = store.images.mean(axis=0)
-        components = _pca_fit(store.images, mean, 3)
-        proj = (store.images - mean) @ components.T
+        mean = store.rows().mean(axis=0)
+        components = _pca_fit(store, mean, 3)
+        proj = (store.rows() - mean) @ components.T
         recon = proj @ components + mean
-        assert np.abs(recon - store.images).max() < 1e-8
+        assert np.abs(recon - store.rows()).max() < 1e-8
 
     @pytest.mark.parametrize("n", [30, PCA_BLOCK])
     def test_one_block_bitwise_equal_to_unblocked(self, rng, n):
@@ -193,6 +196,27 @@ class TestPca:
         finally:
             tracemalloc.stop()
         assert peak - live < store.images.nbytes / 2
+
+    def test_uint8_store_bitwise_equal_to_its_decode(self):
+        n = 2 * PCA_BLOCK + 7  # the carried mean crosses a partial block
+        u8, f64 = uint8_store_pair(n, 64, seed=3)
+        assert np.array_equal(pca_embed(u8, dim=10), pca_embed(f64, dim=10))
+        assert np.array_equal(_mean(u8), f64.images.mean(axis=0))
+
+    def test_idx_store_never_decoded_whole(self, tmp_path, rng):
+        n = 5 * PCA_BLOCK + 808  # one decoded block stays under half the decode
+        images = rng.integers(0, 256, size=(n, 14, 14), dtype=np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, np.zeros(n, dtype=np.uint8))
+        float64_copy = n * 196 * 8
+        tracemalloc.start()
+        try:
+            live, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pca_embed(load_idx(img, lbl), dim=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - live < float64_copy / 2
 
     def test_rank_deficient_zero_pads(self, rng):
         images = np.tile(rng.random(6), (15, 1)) * rng.random((15, 1))  # rank 1 + mean

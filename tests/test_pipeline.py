@@ -234,6 +234,39 @@ class TestRunPipeline:
         assert path.read_bytes() == whole
 
     @pytest.mark.parametrize(
+        "name, key, value, load",
+        [
+            ("assignment.json", "objective", [1], asg.DigitAssignment.load),
+            ("labels.json", "cluster", None, pl._load_labels),
+        ],
+    )
+    def test_mistyped_artifact_recomputed(self, tmp_path, name, key, value, load):
+        # a hand-edited JSON artifact keeps its key but not the type of a field
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        path = tmp_path / "artifacts" / name
+        whole = path.read_bytes()
+        path.write_text(json.dumps({**json.loads(whole), key: value}))
+        with pytest.raises(ValueError, match=f"{key} must be an int"):
+            load(path)
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("name", ["assignment.json", "labels.json"])
+    def test_non_object_json_artifact_recomputed(self, tmp_path, name):
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        path = tmp_path / "artifacts" / name
+        whole = path.read_bytes()
+        path.write_text("[1]")
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize(
         "name", ["embedding.tf", "cluster.tf", "assignment.json", "labels.json", "labels.bin", "cnn.tf"]
     )
     def test_failed_write_keeps_previous_artifact(self, tmp_path, monkeypatch, name):
@@ -358,7 +391,11 @@ class TestRunPipeline:
 
         monkeypatch.setattr(module, name, boom)
         report = run_pipeline(tiny_config(tmp_path))
-        assert report.failure == {"stage": stage, "error": f"RuntimeError: {name} broke"}
+        assert report.failure == {
+            "stage": stage,
+            "error": f"RuntimeError: {name} broke",
+            "where": f"test_pipeline.py:{boom.__code__.co_firstlineno + 1} in boom",
+        }
         earlier = [s for s, _, _ in self.STAGE_CALLS[:index]]
         assert set(report.timings) == {f"t_{s}" for s in earlier} | {"t_total"}
         if stage != "evaluate":
@@ -549,6 +586,8 @@ class TestLabelFreedomAudit:
     """
 
     TRAINING_PATH = [
+        ds.ImageStore.rows,
+        emb._mean,
         emb.train_autoencoder,
         emb.encode,
         emb.pca_embed,
