@@ -17,7 +17,7 @@ weights (W0..b4) are unchanged.
 import numpy as np
 
 from . import nn
-from .dataset import ImageStore, grid_sums
+from .dataset import decode, grid_sums
 from .errors import DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
@@ -98,7 +98,7 @@ def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batc
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            x = _as_batch(store.rows(idx), params.side, dtype)
+            x = _as_batch(decode(store.images[idx]), params.side, dtype)
             logits = nn.forward(params.layers, x)
             loss, grad = nn.softmax_cross_entropy(logits, labels[idx])
             if not np.isfinite(loss):
@@ -110,17 +110,17 @@ def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batc
 
 def classify(params, images, chunk=128):
     """Predicted digit and softmax probabilities per image of `images`,
-    an ImageStore or an array of decoded pixels.
+    pixels as a store holds them.
 
-    Each chunk is decoded (a store's `rows`) and cast on its own, and the
-    forward pass keeps no backward cache, so classify holds one chunk's
-    input and activations at a time.
+    Each chunk is decoded and cast on its own, and the forward pass keeps
+    no backward cache, so classify holds one chunk's input and activations
+    at a time.
     """
     dtype = params.weighted_layers()[0].W.dtype.type
-    rows = images.rows if isinstance(images, ImageStore) else np.asarray(images).__getitem__
+    images = np.asarray(images)
     probs = np.empty((len(images), 10), dtype=np.float64)
     for start in range(0, len(images), chunk):
-        x = _as_batch(rows(slice(start, start + chunk)), params.side, dtype)
+        x = _as_batch(decode(images[start : start + chunk]), params.side, dtype)
         logits = nn.forward(params.layers, x, cache=False)
         probs[start : start + logits.shape[0]] = nn.softmax(logits)
     return probs.argmax(axis=1), probs
@@ -128,7 +128,7 @@ def classify(params, images, chunk=128):
 
 def evaluate(params, test_corpus, test_store):
     """cls_acc and add_acc from a single classify pass over the test store."""
-    preds, _ = classify(params, test_store)
+    preds, _ = classify(params, test_store.images)
     return {
         "cls_acc": _classification_accuracy(preds, test_store),
         "add_acc": _addition_accuracy(preds, test_corpus),
@@ -137,13 +137,13 @@ def evaluate(params, test_corpus, test_store):
 
 def eval_classification(params, test_store):
     """Fraction of test images whose argmax matches the true label."""
-    preds, _ = classify(params, test_store)
+    preds, _ = classify(params, test_store.images)
     return _classification_accuracy(preds, test_store)
 
 
 def eval_addition(params, test_corpus, test_store):
     """Fraction of test examples whose predicted digits reproduce the sum."""
-    preds, _ = classify(params, test_store)
+    preds, _ = classify(params, test_store.images)
     return _addition_accuracy(preds, test_corpus)
 
 

@@ -33,15 +33,14 @@ class ImageStore:
 
     `images` holds the pixels as loaded: uint8 stays uint8 (an IDX file's
     bytes, an eighth the size of their float64 decode), anything else
-    becomes float64. `scale` is their divisor, and `rows` is the one
-    decode, so readers decode a block or batch at a time and never hold a
-    float64 copy of a uint8 store. `images` is a read-only view: a sweep
-    shares one store between its points, so a stage that wrote into the
-    pixels would corrupt the next point. The caller's own array keeps its
-    flags.
+    becomes float64. Readers pass a block or batch of them at a time
+    through `decode` and never hold a float64 copy of a uint8 store.
+    `images` is a read-only view: a sweep shares one store between its
+    points, so a stage that wrote into the pixels would corrupt the next
+    point. The caller's own array keeps its flags.
     """
 
-    def __init__(self, images, true_labels, split="train", scale=1.0):
+    def __init__(self, images, true_labels, split="train"):
         images = np.asarray(images)
         if images.dtype != np.uint8:
             images = images.astype(np.float64, copy=False)
@@ -52,9 +51,6 @@ class ImageStore:
             raise ConsistencyError(
                 f"{images.shape[0]} images but {true_labels.shape[0]} labels"
             )
-        if not float(scale) > 0:
-            raise ValueError(f"scale must be positive, got {scale!r}")
-        self.scale = float(scale)
         self.images = images.view()
         self.images.setflags(write=False)
         self.split = split
@@ -68,12 +64,6 @@ class ImageStore:
     def dim(self):
         return self.images.shape[1]
 
-    def rows(self, index=slice(None), out=None):
-        """The decoded float64 pixels of `index` (a slice or index array),
-        written into `out` when given. Dividing by a scale of 1 is exact,
-        so a float64 store decodes to its own values."""
-        return np.divide(self.images[index], self.scale, out=out, dtype=np.float64)
-
     def evaluation_labels(self):
         """Ground-truth digits. Evaluation/data-generation use only."""
         return self._true_labels
@@ -83,8 +73,14 @@ class ImageStore:
             self.images[indices],
             self._true_labels[indices],
             split=self.split if split is None else split,
-            scale=self.scale,
         )
+
+
+def decode(pixels, out=None):
+    """`pixels` (rows of a store's `images`) as float64 intensities, written
+    into `out` when given: uint8 pixels are divided by 255, float64 ones by
+    1, which is exact."""
+    return np.divide(pixels, 255.0 if pixels.dtype == np.uint8 else 1.0, out=out, dtype=np.float64)
 
 
 def _open_maybe_gz(path):
@@ -105,9 +101,8 @@ def _read_be32(f, path):
 def load_idx(images_path, labels_path, split="train"):
     """Load an IDX image/label file pair into an ImageStore.
 
-    The store keeps the file's uint8 pixels with scale 255, so `rows`
-    decodes them to [0,1]; images are flattened row-major. Accepts plain
-    or gzip-compressed files.
+    The store keeps the file's uint8 pixels, which `decode` maps to [0,1];
+    images are flattened row-major. Accepts plain or gzip-compressed files.
     """
     with _open_maybe_gz(labels_path) as f:
         magic = _read_be32(f, labels_path)
@@ -131,9 +126,7 @@ def load_idx(images_path, labels_path, split="train"):
 
     if n_images != n_labels:
         raise ConsistencyError(f"{n_images} images but {n_labels} labels")
-    return ImageStore(
-        raw.reshape(n_images, rows * cols), labels.astype(np.int64), split=split, scale=255.0
-    )
+    return ImageStore(raw.reshape(n_images, rows * cols), labels.astype(np.int64), split=split)
 
 
 @dataclass
@@ -266,7 +259,7 @@ def normalize_unit(store):
     """Min-max rescale all intensities into [0,1] (single global affine map,
     so cluster geometry is preserved). Used to make synthetic Gaussian
     stores pixel-like before the CNN."""
-    images = store.rows()
+    images = decode(store.images)
     lo, hi = images.min(), images.max()
     if hi <= lo:
         return store
@@ -324,7 +317,7 @@ def load_corpus(path):
 
 def save_store(store, path, meta=None):
     m = dict(meta or {})
-    m.update(split=store.split, scale=store.scale)
+    m["split"] = store.split
     save_tensors(
         path,
         {"images": store.images, "true_labels": store.evaluation_labels()},
@@ -335,6 +328,5 @@ def save_store(store, path, meta=None):
 def load_store(path):
     meta, tensors = load_tensors(path)
     return ImageStore(
-        tensors["images"], tensors["true_labels"], split=meta.get("split", "train"),
-        scale=meta.get("scale", 1.0),
+        tensors["images"], tensors["true_labels"], split=meta.get("split", "train")
     )

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .dataset import decode
 from .errors import DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
@@ -108,7 +109,7 @@ def train_autoencoder(store, epochs, seed=0, hyper=None, widths=None):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, bs):
-            batch = store.rows(order[start : start + bs]).astype(dtype, copy=False)
+            batch = decode(store.images[order[start : start + bs]]).astype(dtype, copy=False)
             recon = nn.forward(layers, batch)
             loss, grad = nn.mse(recon, batch)
             if not np.isfinite(loss):
@@ -130,7 +131,7 @@ def encode(params, store, chunk=4096):
     dtype = params.encoder[0].W.dtype
     out = np.empty((len(store), params.widths[-1]), dtype=np.float64)
     for start in range(0, len(store), chunk):
-        x = store.rows(slice(start, start + chunk)).astype(dtype, copy=False)
+        x = decode(store.images[start : start + chunk]).astype(dtype, copy=False)
         out[start : start + x.shape[0]] = nn.forward(params.encoder, x, cache=False)
     return out
 
@@ -139,14 +140,14 @@ def reconstruction_loss(params, store, chunk=4096):
     dtype = params.encoder[0].W.dtype
     total = 0.0
     for start in range(0, len(store), chunk):
-        x = store.rows(slice(start, start + chunk)).astype(dtype, copy=False)
+        x = decode(store.images[start : start + chunk]).astype(dtype, copy=False)
         recon = nn.forward(params.layers, x, cache=False)
         total += float(((recon - x) ** 2).mean()) * x.shape[0]
     return total / len(store)
 
 
 def _mean(store):
-    """store.rows().mean(axis=0), bit for bit, decoded PCA_BLOCK rows at a
+    """decode(store.images).mean(axis=0), bit for bit, decoded PCA_BLOCK rows at a
     time. A mean over axis 0 adds the rows in order, so the running sum
     goes in as row 0 of the next block's reduction."""
     n = len(store)
@@ -154,7 +155,7 @@ def _mean(store):
     lead = 0  # the first block has no running sum above it
     for start in range(0, n, PCA_BLOCK):
         rows = lead + min(PCA_BLOCK, n - start)
-        store.rows(slice(start, start + rows - lead), out=buf[lead:rows])
+        decode(store.images[start : start + rows - lead], out=buf[lead:rows])
         buf[0] = np.add.reduce(buf[:rows], axis=0)
         lead = 1
     return buf[0] / n
@@ -168,7 +169,7 @@ def _centred_blocks(store, mean):
     buf = np.empty((min(len(store), PCA_BLOCK), store.dim))
     for start in range(0, len(store), PCA_BLOCK):
         block = buf[: min(PCA_BLOCK, len(store) - start)]
-        store.rows(slice(start, start + block.shape[0]), out=block)
+        decode(store.images[start : start + block.shape[0]], out=block)
         block -= mean
         yield start, block
 

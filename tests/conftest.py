@@ -34,12 +34,12 @@ def store_with_labels(labels, dim=4, seed=0):
 
 
 def uint8_store_pair(n, dim, seed=0):
-    """The same random pixels as a uint8 store with scale 255 and as the
-    float64 store of their decode, u8 / 255.0."""
+    """The same random pixels as a uint8 store and as the float64 store of
+    their decode, u8 / 255.0."""
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(n, dim), dtype=np.uint8)
     labels = rng.integers(0, 10, n)
-    return ImageStore(pixels, labels, scale=255.0), ImageStore(pixels / 255.0, labels)
+    return ImageStore(pixels, labels), ImageStore(pixels / 255.0, labels)
 
 
 def identity_model(labels, k=None, distance=None):

@@ -315,7 +315,7 @@ class TestUint8Store:
         for store in (u8, f64):
             params = CnnParams(seed=4, side=14, dtype=np.float32)
             train_cnn(params, store, labels, epochs=1, seed=4, batch_size=256)
-            trained.append((nn.weight_tensors(params.weighted_layers()), classify(params, store)))
+            trained.append((nn.weight_tensors(params.weighted_layers()), classify(params, store.images)))
         (weights, (preds, probs)), (weights_f, (preds_f, probs_f)) = trained
         assert weights.keys() == weights_f.keys()
         for name in weights:

@@ -7,6 +7,7 @@ from sumlearn.dataset import (
     Corpus,
     ImageStore,
     build_corpus,
+    decode,
     generate_synthetic,
     grid_sums,
     load_corpus,
@@ -16,7 +17,6 @@ from sumlearn.dataset import (
     save_store,
 )
 from sumlearn.errors import ConsistencyError, IdxFormatError, InsufficientDataError
-from sumlearn.tensorfile import save_tensors
 
 from conftest import store_with_labels, write_idx_pair
 
@@ -28,14 +28,14 @@ class TestLoadIdx:
         img, lbl = write_idx_pair(tmp_path, images, labels)
         store = load_idx(img, lbl)
         assert store.images.shape == (7, 20)
-        assert np.allclose(store.rows(), images.reshape(7, 20) / 255.0)
+        assert np.allclose(decode(store.images), images.reshape(7, 20) / 255.0)
         assert np.array_equal(store.evaluation_labels(), labels)
 
     def test_pixel_255_maps_to_one(self, tmp_path):
         images = np.full((1, 2, 2), 255, dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, [3])
         store = load_idx(img, lbl)
-        assert store.rows().max() == 1.0
+        assert decode(store.images).max() == 1.0
 
     def test_gzip_transparent(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)
@@ -273,38 +273,23 @@ class TestSerialization:
         assert np.array_equal(loaded.images, store.images)
         assert np.array_equal(loaded.evaluation_labels(), store.evaluation_labels())
 
-    def test_store_roundtrip_keeps_scale(self, tmp_path, rng):
+    def test_store_roundtrip_keeps_uint8(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(6, 2, 3), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2, 3, 4, 5])
         store = load_idx(img, lbl).subset([4, 1, 3], split="test")
         path = tmp_path / "store.tf"
         save_store(store, path)
         loaded = load_store(path)
-        assert (loaded.scale, loaded.split) == (255.0, "test")
+        assert loaded.split == "test"
         assert loaded.images.dtype == np.uint8
         assert np.array_equal(loaded.images, images.reshape(6, 6)[[4, 1, 3]])
-        assert np.array_equal(loaded.rows(), store.rows())
-
-    def test_store_without_scale_loads_unscaled(self, tmp_path, rng):
-        # a store.tf written before stores recorded their scale
-        images = rng.random((4, 3))
-        path = tmp_path / "store.tf"
-        save_tensors(path, {"images": images, "true_labels": np.arange(4)}, meta={"split": "train"})
-        loaded = load_store(path)
-        assert loaded.scale == 1.0
-        assert np.array_equal(loaded.rows(), images)
-        assert np.array_equal(loaded.evaluation_labels(), np.arange(4))
+        assert np.array_equal(decode(loaded.images), decode(store.images))
 
 
 class TestImageStore:
     def test_label_count_mismatch(self, rng):
         with pytest.raises(ConsistencyError):
             ImageStore(rng.random((4, 3)), [1, 2])
-
-    @pytest.mark.parametrize("scale", [0, -255.0, float("nan")])
-    def test_scale_must_be_positive(self, rng, scale):
-        with pytest.raises(ValueError, match="scale"):
-            ImageStore(rng.integers(0, 256, (2, 3), dtype=np.uint8), [1, 2], scale=scale)
 
     def test_labels_read_only(self, rng):
         store = ImageStore(rng.random((3, 2)), [1, 2, 3])

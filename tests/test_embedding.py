@@ -5,7 +5,7 @@ import pytest
 
 from sumlearn import nn
 from sumlearn.clustering import kmeans, purity
-from sumlearn.dataset import ImageStore, generate_synthetic, load_idx
+from sumlearn.dataset import ImageStore, decode, generate_synthetic, load_idx
 from sumlearn.embedding import (
     PCA_BLOCK,
     AutoencoderParams,
@@ -167,11 +167,12 @@ class TestPca:
         coeffs = rng.random((30, 3))
         images = coeffs @ basis + rng.random(10)  # affine 3-d subspace
         store = ImageStore(images, np.zeros(30, dtype=int))
-        mean = store.rows().mean(axis=0)
+        x = decode(store.images)
+        mean = x.mean(axis=0)
         components = _pca_fit(store, mean, 3)
-        proj = (store.rows() - mean) @ components.T
+        proj = (x - mean) @ components.T
         recon = proj @ components + mean
-        assert np.abs(recon - store.rows()).max() < 1e-8
+        assert np.abs(recon - x).max() < 1e-8
 
     @pytest.mark.parametrize("n", [30, PCA_BLOCK])
     def test_one_block_bitwise_equal_to_unblocked(self, rng, n):

@@ -586,7 +586,7 @@ class TestLabelFreedomAudit:
     """
 
     TRAINING_PATH = [
-        ds.ImageStore.rows,
+        ds.decode,
         emb._mean,
         emb.train_autoencoder,
         emb.encode,
