@@ -4,6 +4,10 @@ Two backends: a fully connected symmetric autoencoder (the reference
 configuration) and a deterministic PCA projection used as a fast fallback
 for CI-scale runs. The encoder half of the trained autoencoder is the
 embedding map.
+
+PCA on a uint8 store (an IDX file's pixels) is exact up to `eigh`: its
+scatter matrix is computed in integers for up to 2^24 images, and a larger
+uint8 store is refused. A float64 store's covariance is a float64 sum.
 """
 
 from dataclasses import dataclass
@@ -17,6 +21,8 @@ from .tensorfile import load_tensors, save_tensors
 
 ENCODER_WIDTHS = (784, 500, 500, 2000, 10)
 PCA_BLOCK = 4096  # rows per PCA block: the chunk `encode` uses
+EXACT_ROWS = 1024  # rows per float32 Gram block: 1024 * 128^2 = 2^24 stays exact
+EXACT_MAX_ROWS = 1 << 24  # images the int64 scatter n G - S S^T holds without overflow
 
 
 @dataclass
@@ -146,50 +152,43 @@ def reconstruction_loss(params, store, chunk=4096):
     return total / len(store)
 
 
-def _mean(store):
-    """decode(store.images).mean(axis=0), bit for bit, decoded PCA_BLOCK rows at a
-    time. A mean over axis 0 adds the rows in order, so the running sum
-    goes in as row 0 of the next block's reduction."""
-    n = len(store)
-    buf = np.empty((min(n, PCA_BLOCK) + 1, store.dim))
-    lead = 0  # the first block has no running sum above it
-    for start in range(0, n, PCA_BLOCK):
-        rows = lead + min(PCA_BLOCK, n - start)
-        decode(store.images[start : start + rows - lead], out=buf[lead:rows])
-        buf[0] = np.add.reduce(buf[:rows], axis=0)
-        lead = 1
-    return buf[0] / n
-
-
-def _centred_blocks(store, mean):
-    """(start, block) over the store's rows decoded and centred on `mean`,
+def _centred_blocks(store, centre):
+    """(start, block) over the store's pixels minus `centre`, as float64,
     PCA_BLOCK rows at a time. Every block is written into one reused
     buffer, so a caller must be done with a block before asking for the
     next."""
     buf = np.empty((min(len(store), PCA_BLOCK), store.dim))
     for start in range(0, len(store), PCA_BLOCK):
         block = buf[: min(PCA_BLOCK, len(store) - start)]
-        decode(store.images[start : start + block.shape[0]], out=block)
-        block -= mean
+        # a copy and an in-place subtract beat one mixed uint8/float64 subtract
+        np.copyto(block, store.images[start : start + block.shape[0]])
+        block -= centre
         yield start, block
 
 
 def _pca_fit(store, mean, dim):
-    """Top-`dim` principal axes of the store's rows centred on `mean`;
-    components past the data rank are zeroed so rank-deficient inputs
-    project deterministically. The covariance is summed over row blocks;
-    one block is exactly the product of the whole centred matrix."""
+    """Top-`dim` principal axes of a float64 store's rows centred on
+    `mean`. The covariance is summed over row blocks; one block is exactly
+    the product of the whole centred matrix."""
     blocks = _centred_blocks(store, mean)
     _, first = next(blocks)
     cov = first.T @ first
     for _, block in blocks:
         cov += block.T @ block
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    return _components(cov, len(store), dim)
+
+
+def _components(scatter, n, dim):
+    """Top-`dim` eigenvectors of the (D, D) scatter matrix of `n` rows, one
+    per row; components past the data rank are zeroed so rank-deficient
+    inputs project deterministically, and each is signed so that its
+    largest entry is positive."""
+    eigvals, eigvecs = np.linalg.eigh(scatter)
     order = np.argsort(eigvals)[::-1][:dim]
     components = eigvecs[:, order].T  # (dim, D)
     eigvals = eigvals[order]
 
-    tol = max(eigvals.max(initial=0.0), 0.0) * len(store) * np.finfo(np.float64).eps
+    tol = max(eigvals.max(initial=0.0), 0.0) * n * np.finfo(np.float64).eps
     components[np.maximum(eigvals, 0.0) <= tol] = 0.0
     # fix sign per component so the projection is reproducible
     for comp in components:
@@ -200,20 +199,62 @@ def _pca_fit(store, mean, dim):
     return components
 
 
+def _exact_scatter(pixels):
+    """(S, n G - T T^T) for uint8 `pixels` (n, D): S their int64 column
+    sums, and G and T = S - 128 n the Gram matrix and column sums of the
+    pixels shifted by -128. The scatter is n^2 255^2 times the covariance
+    of the decoded pixels, as exact int64.
+
+    G is summed from float32 products of EXACT_ROWS-row blocks: a shifted
+    pixel is at most 128 in magnitude, so every partial sum of a block's
+    products is an integer of at most EXACT_ROWS 128^2 = 2^24, exact in
+    float32 whatever order BLAS adds in, and their float64 total is exact
+    too. The int64 scatter cannot overflow for n <= EXACT_MAX_ROWS."""
+    n, d = pixels.shape
+    if n > EXACT_MAX_ROWS:
+        raise ValueError(
+            f"exact PCA scatter holds for at most {EXACT_MAX_ROWS} images, got {n}"
+        )
+    gram = np.zeros((d, d))
+    buf = np.empty((min(n, EXACT_ROWS), d), dtype=np.float32)
+    for start in range(0, n, EXACT_ROWS):
+        block = buf[: min(EXACT_ROWS, n - start)]
+        np.subtract(pixels[start : start + block.shape[0]], 128, out=block, dtype=np.float32)
+        gram += block.T @ block
+    sums = pixels.sum(axis=0, dtype=np.int64)
+    shifted = sums - 128 * n
+    return sums, n * gram.astype(np.int64) - np.outer(shifted, shifted)
+
+
 def pca_embed(store, dim=10):
     """Projection onto the top principal components of the centered data.
 
-    Works in row blocks of PCA_BLOCK, decoded from the store's pixels, so
-    besides the store and the output it holds one decoded block, never a
-    decoded or centred copy of the whole store.
+    A uint8 store (every IDX store) takes its components from the exact
+    integer scatter of `_exact_scatter`, accumulated from EXACT_ROWS-row
+    float32 blocks; it holds for at most EXACT_MAX_ROWS (2^24) images and
+    is refused above that. Its float64 copy, which `eigh` reads, is exact
+    up to about 740K images and correctly rounded beyond. The projection
+    is (raw - S/n) @ components^T / 255. A float64 store sums the
+    covariance of its rows centred on their mean.
+
+    Both work in row blocks, so besides the store and the output they hold
+    one block, never a decoded or centred copy of the whole store.
     """
     if not 1 <= dim <= store.dim:
         raise ValueError(f"dim must be in [1, {store.dim}], got {dim}")
-    mean = _mean(store)
-    components_t = _pca_fit(store, mean, dim).T
-    out = np.empty((len(store), dim))
-    for start, block in _centred_blocks(store, mean):
+    n = len(store)
+    if store.images.dtype == np.uint8:
+        sums, scatter = _exact_scatter(store.images)
+        centre, scale = sums / n, 255.0
+        components = _components(scatter.astype(np.float64), n, dim)
+    else:
+        centre, scale = store.images.mean(axis=0), 1.0  # dividing by 1.0 is exact
+        components = _pca_fit(store, centre, dim)
+    components_t = components.T
+    out = np.empty((n, dim))
+    for start, block in _centred_blocks(store, centre):
         np.matmul(block, components_t, out=out[start : start + block.shape[0]])
+    out /= scale
     return out
 
 

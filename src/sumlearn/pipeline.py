@@ -3,8 +3,9 @@
 `run_pipeline` is the method's chain read top to bottom: data, embed,
 cluster, assign, infer, train, evaluate, each a timed block binding plain
 locals; only evaluate reads ground truth. Every stage persists its artifact
-tagged with a hash of exactly the config fields it depends on (a hash
-chain), and a rerun resumes it only when that hash matches (`cached`).
+tagged with a hash of exactly the config fields it depends on and of
+STAGE_FORMAT (a hash chain), and a rerun resumes it only when that hash
+matches (`cached`).
 The embedding hash does not involve w or h, so a sweep over grid shapes
 trains the autoencoder once; the reported total covers the four pipeline
 steps, with embedding timed separately. The CLI's stage subcommands call
@@ -40,6 +41,12 @@ SWEEP_COLUMNS = [
 ]
 
 TOTAL_TIME_STAGES = ("cluster", "assign", "infer", "train")
+
+# Part of every stage key. It goes up whenever a stage's output changes for
+# the same config, so an artifact an older version wrote is recomputed, not
+# resumed. 1: keys before the field existed; 2: PCA on a uint8 store takes
+# its components from the exact integer scatter.
+STAGE_FORMAT = 2
 
 
 @dataclass
@@ -186,6 +193,7 @@ def _fits(value, kind):
 
 
 def _digest(obj):
+    obj = {**obj, "format": STAGE_FORMAT}
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 

@@ -7,10 +7,12 @@ from sumlearn import nn
 from sumlearn.clustering import kmeans, purity
 from sumlearn.dataset import ImageStore, decode, generate_synthetic, load_idx
 from sumlearn.embedding import (
+    EXACT_MAX_ROWS,
+    EXACT_ROWS,
     PCA_BLOCK,
     AutoencoderParams,
     TrainingHyper,
-    _mean,
+    _exact_scatter,
     _pca_fit,
     encode,
     pca_embed,
@@ -198,11 +200,43 @@ class TestPca:
             tracemalloc.stop()
         assert peak - live < store.images.nbytes / 2
 
-    def test_uint8_store_bitwise_equal_to_its_decode(self):
-        n = 2 * PCA_BLOCK + 7  # the carried mean crosses a partial block
+    @pytest.mark.parametrize("case", ["ragged", "extremes"])
+    def test_exact_scatter_equals_int64_reference(self, rng, case):
+        if case == "ragged":
+            pixels = rng.integers(0, 256, size=(3 * EXACT_ROWS + 7, 64), dtype=np.uint8)
+        else:
+            # whole blocks of 0 and of 255 reach the 2^24 bound on a block's
+            # partial sums; a random ragged tail keeps the scatter non-zero
+            extremes = np.repeat(np.array([0, 255, 0], dtype=np.uint8), EXACT_ROWS)
+            tail = rng.integers(0, 256, size=(EXACT_ROWS // 2, 64), dtype=np.uint8)
+            pixels = np.vstack([np.tile(extremes[:, None], (1, 64)), tail])
+            pixels[EXACT_ROWS : 2 * EXACT_ROWS, 32:] = 0  # all-0 columns against all-255 ones
+        x = pixels.astype(np.int64)
+        sums = x.sum(axis=0)
+        reference = len(x) * (x.T @ x) - np.outer(sums, sums)
+        got_sums, scatter = _exact_scatter(pixels)
+        assert scatter.dtype == np.int64
+        assert np.array_equal(got_sums, sums)
+        assert np.array_equal(scatter, reference)
+
+    def test_exact_scatter_at_its_row_limit(self):
+        # all-0 pixels make n G and T T^T both 2^62, the int64 extreme
+        pixels = np.broadcast_to(np.uint8(0), (EXACT_MAX_ROWS, 2))
+        sums, scatter = _exact_scatter(pixels)
+        assert np.array_equal(sums, [0, 0])
+        assert np.array_equal(scatter, np.zeros((2, 2), dtype=np.int64))
+
+    def test_refuses_more_rows_than_the_exact_envelope(self):
+        store = ImageStore(np.zeros((1, 4), dtype=np.uint8), [0])
+        store.images = np.broadcast_to(store.images, (EXACT_MAX_ROWS + 1, 4))  # no real allocation
+        with pytest.raises(ValueError, match=f"at most {EXACT_MAX_ROWS} images, got {EXACT_MAX_ROWS + 1}"):
+            pca_embed(store, dim=2)
+
+    def test_uint8_store_matches_its_decode(self):
+        n = 2 * PCA_BLOCK + 7  # ragged in both block sizes
         u8, f64 = uint8_store_pair(n, 64, seed=3)
-        assert np.array_equal(pca_embed(u8, dim=10), pca_embed(f64, dim=10))
-        assert np.array_equal(_mean(u8), f64.images.mean(axis=0))
+        ref = pca_embed(f64, dim=10)
+        assert np.abs(pca_embed(u8, dim=10) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_idx_store_never_decoded_whole(self, tmp_path, rng):
         n = 5 * PCA_BLOCK + 808  # one decoded block stays under half the decode

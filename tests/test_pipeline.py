@@ -48,6 +48,23 @@ def strip_timings(report):
     return json.dumps(obj, sort_keys=True)
 
 
+def artifacts_without_keys(artifacts):
+    """Each artifact's content with its recorded config_key left out."""
+    out = {}
+    for path in sorted(artifacts.iterdir()):
+        if path.suffix == ".json":
+            record = json.loads(path.read_text())
+            record.pop("config_key", None)
+            out[path.name] = record
+        elif path.suffix == ".tf":
+            meta, tensors = tensorfile.load_tensors(path)
+            meta.pop("config_key", None)
+            out[path.name] = (meta, {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in tensors.items()})
+        else:
+            out[path.name] = path.read_bytes()
+    return out
+
+
 class TestLabelAccuracy:
     def test_exact(self):
         store = store_with_labels([1, 2, 3])
@@ -188,6 +205,38 @@ class TestRunPipeline:
         other = tiny_config(tmp_path, seed=1)
         run_pipeline(other)
         assert recomputed["n"] == 1
+
+    def test_previous_stage_format_recomputed(self, tmp_path, monkeypatch):
+        # artifacts keyed under the previous STAGE_FORMAT are not resumed
+        cfg = tiny_config(tmp_path)
+
+        def stage_keys():
+            return {cfg.corpus_key(), cfg.embed_key(), cfg.cluster_key(), cfg.assign_key(),
+                    cfg.infer_key(), cfg.train_key()}
+
+        with monkeypatch.context() as m:
+            m.setattr(pl, "STAGE_FORMAT", pl.STAGE_FORMAT - 1)
+            old_keys = stage_keys()
+            old = run_pipeline(cfg)
+        artifacts = tmp_path / "artifacts"
+        before = artifacts_without_keys(artifacts)
+        assert not old_keys & stage_keys()
+
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module, name in [(emb, "pca_embed"), (clu, "kmeans"), (asg, "solve_corpus"),
+                             (inf, "run_inference"), (clf, "train_cnn")]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        new = run_pipeline(cfg)
+        assert calls == ["pca_embed", "kmeans", "solve_corpus", "run_inference", "train_cnn"]
+        assert strip_timings(new) == strip_timings(old)
+        assert artifacts_without_keys(artifacts) == before
 
     def test_truncated_labels_recomputed(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -587,7 +636,8 @@ class TestLabelFreedomAudit:
 
     TRAINING_PATH = [
         ds.decode,
-        emb._mean,
+        emb._exact_scatter,
+        emb._components,
         emb.train_autoencoder,
         emb.encode,
         emb.pca_embed,
@@ -600,6 +650,7 @@ class TestLabelFreedomAudit:
         asg.solve_corpus,
         inf.init_labels,
         inf.images_within_radius,
+        inf._ByCluster,
         inf.resolve_image_label,
         inf._forced_digit,
         inf._Propagation,
