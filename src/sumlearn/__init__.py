@@ -15,7 +15,7 @@ from .assignment import (
     solve_batch,
     solve_corpus,
 )
-from .classifier import CnnParams, classify, eval_addition, eval_classification, init_cnn, train_cnn
+from .classifier import CnnParams, classify, eval_addition, eval_classification, train_cnn
 from .clustering import ClusterModel, distance_percentiles, kmeans, purity
 from .dataset import (
     Corpus,

@@ -16,8 +16,11 @@ previous batch's digits) leaves zero residual and the active columns of A
 are linearly independent, A v = s has exactly one solution, so the warm
 digits are the unique, hence lexicographically smallest, optimum. The rank
 is decided exactly by elimination modulo a prime; a rank deficiency there
-only sends the batch to the search. The search's integer bounds are exact
-only while they fit int64; `solve_batch` rejects larger systems.
+only sends the batch to the search. `solve_corpus` decides it for every
+batch of the corpus in one stacked elimination (the short last batch
+padded with zero rows, inactive columns zeroed) and hands each batch its
+answer. The search's integer bounds are exact only while they fit int64;
+`solve_batch` rejects larger systems.
 
 Batch candidates then vote: the one satisfying the most examples
 corpus-wide wins.
@@ -137,23 +140,44 @@ def _check_envelope(coeffs, targets):
         )
 
 
-def _rank_mod_p(a):
-    """Rank of an integer matrix modulo the prime 2^31 - 1, exactly.
+def _inverse_mod_p(x):
+    """x^(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0.
 
-    Gaussian elimination on the columns in int64. A rank mod p is never
+    Square-and-multiply over the exponent's bits; every product is of two
+    residues below 2^31, so it stays below 2^62.
+    """
+    result = np.ones_like(x)
+    e = _PRIME - 2
+    while e:
+        if e & 1:
+            result = result * x % _PRIME
+        x = x * x % _PRIME
+        e >>= 1
+    return result
+
+
+def _rank_mod_p(a):
+    """Ranks of a stack (..., B, m) of integer matrices modulo the prime
+    2^31 - 1, exactly; a 2-D matrix is a stack of one.
+
+    Gaussian elimination on the columns in int64, every matrix of the stack
+    at once: each column's first nonzero entry is its pivot (a column with
+    none stays zero, and its multipliers are zero). A rank mod p is never
     above the rank over Q, so full column rank mod p proves it over Q.
     """
-    cols = np.asarray(a, dtype=np.int64).T % _PRIME
-    rank = 0
-    for j in range(cols.shape[0]):
-        pivots = np.flatnonzero(cols[j])
-        if pivots.size == 0:
-            continue
-        i = pivots[0]
-        rank += 1
-        scale = cols[j + 1 :, i] * pow(int(cols[j, i]), _PRIME - 2, _PRIME) % _PRIME
-        cols[j + 1 :] -= np.outer(scale, cols[j])
-        cols[j + 1 :] %= _PRIME
+    cols = np.swapaxes(np.asarray(a, dtype=np.int64), -1, -2) % _PRIME  # (..., m, B)
+    rank = np.zeros(cols.shape[:-2], dtype=np.int64)
+    if cols.shape[-1] == 0:
+        return rank
+    for j in range(cols.shape[-2]):
+        col, rest = cols[..., j, :], cols[..., j + 1 :, :]
+        at = (col != 0).argmax(axis=-1)[..., None]
+        pivot = np.take_along_axis(col, at, axis=-1)  # (..., 1)
+        rank += pivot[..., 0] != 0
+        scale = np.take_along_axis(rest, at[..., None], axis=-1)  # (..., m-j-1, 1)
+        scale = scale * _inverse_mod_p(pivot)[..., None] % _PRIME
+        rest -= scale * col[..., None, :]
+        rest %= _PRIME
     return rank
 
 
@@ -307,13 +331,15 @@ def _search(bounds, place, lam, best_key):
     return best_key, found
 
 
-def solve_batch(system, initial_digits=None):
+def solve_batch(system, initial_digits=None, independent=None):
     """Globally optimal, lexicographically smallest digit vector for one batch.
 
     If the warm start leaves zero residual and the active columns of A
     (clusters present in the batch) are linearly independent, A v = s has
     exactly one solution: the warm digits are the unique optimum and are
-    returned on the active clusters without any search.
+    returned on the active clusters without any search. `independent` is
+    that certificate when the caller already has it (`solve_corpus` takes
+    every batch's at once); None computes it here.
 
     Otherwise one search for the smallest key residual * 10^m + rank over
     the m active clusters starts from the warm (or all-zero) start's key.
@@ -336,9 +362,12 @@ def solve_batch(system, initial_digits=None):
             warm = np.asarray(initial_digits, dtype=np.int64)
             incumbent = warm_obj
     digits = np.zeros(k, dtype=np.int64)
-    if incumbent == 0 and _rank_mod_p(coeffs[:, active]) == len(active):
-        digits[active] = warm[active]
-        return DigitAssignment(digits=digits, objective=0)
+    if incumbent == 0:
+        if independent is None:
+            independent = _rank_mod_p(coeffs[:, active]) == len(active)
+        if independent:
+            digits[active] = warm[active]
+            return DigitAssignment(digits=digits, objective=0)
     dual_n, lam = dual_multipliers(coeffs, targets, warm)
 
     m = len(active)
@@ -348,6 +377,25 @@ def solve_batch(system, initial_digits=None):
     best_key, cols = _search(bounds, place, lam, incumbent * 10**m + warm_rank)
     digits[active] = warm[active] if cols is None else cols
     return DigitAssignment(digits=digits, objective=best_key // 10**m)
+
+
+def _independent_batches(coeffs, batch_size):
+    """Per contiguous batch of rows: are its active columns (mass > 0)
+    linearly independent? One stacked rank certificate for all batches.
+
+    The short last batch is padded with zero rows, which add no rank, and
+    each batch's inactive columns are zeroed, so its rank is its active
+    columns' rank.
+    """
+    n, k = coeffs.shape
+    rows = min(batch_size, n)
+    n_batches = -(-n // rows)
+    stack = np.zeros((n_batches * rows, k), dtype=np.int64)
+    stack[:n] = coeffs
+    stack = stack.reshape(n_batches, rows, k)
+    active = stack.sum(axis=1) > 0  # (n_batches, k)
+    stack *= active[:, None, :]
+    return _rank_mod_p(stack) == active.sum(axis=1)
 
 
 def solve_corpus(corpus, model, batch_size=100):
@@ -363,15 +411,16 @@ def solve_corpus(corpus, model, batch_size=100):
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
     full = build_batch_system(corpus, model)
+    independent = _independent_batches(full.coeffs, batch_size)
     candidates = []
     warm = None
-    for start in range(0, full.n_examples, batch_size):
+    for batch, start in enumerate(range(0, full.n_examples, batch_size)):
         sub = BatchSystem(
             coeffs=full.coeffs[start : start + batch_size],
             targets=full.targets[start : start + batch_size],
         )
-        cand = solve_batch(sub, initial_digits=warm)
-        cand.batch_index = len(candidates)
+        cand = solve_batch(sub, initial_digits=warm, independent=bool(independent[batch]))
+        cand.batch_index = batch
         candidates.append(cand)
         warm = cand.digits
 

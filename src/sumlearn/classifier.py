@@ -23,6 +23,8 @@ from .tensorfile import load_tensors, save_tensors
 
 
 class CnnParams:
+    """The network's layers: He-initialized weights (fan-in scaling), zero biases."""
+
     def __init__(self, seed=0, dtype=np.float64, side=28):
         self.seed = seed
         self.side = side
@@ -60,11 +62,6 @@ class CnnParams:
         params = cls(seed=meta["seed"], dtype=dtype, side=meta.get("side", 28))
         nn.set_weights(params.weighted_layers(), tensors)
         return params
-
-
-def init_cnn(seed=0, dtype=np.float64, side=28):
-    """He-initialized weights (fan-in scaling), zero biases."""
-    return CnnParams(seed=seed, dtype=dtype, side=side)
 
 
 def _as_batch(images, side, dtype):

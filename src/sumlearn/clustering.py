@@ -1,5 +1,14 @@
 """k-means with k-means++ seeding, purity, and centroid-distance queries.
 
+A Lloyd step holds its squared distances in (k, N) layout, one contiguous
+row per centroid, and finds each point's nearest centroid by reductions
+along the short axis: the min, then the first centroid that reaches it
+(argmin's tie rule). For k >= 2 the product is a matrix product with the
+same bits as the (N, k) one; for k = 1 it is a vector-matrix product, whose
+distances can differ from the (N, 1) product in the last bits. Seeding keeps
+the (N, 1) product for that reason. Embeddings with a non-finite or
+overflowing squared norm are refused.
+
 The fitted model also answers the distance-quantile queries the label
 inference step uses for its radius schedule.
 """
@@ -53,34 +62,36 @@ class ClusterModel:
         )
 
 
-def _sq_dists(points, norms, centroids, out):
-    """Squared distances to `centroids`, written into `out` (N, k).
+def _sq_dists(product, point_norms, centroid_norms):
+    """Squared distances from the point-centroid dot products, in place.
 
     -2 x.c + ||x||^2 + ||c||^2, clipped against tiny negatives: the same
-    bits as ||x||^2 - 2 x.c + ||c||^2, since scaling by 2 is exact.
-    `norms` holds ||x||^2 per point.
+    bits as ||x||^2 - 2 x.c + ||c||^2, since scaling by 2 is exact. The
+    caller picks the layout: the norms broadcast along `product`'s axes.
     """
-    np.matmul(points, centroids.T, out=out)
-    out *= -2.0
-    out += norms[:, None]
-    out += (centroids**2).sum(axis=1)
-    return np.maximum(out, 0.0, out=out)
+    product *= -2.0
+    product += point_norms
+    product += centroid_norms
+    return np.maximum(product, 0.0, out=product)
 
 
 def _plus_plus_init(points, norms, k, rng):
+    # One centroid's distances stay an (N, 1) product: as (1, N) they are a
+    # vector-matrix product whose last bits differ, and those bits set the
+    # sampling probabilities.
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    centroids[0] = points[rng.integers(n)]
-    closest = _sq_dists(points, norms, centroids[:1], np.empty((n, 1))).ravel()
+    closest = np.full(n, np.inf)
     col = np.empty((n, 1))
-    for i in range(1, k):
+    for i in range(k):
         total = closest.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))  # all points coincide with a centroid
+        if i == 0 or total <= 0:
+            idx = int(rng.integers(n))  # the first seed, or all points coincide with one
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[i] = points[idx]
-        _sq_dists(points, norms, centroids[i : i + 1], col)
+        c = centroids[i : i + 1]
+        _sq_dists(np.matmul(points, c.T, out=col), norms[:, None], (c**2).sum(axis=1))
         np.minimum(closest, col.ravel(), out=closest)
     return centroids
 
@@ -104,36 +115,55 @@ def kmeans(emb, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
         raise ValueError(f"n_init must be >= 1, got {n_init}")
 
     # computed once for all restarts: point norms, one contiguous row per
-    # dimension for the centroid sums, and the distance buffer
-    norms = (points**2).sum(axis=1)
+    # dimension for the products and centroid sums, and the distance buffer
+    with np.errstate(over="ignore"):
+        norms = (points**2).sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(4.0 * norms))
+    if bad.size:
+        raise ValueError(
+            f"embedding row {bad[0]} has squared norm {norms[bad[0]]}: k-means needs every "
+            "4 * ||x||^2 finite"
+        )
     columns = np.ascontiguousarray(points.T)
-    d2 = np.empty((n, k))
+    d2t = np.empty((k, n))
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        model = _kmeans_single(points, norms, columns, d2, k, rng, max_iter, tol)
+        model = _kmeans_single(points, norms, columns, d2t, k, rng, max_iter, tol)
         if best is None or model.inertia_history[-1] < best.inertia_history[-1]:
             best = model
     best.seed = seed
     return best
 
 
-def _kmeans_single(points, norms, columns, d2, k, rng, max_iter, tol):
+def _nearest(columns, norms, centroids, d2t):
+    """Nearest centroid of every point, ties to the lowest index, and its
+    squared distance.
+
+    The (k, N) distances reduce along axis 0: the min, then the largest
+    weight k - j among the centroids j that reach it, which names the first.
+    """
+    np.matmul(centroids, columns, out=d2t)
+    _sq_dists(d2t, norms, (centroids**2).sum(axis=1)[:, None])
+    own = d2t.min(axis=0)
+    k = d2t.shape[0]
+    weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    first = ((d2t == own) * weights).max(axis=0)
+    return np.subtract(k, first, dtype=np.int64), own
+
+
+def _kmeans_single(points, norms, columns, d2t, k, rng, max_iter, tol):
     """One k-means++ seeding plus Lloyd run.
 
     Stops when the largest centroid shift drops below tol. Empty clusters
     are reseeded to the point currently farthest from its own centroid.
-    `columns` is points.T made contiguous and `d2` an (N, k) scratch buffer.
+    `columns` is points.T made contiguous and `d2t` a (k, N) scratch buffer.
     """
-    n = points.shape[0]
-    rows = np.arange(n)
     centroids = _plus_plus_init(points, norms, k, rng)
     inertia_history = []
 
     for _ in range(max_iter):
-        _sq_dists(points, norms, centroids, d2)
-        assign = d2.argmin(axis=1)
-        own = d2[rows, assign]
+        assign, own = _nearest(columns, norms, centroids, d2t)
         counts = np.bincount(assign, minlength=k)
 
         if not counts.all():
@@ -151,9 +181,7 @@ def _kmeans_single(points, norms, columns, d2, k, rng, max_iter, tol):
 
     # final assignment against the final centroids so the nearest-centroid
     # invariant holds exactly
-    _sq_dists(points, norms, centroids, d2)
-    assign = d2.argmin(axis=1).astype(np.int64)
-    own = d2[rows, assign]
+    assign, own = _nearest(columns, norms, centroids, d2t)
     inertia_history.append(float(own.sum()))
 
     return ClusterModel(

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumlearn import assignment as asg
 from sumlearn.assignment import (
     BatchSystem,
     DigitAssignment,
     _Bounds,
+    _independent_batches,
+    _inverse_mod_p,
+    _PRIME,
     _rank_mod_p,
     build_batch_system,
     dual_multipliers,
@@ -238,6 +242,120 @@ class TestRankModP:
         assert _rank_mod_p(np.zeros((0, 3), dtype=np.int64)) == 0
         big = np.array([[10**13, 1], [2 * 10**13, 2]])  # dependent, entries above p
         assert _rank_mod_p(big) == fraction_rank(big) == 1
+
+
+class TestStackedRankModP:
+    """The stacked certificate: one elimination for every matrix of a stack
+    gives each matrix's own rank, and a batch's certificate reads only its
+    active columns."""
+
+    @staticmethod
+    def random_stack(rng):
+        n_stack, n_rows, n_cols = (int(x) for x in rng.integers(1, 7, size=3))
+        a = rng.integers(-3, 4, size=(n_stack, n_rows, n_cols))
+        for m in a:
+            if rng.random() < 0.3:
+                m[:, rng.integers(n_cols)] = 0  # zero column
+            if n_cols > 1 and rng.random() < 0.3:
+                m[:, 0] = m[:, -1]  # duplicate column
+            if rng.random() < 0.3:
+                m[rng.integers(n_rows):] = 0  # padding rows at the end
+            if rng.random() < 0.2:
+                m *= 10**13  # entries above p
+        return a
+
+    def test_each_rank_matches_fraction_rank(self, rng):
+        for _ in range(200):
+            a = self.random_stack(rng)
+            ranks = _rank_mod_p(a)
+            assert ranks.shape == a.shape[:1]
+            for m, r in zip(a, ranks):
+                assert r == fraction_rank(m)
+
+    def test_never_above_rank_over_q(self):
+        # a column that is a multiple of p reads as zero: the rank mod p
+        # falls short, which only sends a batch to the search
+        a = np.array([[[_PRIME, 0], [0, 1]], [[1, 0], [0, 1]]])
+        assert _rank_mod_p(a).tolist() == [1, 2]
+        assert [fraction_rank(m) for m in a] == [2, 2]
+
+    def test_entries_above_p_not_multiples(self, rng):
+        for _ in range(100):
+            a = rng.integers(-3, 4, size=(4, 5, 3)) * 10**13 + rng.integers(-3, 4, size=(4, 5, 3))
+            for m, r in zip(a, _rank_mod_p(a)):
+                assert r == fraction_rank(m)
+
+    def test_stack_of_stacks(self, rng):
+        a = rng.integers(-2, 3, size=(3, 2, 4, 3))
+        ranks = _rank_mod_p(a)
+        assert ranks.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            assert ranks[idx] == fraction_rank(a[idx])
+
+    def test_inverse_mod_p(self, rng):
+        x = np.concatenate([[0, 1, 2, _PRIME - 1], rng.integers(1, _PRIME, size=200)])
+        inv = _inverse_mod_p(x)
+        assert inv[0] == 0
+        assert ((inv[1:] * x[1:]) % _PRIME == 1).all()
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 7, 40])
+    def test_independent_batches_read_active_columns(self, rng, batch_size):
+        # negative entries let a nonzero column have mass <= 0: it is not
+        # active, and a certificate over every column would count its rank
+        for _ in range(30):
+            n_rows, k = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            coeffs = rng.integers(-3, 4, size=(n_rows, k))
+            coeffs[:, rng.integers(k)] = 0
+            got = _independent_batches(coeffs, batch_size)
+            want = []
+            for start in range(0, n_rows, batch_size):
+                batch = coeffs[start : start + batch_size]
+                active = batch.sum(axis=0) > 0
+                want.append(fraction_rank(batch[:, active]) == active.sum())
+            assert got.tolist() == want
+
+    def test_inactive_nonzero_column_not_counted(self):
+        # columns 0 and 1 are equal and active; column 2 is nonzero with
+        # mass 0. Over all three columns the rank is 2, the number of active
+        # columns, so a certificate that kept column 2 would pass
+        dependent = np.array([[1, 1, 1], [1, 1, -1]])
+        assert _independent_batches(dependent, 2).tolist() == [False]
+        # and column 2's rank must not make an independent batch fail
+        assert _independent_batches(np.array([[1, 1], [1, -1]]), 2).tolist() == [True]
+
+    def test_solve_corpus_candidates_match_standalone(self, monkeypatch):
+        # each batch solve_corpus solves with its stacked certificate gives
+        # the candidate solve_batch finds alone. Cluster c is digit c. The
+        # middle batch pairs clusters 1 and 2: the warm digits (0, 1, 2) fit
+        # it, but its columns are dependent, so the search must find the
+        # lexicographically smaller (0, 0, 3)
+        diagonal = [([[c], [c]], 2 * c) for c in (0, 1, 2, 0, 1)]
+        pairs = diagonal + [([[1], [2]], 3)] * 5 + diagonal
+        original, handed = asg.solve_batch, []
+
+        def checked(system, initial_digits=None, independent=None):
+            got = original(system, initial_digits, independent=independent)
+            alone = original(system, initial_digits)
+            assert got.digits.tolist() == alone.digits.tolist()
+            assert got.objective == alone.objective
+            handed.append((independent, got.digits.tolist()))
+            return got
+
+        monkeypatch.setattr(asg, "solve_batch", checked)
+        solve_corpus(corpus_from_grids(pairs), identity_model(np.arange(3)), batch_size=5)
+        assert handed == [(True, [0, 1, 2]), (False, [0, 0, 3]), (True, [0, 1, 2])]
+
+    def test_solve_batch_certificate_matches_its_own(self, rng):
+        # solve_corpus hands each batch its stacked certificate; solve_batch
+        # alone computes it, and both give the same candidate
+        for _ in range(20):
+            system = random_system(rng, k=4, n_rows=6)
+            digits = rng.integers(0, 10, size=4)
+            system.targets = system.coeffs @ digits
+            cert = bool(_independent_batches(system.coeffs, 6)[0])
+            a = solve_batch(system, initial_digits=digits)
+            b = solve_batch(system, initial_digits=digits, independent=cert)
+            assert a.digits.tolist() == b.digits.tolist() and a.objective == b.objective
 
 
 class TestCompletionBound:

@@ -8,7 +8,6 @@ from sumlearn.classifier import (
     classify,
     eval_addition,
     eval_classification,
-    init_cnn,
     train_cnn,
 )
 from sumlearn.dataset import ImageStore, build_corpus
@@ -325,7 +324,7 @@ class TestUint8Store:
 
 class TestInitCnn:
     def test_shape_audit(self):
-        params = init_cnn(seed=0)
+        params = CnnParams(seed=0)
         x = np.random.default_rng(0).random((2, 1, 28, 28))
         expected = [
             (2, 32, 26, 26),
@@ -346,26 +345,26 @@ class TestInitCnn:
             assert x.shape == shape
 
     def test_he_variance(self):
-        params = init_cnn(seed=1)
+        params = CnnParams(seed=1)
         fan_ins = [9, 288, 576, 1024, 100]
         for layer, fan_in in zip(params.weighted_layers(), fan_ins):
             target = 2.0 / fan_in
             assert abs(layer.W.var() - target) < 0.2 * target
 
     def test_zero_biases(self):
-        params = init_cnn(seed=2)
+        params = CnnParams(seed=2)
         for layer in params.weighted_layers():
             assert not layer.b.any()
 
     def test_side_14_network(self):
-        params = init_cnn(seed=0, side=14)
+        params = CnnParams(seed=0, side=14)
         assert params.side == 14
         x = np.random.default_rng(0).random((3, 1, 14, 14))
         assert nn.forward(params.layers, x).shape == (3, 10)
         assert params.weighted_layers()[3].W.shape == (64 * 1 * 1, 100)
 
     def test_same_seed_identical(self):
-        a, b = init_cnn(seed=3), init_cnn(seed=3)
+        a, b = CnnParams(seed=3), CnnParams(seed=3)
         for la, lb in zip(a.weighted_layers(), b.weighted_layers()):
             assert np.array_equal(la.W, lb.W)
 

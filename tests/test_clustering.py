@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,130 @@ class TestKmeansMatchesReference:
             assert np.array_equal(got, want)
         assert np.array_equal(counts, np.bincount(assign, minlength=3))
         assert assign.tolist() == [2, 0, 0, 0, 0, 1]
+
+
+# The Lloyd loop in its former (N, k) layout: a tall distance matrix, argmin
+# along rows and a gather for each point's own distance. kmeans now works
+# in (k, N) and must give the same bits for every k >= 2.
+def _nk_sq_dists(points, norms, centroids, out):
+    np.matmul(points, centroids.T, out=out)
+    out *= -2.0
+    out += norms[:, None]
+    out += (centroids**2).sum(axis=1)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _nk_kmeans(points, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
+    n = points.shape[0]
+    rows = np.arange(n)
+    norms = (points**2).sum(axis=1)
+    columns = np.ascontiguousarray(points.T)
+    d2 = np.empty((n, k))
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        centroids = _ref_plus_plus_init(points, k, rng)
+        inertia_history = []
+        for _ in range(max_iter):
+            _nk_sq_dists(points, norms, centroids, d2)
+            assign = d2.argmin(axis=1)
+            own = d2[rows, assign]
+            _ref_reseed_empty(points, centroids, assign, own, k)
+            counts = np.bincount(assign, minlength=k)
+            inertia_history.append(float(own.sum()))
+            sums = np.stack([np.bincount(assign, weights=c, minlength=k) for c in columns], axis=1)
+            new_centroids = centroids.copy()
+            np.divide(sums, counts[:, None], out=new_centroids, where=counts[:, None] > 0)
+            shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+            centroids = new_centroids
+            if shift < tol:
+                break
+        _nk_sq_dists(points, norms, centroids, d2)
+        assign = d2.argmin(axis=1).astype(np.int64)
+        own = d2[rows, assign]
+        inertia_history.append(float(own.sum()))
+        model = ClusterModel(
+            k=k, centroids=centroids, assignment=assign, distance=np.sqrt(own),
+            inertia_history=inertia_history,
+        )
+        if best is None or model.inertia_history[-1] < best.inertia_history[-1]:
+            best = model
+    best.seed = seed
+    return best
+
+
+def _grid_points(seed, n, dim, levels):
+    """Points on a small integer grid: many duplicates and exact distance ties."""
+    return np.random.default_rng(seed).integers(0, levels, size=(n, dim)).astype(np.float64)
+
+
+class TestKmeansMatchesNkLayout:
+    CASES = [
+        ("planted-1", lambda: _planted(1), 10, 1, {}),
+        ("planted-4-1d", lambda: _planted(4, n=2000, k=4, dim=1), 4, 4, {}),
+        ("random-300-k2", lambda: np.random.default_rng(5).normal(size=(300, 3)), 2, 5, {}),
+        ("grid-ties", lambda: _grid_points(6, 400, 2, 3), 5, 6, {}),
+        ("grid-ties-1d", lambda: _grid_points(7, 300, 1, 4), 3, 7, dict(tol=0.0, max_iter=20)),
+        ("duplicates-reseed", lambda: np.array([[0.0, 0.0]] * 10 + [[5.0, 5.0]] * 2), 3, 0, {}),
+        # more clusters than distinct points: chained empty-cluster reseeds,
+        # and k > 255, where the tie weights need a wider dtype than uint8
+        ("k300-grid", lambda: _grid_points(8, 600, 2, 4), 300, 8, dict(n_init=2)),
+        ("k300-random", lambda: np.random.default_rng(9).random((600, 3)), 300, 9, dict(n_init=2)),
+    ]
+
+    @pytest.mark.parametrize("name,points,k,seed,kw", CASES, ids=[c[0] for c in CASES])
+    def test_bitwise_equal(self, name, points, k, seed, kw):
+        points = points()
+        _assert_bitwise_equal(kmeans(points, k=k, seed=seed, **kw), _nk_kmeans(points, k, seed, **kw))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_cluster_within_rounding(self, seed):
+        # k = 1 makes the (1, N) product a vector-matrix product, which may
+        # round differently in the last bits
+        points = np.random.default_rng(seed).normal(size=(500, 1 + seed)) * 10.0**seed
+        got, want = kmeans(points, k=1, seed=seed), _nk_kmeans(points, 1, seed)
+        assert got.assignment.dtype == want.assignment.dtype == np.int64
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.abs(got.distance - want.distance).max() <= 1e-12 * want.distance.max()
+
+    @pytest.mark.parametrize("k,levels", [(3, 2), (12, 3), (300, 3)])
+    def test_nearest_ties_to_lowest_index(self, k, levels):
+        # integer points and centroids tie exactly and often
+        points = _grid_points(k, 500, 2, levels)
+        centroids = _grid_points(k + 1, k, 2, levels)
+        norms = (points**2).sum(axis=1)
+        assign, own = clu._nearest(
+            np.ascontiguousarray(points.T), norms, centroids, np.empty((k, len(points)))
+        )
+        d2 = _nk_sq_dists(points, norms, centroids, np.empty((len(points), k)))
+        assert assign.dtype == np.int64
+        assert np.array_equal(assign, d2.argmin(axis=1))
+        assert own.tobytes() == d2.min(axis=1).tobytes()
+
+
+class TestKmeansRefusesNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_names_the_first_bad_row(self, rng, bad):
+        points = rng.random((20, 3))
+        points[7, 1] = bad
+        points[12, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused without a RuntimeWarning first
+            with pytest.raises(ValueError, match="embedding row 7 "):
+                kmeans(points, k=3)
+
+    def test_four_times_the_squared_norm_must_be_finite(self):
+        big = np.sqrt(np.finfo(np.float64).max)
+        points = np.zeros((4, 1))
+        points[2] = big / 1.9  # ||x||^2 finite, 4 ||x||^2 not
+        with pytest.raises(ValueError, match="embedding row 2 "):
+            kmeans(points, k=2)
+        points[2] = big / 2.1  # inside the envelope
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = kmeans(points, k=2, seed=0)
+        assert np.isfinite(model.distance).all()
+        assert model.assignment.tolist() in ([0, 0, 1, 0], [1, 1, 0, 1])
 
 
 class TestPurity:

@@ -645,9 +645,13 @@ class TestLabelFreedomAudit:
         clu._kmeans_single,
         clu._plus_plus_init,
         clu._reseed_empty,
+        clu._nearest,
         asg.build_batch_system,
         asg.solve_batch,
         asg.solve_corpus,
+        asg._independent_batches,
+        asg._rank_mod_p,
+        asg._inverse_mod_p,
         inf.init_labels,
         inf.images_within_radius,
         inf._ByCluster,
@@ -657,7 +661,6 @@ class TestLabelFreedomAudit:
         inf.LabelState.counts,
         inf.infer_correct_labels,
         inf.run_inference,
-        clf.init_cnn,
         clf.train_cnn,
         clf.classify,
         pl.run_pipeline,
