@@ -21,6 +21,8 @@ from .dataset import decode, grid_sums
 from .errors import DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
+BATCH = 32  # images per training step, and per classification chunk
+
 
 class CnnParams:
     """The network's layers: He-initialized weights (fan-in scaling), zero biases."""
@@ -75,7 +77,7 @@ def _as_batch(images, side, dtype):
     return x.astype(dtype)
 
 
-def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batch_size=32):
+def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batch_size=BATCH):
     """SGD (lr 0.01, momentum 0.9) on softmax cross entropy.
 
     Mini-batches reshuffled each epoch from `seed`; epochs=0 leaves the
@@ -105,13 +107,18 @@ def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batc
     return params
 
 
-def classify(params, images, chunk=128):
+def classify(params, images, chunk=BATCH):
     """Predicted digit and softmax probabilities per image of `images`,
     pixels as a store holds them.
 
-    Each chunk is decoded and cast on its own, and the forward pass keeps
-    no backward cache, so classify holds one chunk's input and activations
-    at a time.
+    Images run in chunks of the training batch. Each chunk is decoded and
+    cast on its own, and the forward pass keeps no backward cache, so
+    classify holds one chunk's input and activations at a time: never more
+    than a training step does. A row's arithmetic does not depend on how
+    many rows share its chunk, with one exception: BLAS may take a
+    small-matrix path for a chunk of 8 rows or fewer, so a last chunk of
+    1-8 images can differ in the last bits of `probs` from the same images
+    inside a larger chunk.
     """
     dtype = params.weighted_layers()[0].W.dtype.type
     images = np.asarray(images)

@@ -75,6 +75,16 @@ def _sq_dists(product, point_norms, centroid_norms):
     return np.maximum(product, 0.0, out=product)
 
 
+def _weighted_draw(weights, total, rng, cdf):
+    """rng.choice(len(weights), p=weights / total): the same index, and the
+    same generator state after it, without choice's checks of p and second
+    sum of it. Like choice, it normalises the cdf of p by its last entry and
+    searches it for one uniform draw. `cdf` is a scratch buffer."""
+    np.cumsum(np.divide(weights, total, out=cdf), out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _plus_plus_init(points, norms, k, rng):
     # One centroid's distances stay an (N, 1) product: as (1, N) they are a
     # vector-matrix product whose last bits differ, and those bits set the
@@ -83,12 +93,13 @@ def _plus_plus_init(points, norms, k, rng):
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     closest = np.full(n, np.inf)
     col = np.empty((n, 1))
+    cdf = np.empty(n)
     for i in range(k):
         total = closest.sum()
         if i == 0 or total <= 0:
             idx = int(rng.integers(n))  # the first seed, or all points coincide with one
         else:
-            idx = int(rng.choice(n, p=closest / total))
+            idx = _weighted_draw(closest, total, rng, cdf)
         centroids[i] = points[idx]
         c = centroids[i : i + 1]
         _sq_dists(np.matmul(points, c.T, out=col), norms[:, None], (c**2).sum(axis=1))

@@ -270,13 +270,14 @@ def normalize_unit(store):
 
 def save_corpus(corpus, path):
     """Line-delimited records: `w h s id_11 ... id_hw` (row-major ids)."""
-    shape = f"{corpus.w} {corpus.h}"
-    cells = corpus.grids.reshape(len(corpus), corpus.h * corpus.w).tolist()
-    lines = [
-        f"{shape} {s} {' '.join(map(str, ids))}\n" for s, ids in zip(corpus.sums.tolist(), cells)
-    ]
+    n, cells = len(corpus), corpus.h * corpus.w
+    table = np.empty((n, 1 + cells), dtype=np.int64)  # sum, then the ids
+    table[:, 0] = corpus.sums
+    table[:, 1:] = corpus.grids.reshape(n, cells)
+    # a grid with no cells keeps the space that would precede its first id
+    line = f"{corpus.w} {corpus.h} %d" + " %d" * cells + ("" if cells else " ") + "\n"
     with atomic_write(path, "w", encoding="utf-8") as f:
-        f.write("".join(lines))
+        f.write((line * n) % tuple(table.ravel().tolist()))
 
 
 def load_corpus(path):

@@ -3,7 +3,9 @@
 Everything is plain numpy. Layers cache what they need on forward and fill
 their grad buffers on backward; SGDMomentum updates parameters in place.
 `forward(x, cache=False)` runs the same arithmetic but keeps no backward
-cache (and drops any older one), for inference-only passes.
+cache (and drops any older one), for inference-only passes. A Conv2d
+forward pass drops the previous pass's im2col matrix before it builds the
+next, so a layer never holds two at once.
 `nn.backward` fills the parameter gradients and returns nothing: no caller
 reads the gradient w.r.t. the network input, so the first weighted layer is
 called with `input_grad=False` and skips its input-gradient product, and
@@ -111,6 +113,7 @@ class Conv2d:
         xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
         b_, h, w, c = xl.shape
         ho, wo = h - kh + 1, w - kw + 1
+        self._cols = None
         if c > 1:
             windows = sliding_window_view(xl, (kh, kw), axis=(1, 2))  # (B, Ho, Wo, C, kh, kw)
             cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -469,6 +471,71 @@ class TestClassify:
         nn.forward(params.layers, images.reshape(5, 1, 14, 14))  # a training-style pass
         classify(params, images)  # drops the cache that pass left
         assert all(getattr(l, name, None) is None for l in params.layers for name in caches)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes fn(*args, **kwargs) allocates at its peak, above what was
+    allocated when it was called (tracemalloc; numpy traces its buffers)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_classify_peak_does_not_grow_with_images(self):
+        params = CnnParams(seed=12, dtype=np.float32)
+        pixels = np.random.default_rng(12).integers(0, 256, (640, 28 * 28), dtype=np.uint8)
+        small, large = (traced_peak(classify, params, pixels[:n]) for n in (64, 640))
+        assert abs(large - small) < 0.1 * small
+
+    def test_classify_peak_below_a_training_step(self):
+        u8, _ = uint8_store_pair(4 * clf.BATCH, 28 * 28, seed=13)
+        params = CnnParams(seed=13, dtype=np.float32)
+        batch = u8.subset(np.arange(clf.BATCH))
+        step = traced_peak(train_cnn, params, batch, batch.evaluation_labels(), epochs=1)
+        assert traced_peak(classify, params, u8.images) < step
+
+    def test_conv_forward_holds_one_column_matrix(self):
+        rng = np.random.default_rng(14)
+        conv = nn.Conv2d(64, 64, (3, 3), rng, dtype=np.float32)
+        x = rng.random((clf.BATCH, 64, 11, 11)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv.forward(x)
+            out_bytes, cols_bytes = out.nbytes, conv._cols.nbytes
+            del out
+            tracemalloc.reset_peak()
+            conv.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cols_bytes == clf.BATCH * 9 * 9 * 9 * 64 * 4
+        assert peak < 1.5 * cols_bytes + out_bytes
+
+
+class TestChunking:
+    @pytest.mark.parametrize("n", [400, 500, 1000])
+    def test_training_batch_chunks_match_chunks_of_128(self, n):
+        params = CnnParams(seed=15, dtype=np.float32)
+        pixels = np.random.default_rng(n).integers(0, 256, (n, 28 * 28), dtype=np.uint8)
+        preds, probs = classify(params, pixels)
+        preds_128, probs_128 = classify(params, pixels, chunk=128)
+        assert np.array_equal(preds, preds_128)
+        # BLAS may round a chunk of <= 8 rows differently: such a last
+        # chunk, under either chunking, is compared within rounding. A few
+        # float32 ulps in the logits move a probability by up to about 3e-6
+        # relative (seen at three seeds on 1,000 images), hence 1e-5.
+        short = np.zeros(n, dtype=bool)
+        for chunk in (clf.BATCH, 128):
+            if n % chunk <= 8:
+                short[n - n % chunk :] = True
+        assert same_bits(probs[~short], probs_128[~short])
+        assert np.allclose(probs[short], probs_128[short], rtol=1e-5, atol=0.0)
 
 
 class TestEval:

@@ -323,6 +323,26 @@ class TestKmeansMatchesNkLayout:
         assert own.tobytes() == d2.min(axis=1).tobytes()
 
 
+class TestWeightedDraw:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_generator_choice(self, seed):
+        # squared distances: many exact zeros (points on a centroid), a
+        # spread of magnitudes, zeros at either end of the vector
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 2_000))
+        weights = rng.random(n) ** 4 * 10.0 ** rng.integers(-6, 6, n)
+        weights[rng.random(n) < 0.4] = 0.0
+        weights[: seed % 3] = 0.0
+        weights[int(rng.integers(n))] = 1.0 + seed  # at least one positive weight
+        total = weights.sum()
+        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            got = clu._weighted_draw(weights, total, ours, np.empty(n))
+            assert got == int(numpy.choice(n, p=weights / total))
+            assert weights[got] > 0
+        assert ours.random() == numpy.random()
+
+
 class TestKmeansRefusesNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_names_the_first_bad_row(self, rng, bad):
