@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .dataset import decode, grid_sums
-from .errors import DivergenceError
+from .errors import ConsistencyError, DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
 BATCH = 32  # images per training step, and per classification chunk
@@ -134,7 +134,7 @@ def evaluate(params, test_corpus, test_store):
     """cls_acc and add_acc from a single classify pass over the test store."""
     preds, _ = classify(params, test_store.images)
     return {
-        "cls_acc": _classification_accuracy(preds, test_store),
+        "cls_acc": label_accuracy(preds, test_store),
         "add_acc": _addition_accuracy(preds, test_corpus),
     }
 
@@ -142,7 +142,7 @@ def evaluate(params, test_corpus, test_store):
 def eval_classification(params, test_store):
     """Fraction of test images whose argmax matches the true label."""
     preds, _ = classify(params, test_store.images)
-    return _classification_accuracy(preds, test_store)
+    return label_accuracy(preds, test_store)
 
 
 def eval_addition(params, test_corpus, test_store):
@@ -151,8 +151,13 @@ def eval_addition(params, test_corpus, test_store):
     return _addition_accuracy(preds, test_corpus)
 
 
-def _classification_accuracy(preds, test_store):
-    return float((preds == test_store.evaluation_labels()).mean())
+def label_accuracy(labels, store):
+    """Fraction of the store's images whose label is their true digit."""
+    labels = np.asarray(labels)
+    truth = store.evaluation_labels()
+    if labels.shape[0] != truth.shape[0]:
+        raise ConsistencyError(f"{labels.shape[0]} labels for {truth.shape[0]} images")
+    return float((labels == truth).mean())
 
 
 def _addition_accuracy(preds, test_corpus):

@@ -28,11 +28,28 @@ def _out_path(path):
     return path
 
 
+def _data_dir(data_dir, alternative):
+    """--data, else $SUMLEARN_DATA_DIR. With neither, a usage error that
+    also names the command's `alternative` source of images."""
+    data_dir = data_dir or os.environ.get(DATA_DIR_ENV)
+    if not data_dir:
+        raise click.UsageError(f"no data source: pass --data or {alternative}, or set {DATA_DIR_ENV}")
+    return data_dir
+
+
 def _store(store_path, data_dir, split):
     """A store file from generate-data, else the split's IDX files."""
     if store_path:
         return ds.load_store(store_path)
-    return pl.idx_store(data_dir or os.environ.get(DATA_DIR_ENV), split)
+    return pl.idx_store(_data_dir(data_dir, "--store"), split)
+
+
+def _int_list(ctx, param, value):
+    """A comma-separated option value as a list of ints."""
+    try:
+        return [int(item) for item in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
 
 
 @click.group()
@@ -77,8 +94,8 @@ def _build_config(config_file, **kwargs):
         if key == "synthetic" and not value:
             continue  # absent flag should not clobber a config-file choice
         base[rename.get(key, key)] = value
-    if not base.get("synthetic") and not base.get("data_dir"):
-        base["data_dir"] = os.environ.get(DATA_DIR_ENV)
+    if not base.get("synthetic"):
+        base["data_dir"] = _data_dir(base.get("data_dir"), "--synthetic")
     try:
         return RunConfig.from_json(base)
     except ValueError as exc:
@@ -102,16 +119,16 @@ def run(config_file, **kwargs):
 
 
 @main.command("sweep")
-@click.option("--w-list", default="1,2,4,8", show_default=True, help="comma-separated widths")
-@click.option("--h-list", default="2,4", show_default=True, help="comma-separated heights")
+@click.option("--w-list", default="1,2,4,8", show_default=True, callback=_int_list, help="comma-separated widths")
+@click.option("--h-list", default="2,4", show_default=True, callback=_int_list, help="comma-separated heights")
 @click.option("--csv", "csv_path", type=click.Path(), default="sweep.csv", show_default=True)
 @_config_options
 def sweep_cmd(w_list, h_list, csv_path, config_file, **kwargs):
     """Run a grid of w x h configs into one CSV (shared encoder weights)."""
     configs = [
-        _build_config(config_file, **{**kwargs, "w": int(w), "h": int(h)})
-        for h in h_list.split(",")
-        for w in w_list.split(",")
+        _build_config(config_file, **{**kwargs, "w": w, "h": h})
+        for h in h_list
+        for w in w_list
     ]
     reports = sweep(configs, csv_path)
     failed = sum(1 for r in reports if r.failure)
@@ -138,7 +155,7 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
     """
     config = RunConfig(
         w=w, h=h, oversample_factor=factor, seed=seed,
-        data_dir=data_dir or os.environ.get(DATA_DIR_ENV), synthetic=synthetic,
+        data_dir=None if synthetic else _data_dir(data_dir, "--synthetic"), synthetic=synthetic,
         synthetic_images=n_images, synthetic_clusters=n_clusters,
         synthetic_separation=separation, synthetic_dim=dim,
     )

@@ -10,8 +10,6 @@ scatter matrix is computed in integers for up to 2^24 images, and a larger
 uint8 store is refused. A float64 store's covariance is a float64 sum.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
@@ -23,14 +21,6 @@ ENCODER_WIDTHS = (784, 500, 500, 2000, 10)
 PCA_BLOCK = 4096  # rows per PCA block: the chunk `encode` uses
 EXACT_ROWS = 1024  # rows per float32 Gram block: 1024 * 128^2 = 2^24 stays exact
 EXACT_MAX_ROWS = 1 << 24  # images the int64 scatter n G - S S^T holds without overflow
-
-
-@dataclass
-class TrainingHyper:
-    learning_rate: float = 1e-3
-    momentum: float = 0.9
-    batch_size: int = 256
-    dtype: str = "float32"
 
 
 class AutoencoderParams:
@@ -89,33 +79,30 @@ class AutoencoderParams:
         return params
 
 
-def train_autoencoder(store, epochs, seed=0, hyper=None, widths=None):
-    """Minimize mean-squared reconstruction error with mini-batch SGD.
+def train_autoencoder(params, store, epochs, seed=0, lr=1e-3, momentum=0.9, batch_size=256):
+    """Minimize mean-squared reconstruction error with mini-batch SGD
+    (lr 1e-3, momentum 0.9), in the dtype of `params`.
 
-    Deterministic given (store, epochs, seed, hyper): parameter init and
-    the per-epoch shuffles all derive from `seed`. epochs=0 returns the
-    freshly initialized parameters untouched.
+    The per-epoch shuffles derive from `seed`, on a stream advanced past
+    the draws that `AutoencoderParams(seed=seed)` makes; epochs=0 leaves
+    the parameters untouched.
     """
-    hyper = hyper or TrainingHyper()
-    dtype = np.dtype(hyper.dtype).type
-    if widths is None:
-        widths = (store.dim,) + ENCODER_WIDTHS[1:]
-    params = AutoencoderParams(widths=widths, seed=seed, dtype=dtype)
     if epochs <= 0:
         return params
 
+    dtype = params.encoder[0].W.dtype.type
     layers = params.layers
-    opt = nn.SGDMomentum(layers, lr=hyper.learning_rate, momentum=hyper.momentum)
+    opt = nn.SGDMomentum(layers, lr=lr, momentum=momentum)
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(1 << 20)  # decouple shuffles from init draws
     n = len(store)
-    bs = hyper.batch_size
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, bs):
-            batch = decode(store.images[order[start : start + bs]]).astype(dtype, copy=False)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            batch = decode(store.images[idx]).astype(dtype, copy=False)
             recon = nn.forward(layers, batch)
             loss, grad = nn.mse(recon, batch)
             if not np.isfinite(loss):
@@ -128,28 +115,19 @@ def train_autoencoder(store, epochs, seed=0, hyper=None, widths=None):
     return params
 
 
-def encode(params, store, chunk=4096):
-    """Forward pass through the encoder half only. Pure and deterministic."""
+def encode(params, store):
+    """Forward pass through the encoder half only, PCA_BLOCK rows at a
+    time. Pure and deterministic."""
     if store.dim != params.widths[0]:
         raise ValueError(
             f"encoder expects dim {params.widths[0]}, store has {store.dim}"
         )
     dtype = params.encoder[0].W.dtype
     out = np.empty((len(store), params.widths[-1]), dtype=np.float64)
-    for start in range(0, len(store), chunk):
-        x = decode(store.images[start : start + chunk]).astype(dtype, copy=False)
+    for start in range(0, len(store), PCA_BLOCK):
+        x = decode(store.images[start : start + PCA_BLOCK]).astype(dtype, copy=False)
         out[start : start + x.shape[0]] = nn.forward(params.encoder, x, cache=False)
     return out
-
-
-def reconstruction_loss(params, store, chunk=4096):
-    dtype = params.encoder[0].W.dtype
-    total = 0.0
-    for start in range(0, len(store), chunk):
-        x = decode(store.images[start : start + chunk]).astype(dtype, copy=False)
-        recon = nn.forward(params.layers, x, cache=False)
-        total += float(((recon - x) ** 2).mean()) * x.shape[0]
-    return total / len(store)
 
 
 def _centred_blocks(store, centre):

@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import distance_percentiles
-from .dataset import check_image_ids, grid_cells, place_value
+from .dataset import check_image_ids, grid_cells
 from .tensorfile import save_int64, save_json
 
-PROV_CLUSTER = 0
+PROV_CLUSTER = 0  # the cluster's digit, untrusted; every other tag is trusted
 PROV_RADIUS = 1
 PROV_INFERRED = 2
 
-_PROV_NAMES = {PROV_CLUSTER: "cluster", PROV_RADIUS: "radius", PROV_INFERRED: "inferred"}
+PROVENANCES = ("cluster", "radius", "inferred")  # indexed by tag
 
 RADII = (1, 2, 3, 4, 5)  # radius r trusts each cluster's (20 r)-percentile
 
@@ -43,14 +43,13 @@ RADII = (1, 2, 3, 4, 5)  # radius r trusts each cluster's (20 r)-percentile
 @dataclass
 class LabelState:
     labels: np.ndarray  # (N,) int64 digits
-    correct: np.ndarray  # (N,) bool, the trusted set
-    provenance: np.ndarray  # (N,) int8, PROV_* tags
+    provenance: np.ndarray  # (N,) int8, PROV_* tags; trusted unless PROV_CLUSTER
     inconsistent_examples: set = field(default_factory=set)
     radii: list = field(default_factory=list)  # one record per radius run_inference ran
 
     def counts(self):
-        out = {name: int((self.provenance == tag).sum()) for tag, name in _PROV_NAMES.items()}
-        out["correct"] = int(self.correct.sum())
+        out = {name: int((self.provenance == tag).sum()) for tag, name in enumerate(PROVENANCES)}
+        out["correct"] = len(self.provenance) - out["cluster"]  # the trusted images
         out["inconsistent_examples"] = len(self.inconsistent_examples)
         out["inference_radii"] = list(self.radii)
         return out
@@ -63,11 +62,9 @@ def init_labels(model, assignment):
         raise ValueError(
             f"assignment covers {digits.shape[0]} clusters, model has {model.k}"
         )
-    n = len(model)
     return LabelState(
         labels=digits[model.assignment],
-        correct=np.zeros(n, dtype=bool),
-        provenance=np.full(n, PROV_CLUSTER, dtype=np.int8),
+        provenance=np.full(len(model), PROV_CLUSTER, dtype=np.int8),
     )
 
 
@@ -108,28 +105,6 @@ def _forced_digit(numerator, weight):
     return digit if remainder == 0 and 0 <= digit <= 9 else None
 
 
-def resolve_image_label(state, corpus, e, img):
-    """Digit forced on `img` by example e's sum, or None on inconsistency.
-
-    All other images of the example must already be trusted. If the image
-    occupies several cells (duplicated ids), the divisor is the sum of its
-    positional weights. Non-integer or out-of-range results are recorded in
-    state.inconsistent_examples instead of being clamped.
-    """
-    ids = corpus.grids[e].ravel()
-    unresolved = np.unique(ids[~state.correct[ids]])
-    if unresolved.size != 1 or unresolved[0] != img:
-        raise ValueError(f"image {img} is not the sole unresolved image")
-
-    weights = place_value(corpus.w, np.arange(ids.size) % corpus.w)
-    own = ids == img
-    rest = int((state.labels[ids[~own]] * weights[~own]).sum())
-    digit = _forced_digit(int(corpus.sums[e]) - rest, int(weights[own].sum()))
-    if digit is None:
-        state.inconsistent_examples.add(e)
-    return digit
-
-
 class _Propagation:
     """The corpus index, the per-example counters and the pass queue."""
 
@@ -151,7 +126,7 @@ class _Propagation:
         """Count every example afresh from state; the next pass visits every
         example with exactly one untrusted image."""
         n = len(self.sums)
-        untrusted = ~state.correct[self.pair_img]
+        untrusted = state.provenance[self.pair_img] == PROV_CLUSTER
 
         def per_example(mask, values):
             out = np.zeros(n, dtype=np.int64)
@@ -180,7 +155,6 @@ class _Propagation:
                 continue
             img = id_sum[e]
             state.labels[img] = digit
-            state.correct[img] = True
             state.provenance[img] = PROV_INFERRED
             changed = True
             for k in range(self.start[img], self.start[img + 1]):
@@ -226,9 +200,8 @@ def run_inference(state, corpus, model, radii=RADII):
     propagation = _Propagation(corpus, state.labels.shape[0])
     for radius in radii:
         ids = images_within_radius(model, radius)
-        fresh = ids[~state.correct[ids]]
+        fresh = ids[state.provenance[ids] == PROV_CLUSTER]
         state.provenance[fresh] = PROV_RADIUS
-        state.correct[fresh] = True
         inferred = int((state.provenance == PROV_INFERRED).sum())
         inconsistent = len(state.inconsistent_examples)
         propagation.restart(state)

@@ -5,7 +5,8 @@ their grad buffers on backward; SGDMomentum updates parameters in place.
 `forward(x, cache=False)` runs the same arithmetic but keeps no backward
 cache (and drops any older one), for inference-only passes. A Conv2d
 forward pass drops the previous pass's im2col matrix before it builds the
-next, so a layer never holds two at once.
+next, so a layer never holds two at once, and its backward pass drops the
+matrix once dW is formed, so each forward pass serves one backward pass.
 `nn.backward` fills the parameter gradients and returns nothing: no caller
 reads the gradient w.r.t. the network input, so the first weighted layer is
 called with `input_grad=False` and skips its input-gradient product, and
@@ -135,6 +136,7 @@ class Conv2d:
         b_, ho, wo = grad.shape[0], grad.shape[2], grad.shape[3]
         g = grad.transpose(0, 2, 3, 1).reshape(-1, f)  # (B*Ho*Wo, F)
         self.dW[...] = (self._cols.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
+        self._cols = None  # spent; freed before the input-gradient slabs are built
         self.db[...] = g.sum(axis=0)
         if not input_grad:
             return None

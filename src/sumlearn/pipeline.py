@@ -32,7 +32,6 @@ from . import clustering as clu
 from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
-from .errors import ConsistencyError
 from .tensorfile import json_int, load_int64, peek_meta, save_int64, save_json
 
 SWEEP_COLUMNS = [
@@ -216,15 +215,6 @@ class RunReport:
         return [fmt(values.get(name)) for name in SWEEP_COLUMNS]
 
 
-def label_accuracy(labels, store):
-    """Fraction of images whose assigned label matches the true digit."""
-    labels = np.asarray(labels)
-    truth = store.evaluation_labels()
-    if labels.shape[0] != truth.shape[0]:
-        raise ConsistencyError(f"{labels.shape[0]} labels for {truth.shape[0]} images")
-    return float((labels == truth).mean())
-
-
 # -- data resolution ---------------------------------------------------------
 
 _IDX_NAMES = {
@@ -323,7 +313,8 @@ def embed_store(config, store, path, key=None):
         params = cached(
             path.with_name("autoencoder.tf"), key, emb.AutoencoderParams.load,
             lambda: emb.train_autoencoder(
-                store, config.autoencoder_epochs, seed=config.seed, widths=widths
+                emb.AutoencoderParams(widths=widths, seed=config.seed, dtype=np.float32),
+                store, config.autoencoder_epochs, seed=config.seed,
             ),
             emb.AutoencoderParams.save,
         )
@@ -359,9 +350,6 @@ def train_classifier(config, store, labels):
 
 # -- the run ----------------------------------------------------------------
 
-_PROVENANCES = ("cluster", "radius", "inferred")  # every image has one
-
-
 def _save_labels(value, path, meta):
     labels, summary = value
     inf.save_labels(labels, {**summary, **meta}, path.with_name("labels.bin"), path)
@@ -374,7 +362,7 @@ def _load_labels(path):
     json_int(summary, "inconsistent_examples")  # the report reads it
     labels = load_int64(path.with_name("labels.bin"))
     # a truncated labels.bin keeps its key; resume only one label per image
-    n_images = sum(json_int(summary, name) for name in _PROVENANCES)
+    n_images = sum(json_int(summary, name) for name in inf.PROVENANCES)
     if labels.shape[0] != n_images:
         raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
     return labels, summary
@@ -384,13 +372,13 @@ def _evaluate(store, test_store, test_corpus, model, assignment, initial_labels,
     """The report's metrics: the one stage that reads ground truth."""
     return {
         "purity": clu.purity(model, store.evaluation_labels()),
-        "label_acc_pre": label_accuracy(initial_labels, store),
-        "label_acc_post": label_accuracy(labels, store),
+        "label_acc_pre": clf.label_accuracy(initial_labels, store),
+        "label_acc_post": clf.label_accuracy(labels, store),
         "objective": int(assignment.objective),
         "satisfied": int(assignment.satisfied_count),
         "batch_index": int(assignment.batch_index),
         "inconsistent_examples": int(summary["inconsistent_examples"]),
-        "provenance_counts": {name: int(summary[name]) for name in _PROVENANCES},
+        "provenance_counts": {name: int(summary[name]) for name in inf.PROVENANCES},
         "inference_radii": summary["inference_radii"],
         **clf.evaluate(cnn, test_corpus, test_store),
     }

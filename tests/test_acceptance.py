@@ -135,11 +135,7 @@ def perturbed_single_error_instance(seed):
         assignment=np.zeros(n, dtype=np.int64),
         distance=distance,
     )
-    state = LabelState(
-        labels=store_labels,
-        correct=np.zeros(n, dtype=bool),
-        provenance=np.full(n, PROV_CLUSTER, dtype=np.int8),
-    )
+    state = LabelState(labels=store_labels, provenance=np.full(n, PROV_CLUSTER, dtype=np.int8))
     return truth, Corpus(grids, np.array(sums, dtype=np.int64)), model, state
 
 

@@ -110,6 +110,7 @@ class TestBackward:
         del first.backward
         skipped = [g.copy() for _, g in nn.parameters(layers)]
 
+        nn.forward(layers, x)  # a backward pass spends its forward pass's cache
         assert full_backward(layers, grad).shape == x.shape
         for ours, (_, full) in zip(skipped, nn.parameters(layers)):
             assert same_bits(ours, full)
@@ -516,6 +517,26 @@ class TestMemory:
             tracemalloc.stop()
         assert cols_bytes == clf.BATCH * 9 * 9 * 9 * 64 * 4
         assert peak < 1.5 * cols_bytes + out_bytes
+
+    def test_conv_backward_frees_the_column_matrix_before_the_slabs(self):
+        # conv3 at the training batch: the input gradient's slabs are as
+        # large as the im2col matrix, and the two are never held together
+        rng = np.random.default_rng(16)
+        conv = nn.Conv2d(64, 64, (3, 3), rng, dtype=np.float32)
+        x = rng.random((clf.BATCH, 64, 11, 11)).astype(np.float32)
+        grad = rng.random((clf.BATCH, 64, 9, 9)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            conv.forward(x)  # its output is dropped at once
+            cols_bytes = conv._cols.nbytes
+            tracemalloc.reset_peak()
+            conv.backward(grad)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert conv._cols is None
+        assert peak < 1.5 * cols_bytes
 
 
 class TestChunking:

@@ -317,6 +317,39 @@ class TestRunCommand:
         assert report["config"]["data_dir"] == str(tmp_path / "from-env")
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args, alternative",
+        [
+            (["embed", "--backend", "pca"], "--store"),
+            (["train", "--labels", "{labels}"], "--store"),
+            (["evaluate", "--cnn", "{labels}"], "--store"),
+            (["generate-data"], "--synthetic"),
+            (["run"], "--synthetic"),
+            (["sweep", "--w-list", "1"], "--synthetic"),
+        ],
+        ids=["embed", "train", "evaluate", "generate-data", "run", "sweep"],
+    )
+    def test_no_data_source(self, tmp_path, args, alternative):
+        labels = tmp_path / "labels.bin"
+        labels.write_bytes(b"")
+        out = ["--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r")]
+        args = [arg.format(labels=labels) for arg in args] + (out if args[0] in ("run", "sweep") else [])
+        r = run_cli(*args, env={"SUMLEARN_DATA_DIR": None})
+        assert r.exit_code == 2, r.output
+        for name in ("--data", alternative, "SUMLEARN_DATA_DIR"):
+            assert name in r.output
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("option", ["--w-list", "--h-list"])
+    def test_sweep_list_not_integers(self, tmp_path, option):
+        r = run_cli("sweep", option, "1,x", "--synthetic", "--csv", str(tmp_path / "sweep.csv"))
+        assert r.exit_code == 2
+        assert f"Invalid value for '{option}'" in r.output
+        assert "'1,x'" in r.output
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path):
         r = run_cli(

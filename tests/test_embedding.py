@@ -11,12 +11,10 @@ from sumlearn.embedding import (
     EXACT_ROWS,
     PCA_BLOCK,
     AutoencoderParams,
-    TrainingHyper,
     _exact_scatter,
     _pca_fit,
     encode,
     pca_embed,
-    reconstruction_loss,
     train_autoencoder,
 )
 from sumlearn.errors import DivergenceError
@@ -24,7 +22,16 @@ from sumlearn.errors import DivergenceError
 from conftest import uint8_store_pair, write_idx_pair
 
 TOY_WIDTHS = (8, 6, 4, 3)
-F64 = TrainingHyper(dtype="float64")
+
+
+def toy_params(seed, dtype=np.float32):
+    return AutoencoderParams(widths=TOY_WIDTHS, seed=seed, dtype=dtype)
+
+
+def reconstruction_loss(params, store):
+    """Mean squared error of the whole network's reconstruction of the store."""
+    x = decode(store.images).astype(params.encoder[0].W.dtype, copy=False)
+    return float(((nn.forward(params.layers, x, cache=False) - x) ** 2).mean())
 
 
 def toy_store(n=5, dim=8, seed=0):
@@ -72,40 +79,38 @@ class TestGradients:
 class TestTrainAutoencoder:
     def test_zero_epochs_is_noop(self):
         store = toy_store()
-        trained = train_autoencoder(store, epochs=0, seed=1, widths=TOY_WIDTHS)
-        fresh = AutoencoderParams(widths=TOY_WIDTHS, seed=1, dtype=np.float32)
-        assert reconstruction_loss(trained, store) == pytest.approx(
-            reconstruction_loss(fresh, store)
-        )
+        trained = train_autoencoder(toy_params(1), store, epochs=0, seed=1)
+        assert trained.epochs_trained == 0 and not trained.loss_history
+        assert reconstruction_loss(trained, store) == reconstruction_loss(toy_params(1), store)
 
     def test_loss_decreases(self):
         store = toy_store(n=64)
-        one = train_autoencoder(store, epochs=1, seed=4, widths=TOY_WIDTHS, hyper=F64)
-        many = train_autoencoder(store, epochs=40, seed=4, widths=TOY_WIDTHS, hyper=F64)
+        one = train_autoencoder(toy_params(4, np.float64), store, epochs=1, seed=4)
+        many = train_autoencoder(toy_params(4, np.float64), store, epochs=40, seed=4)
         assert reconstruction_loss(many, store) <= reconstruction_loss(one, store)
         assert many.loss_history[-1] <= many.loss_history[0]
 
     def test_overfits_single_image(self):
         rng = np.random.default_rng(9)
         store = ImageStore(rng.random((1, 8)), [0])
-        hyper = TrainingHyper(learning_rate=0.02, batch_size=1, dtype="float64")
-        params = train_autoencoder(store, epochs=3000, seed=2, widths=TOY_WIDTHS, hyper=hyper)
+        params = train_autoencoder(
+            toy_params(2, np.float64), store, epochs=3000, seed=2, lr=0.02, batch_size=1
+        )
         assert reconstruction_loss(params, store) < 1e-3
 
     def test_seed_determinism(self):
         store = toy_store(n=32)
-        a = train_autoencoder(store, epochs=5, seed=7, widths=TOY_WIDTHS)
-        b = train_autoencoder(store, epochs=5, seed=7, widths=TOY_WIDTHS)
+        a = train_autoencoder(toy_params(7), store, epochs=5, seed=7)
+        b = train_autoencoder(toy_params(7), store, epochs=5, seed=7)
         for la, lb in zip(a.dense_layers(), b.dense_layers()):
             assert np.array_equal(la.W, lb.W)
             assert np.array_equal(la.b, lb.b)
 
     def test_divergence_names_epoch(self):
         store = toy_store(n=32)
-        hyper = TrainingHyper(learning_rate=1e12, dtype="float32")  # overflow fast
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="epoch"):
-                train_autoencoder(store, epochs=5, seed=0, widths=TOY_WIDTHS, hyper=hyper)
+                train_autoencoder(toy_params(0), store, epochs=5, seed=0, lr=1e12)  # overflow fast
 
 
 class TestEncode:
@@ -136,7 +141,7 @@ class TestEncode:
 class TestParamsPersistence:
     def test_roundtrip(self, tmp_path):
         store = toy_store(n=16)
-        params = train_autoencoder(store, epochs=3, seed=8, widths=TOY_WIDTHS)
+        params = train_autoencoder(toy_params(8), store, epochs=3, seed=8)
         path = tmp_path / "ae.tf"
         params.save(path)
         loaded = AutoencoderParams.load(path)

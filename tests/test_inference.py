@@ -6,16 +6,16 @@ import pytest
 from sumlearn import inference as inf
 from sumlearn.assignment import DigitAssignment
 from sumlearn.clustering import distance_percentiles
-from sumlearn.dataset import build_corpus
+from sumlearn.dataset import build_corpus, place_value
 from sumlearn.tensorfile import load_int64
 from sumlearn.inference import (
     PROV_CLUSTER,
     PROV_INFERRED,
     PROV_RADIUS,
+    LabelState,
     images_within_radius,
     infer_correct_labels,
     init_labels,
-    resolve_image_label,
     run_inference,
     save_labels,
 )
@@ -23,18 +23,16 @@ from sumlearn.inference import (
 from conftest import corpus_from_grids, identity_model, planted_clustering, store_with_labels
 
 
-def make_state(labels, correct=None):
-    from sumlearn.inference import LabelState
-
+def make_state(labels, trusted=()):
+    """Labels from the clusters, with the `trusted` images tagged radius."""
     labels = np.asarray(labels, dtype=np.int64)
-    correct_arr = np.zeros(labels.shape[0], dtype=bool)
-    if correct is not None:
-        correct_arr[list(correct)] = True
-    return LabelState(
-        labels=labels,
-        correct=correct_arr,
-        provenance=np.full(labels.shape[0], PROV_CLUSTER, dtype=np.int8),
-    )
+    provenance = np.full(labels.shape[0], PROV_CLUSTER, dtype=np.int8)
+    provenance[list(trusted)] = PROV_RADIUS
+    return LabelState(labels=labels, provenance=provenance)
+
+
+def is_trusted(state):
+    return state.provenance != PROV_CLUSTER
 
 
 class TestInitLabels:
@@ -43,7 +41,7 @@ class TestInitLabels:
         digits = np.array([0, 0, 7])
         state = init_labels(model, DigitAssignment(digits=digits, objective=0))
         assert (state.labels == 7).all()
-        assert not state.correct.any()
+        assert not is_trusted(state).any()
         assert (state.provenance == PROV_CLUSTER).all()
 
     def test_composition_of_correct_maps(self, rng):
@@ -99,35 +97,35 @@ class TestImagesWithinRadius:
 class TestResolveImageLabel:
     def test_tens_place(self):
         corpus = corpus_from_grids([(np.array([[0, 1]]), 25)])
-        state = make_state([0, 5], correct=[1])
+        state = make_state([0, 5], trusted=[1])
         assert resolve_image_label(state, corpus, 0, 0) == 2
 
     def test_pair_sum(self):
         corpus = corpus_from_grids([(np.array([[0], [1]]), 9)])  # w=1, h=2
-        state = make_state([4, 0], correct=[0])
+        state = make_state([4, 0], trusted=[0])
         assert resolve_image_label(state, corpus, 0, 1) == 5
 
     def test_non_integer_quotient_is_inconsistent(self):
         corpus = corpus_from_grids([(np.array([[0, 1]]), 1)] * 4 + [(np.array([[0, 1]]), 25)])
-        state = make_state([0, 6], correct=[1])
+        state = make_state([0, 6], trusted=[1])
         assert resolve_image_label(state, corpus, 4, 0) is None
         assert state.inconsistent_examples == {4}
 
     def test_out_of_range_is_inconsistent(self):
         corpus = corpus_from_grids([(np.array([[0], [1]]), 3)])
-        state = make_state([9, 0], correct=[0])  # 3 - 9 < 0
+        state = make_state([9, 0], trusted=[0])  # 3 - 9 < 0
         assert resolve_image_label(state, corpus, 0, 1) is None
         assert 0 in state.inconsistent_examples
 
     def test_duplicated_image_resolves_via_weight_sum(self):
         # image 0 fills both cells: d * 11 = 88
         corpus = corpus_from_grids([(np.array([[0, 0]]), 88)])
-        state = make_state([0], correct=[])
+        state = make_state([0], trusted=[])
         assert resolve_image_label(state, corpus, 0, 0) == 8
 
     def test_precondition_violation(self):
         corpus = corpus_from_grids([(np.array([[0, 1]]), 25)])
-        state = make_state([0, 5])  # nothing correct: two unresolved
+        state = make_state([0, 5])  # nothing trusted: two unresolved
         with pytest.raises(ValueError):
             resolve_image_label(state, corpus, 0, 0)
 
@@ -135,7 +133,7 @@ class TestResolveImageLabel:
 class TestInferCorrectLabels:
     def test_everything_correct_means_unchanged(self):
         corpus = corpus_from_grids([(np.array([[0, 1]]), 25)])
-        state = make_state([2, 5], correct=[0, 1])
+        state = make_state([2, 5], trusted=[0, 1])
         assert infer_correct_labels(state, corpus) is False
 
     def test_two_unresolved_untouched(self):
@@ -150,18 +148,18 @@ class TestInferCorrectLabels:
         corpus = corpus_from_grids(
             [(np.array([[0], [1]]), 7), (np.array([[1], [2]]), 9)]
         )
-        state = make_state([3, 0, 0], correct=[0])
+        state = make_state([3, 0, 0], trusted=[0])
         assert infer_correct_labels(state, corpus) is True
         assert state.labels[1] == 4  # 7 - 3
         assert state.labels[2] == 5  # 9 - 4
-        assert state.correct[1] and state.correct[2]
+        assert is_trusted(state)[1] and is_trusted(state)[2]
         assert state.provenance[1] == state.provenance[2] == PROV_INFERRED
 
     def test_inconsistent_example_does_not_enter_correct(self):
         corpus = corpus_from_grids([(np.array([[0, 1]]), 25)])
-        state = make_state([0, 6], correct=[1])
+        state = make_state([0, 6], trusted=[1])
         assert infer_correct_labels(state, corpus) is False
-        assert not state.correct[0]
+        assert not is_trusted(state)[0]
         assert state.inconsistent_examples == {0}
 
 
@@ -172,7 +170,7 @@ class TestRunInference:
         before = state.labels.copy()
         out = run_inference(state, corpus_from_grids([]), model)
         assert np.array_equal(out.labels, before)
-        assert out.correct.all()  # radius 5 pulled everyone in
+        assert is_trusted(out).all()  # radius 5 pulled everyone in
         assert (out.provenance == PROV_RADIUS).all()
 
     def test_constructed_corpus_restored_to_full_accuracy(self, rng):
@@ -210,7 +208,7 @@ class TestRunInference:
         sizes = []
         for radius in (1, 2, 3, 4, 5):
             run_inference(state, corpus, model, radii=(radius,))
-            sizes.append(int(state.correct.sum()))
+            sizes.append(int(is_trusted(state).sum()))
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
     def test_inferred_labels_never_overwritten_by_radius(self):
@@ -226,7 +224,7 @@ class TestRunInference:
 
 class TestPersistence:
     def test_labels_roundtrip(self, tmp_path):
-        state = make_state([3, 1, 4], correct=[0])
+        state = make_state([3, 1, 4], trusted=[0])
         state.provenance[0] = PROV_INFERRED
         bin_path, json_path = tmp_path / "labels.bin", tmp_path / "labels.json"
         save_labels(state.labels, state.counts(), bin_path, json_path)
@@ -236,6 +234,45 @@ class TestPersistence:
         assert summary["inferred"] == 1
         assert summary["correct"] == 1
 
+    @pytest.mark.parametrize("reassigned", [0.1, 0.3, 0.5])
+    def test_correct_counts_the_trusted_images(self, tmp_path, reassigned):
+        # after every radius of 20 planted instances: "correct" is the
+        # radius and inferred images, and labels.json keeps its keys
+        keys = {"cluster", "radius", "inferred", "correct", "inconsistent_examples", "inference_radii"}
+        bin_path, json_path = tmp_path / "labels.bin", tmp_path / "labels.json"
+        for seed in range(20):
+            _, corpus, model, digits = planted_clustering(seed, 600, reassigned=reassigned)
+            state = init_labels(model, DigitAssignment(digits=digits, objective=0))
+            for radius in inf.RADII:
+                counts = run_inference(state, corpus, model, radii=(radius,)).counts()
+                assert counts["correct"] == counts["radius"] + counts["inferred"]
+                assert counts["cluster"] + counts["correct"] == len(model)
+                save_labels(state.labels, counts, bin_path, json_path)
+                assert set(json.loads(json_path.read_text())) == keys
+
+
+def resolve_image_label(state, corpus, e, img):
+    """Digit forced on `img` by example e's sum, or None on inconsistency.
+
+    All other images of the example must already be trusted. If the image
+    occupies several cells (duplicated ids), the divisor is the sum of its
+    positional weights. Non-integer or out-of-range results are recorded in
+    state.inconsistent_examples instead of being clamped.
+    """
+    ids = corpus.grids[e].ravel()
+    unresolved = np.unique(ids[~is_trusted(state)[ids]])
+    if unresolved.size != 1 or unresolved[0] != img:
+        raise ValueError(f"image {img} is not the sole unresolved image")
+
+    weights = place_value(corpus.w, np.arange(ids.size) % corpus.w)
+    own = ids == img
+    rest = int((state.labels[ids[~own]] * weights[~own]).sum())
+    digit, remainder = divmod(int(corpus.sums[e]) - rest, int(weights[own].sum()))
+    if remainder or not 0 <= digit <= 9:
+        state.inconsistent_examples.add(e)
+        return None
+    return digit
+
 
 def reference_pass(state, corpus):
     """The sequential pass: every example in index order, resolutions
@@ -243,7 +280,7 @@ def reference_pass(state, corpus):
     changed = False
     for idx, grid in enumerate(corpus.grids):
         ids = grid.ravel()
-        unresolved = np.unique(ids[~state.correct[ids]])
+        unresolved = np.unique(ids[~is_trusted(state)[ids]])
         if unresolved.size != 1:
             continue
         img = int(unresolved[0])
@@ -251,7 +288,6 @@ def reference_pass(state, corpus):
         if digit is None:
             continue
         state.labels[img] = digit
-        state.correct[img] = True
         state.provenance[img] = PROV_INFERRED
         changed = True
     return changed
@@ -262,9 +298,8 @@ def reference_inference(state, corpus, model, radii):
     passes = 0
     for radius in radii:
         ids = images_within_radius(model, radius)
-        fresh = ids[~state.correct[ids]]
+        fresh = ids[~is_trusted(state)[ids]]
         state.provenance[fresh] = PROV_RADIUS
-        state.correct[fresh] = True
         passes += 1
         while reference_pass(state, corpus):
             passes += 1
@@ -306,7 +341,6 @@ class TestMatchesSequentialReference:
         )
         got = run_inference(make_state(np.copy(labels)), corpus, model, radii=radii)
         assert np.array_equal(got.labels, want.labels)
-        assert np.array_equal(got.correct, want.correct)
         assert np.array_equal(got.provenance, want.provenance)
         assert got.inconsistent_examples == want.inconsistent_examples
         assert len(calls) == want_passes

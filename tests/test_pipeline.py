@@ -16,7 +16,8 @@ from sumlearn import inference as inf
 from sumlearn import pipeline as pl
 from sumlearn import tensorfile
 from sumlearn.errors import ConsistencyError
-from sumlearn.pipeline import SWEEP_COLUMNS, RunConfig, label_accuracy, run_pipeline, sweep
+from sumlearn.classifier import label_accuracy
+from sumlearn.pipeline import SWEEP_COLUMNS, RunConfig, run_pipeline, sweep
 
 from conftest import store_with_labels
 
@@ -655,7 +656,6 @@ class TestLabelFreedomAudit:
         inf.init_labels,
         inf.images_within_radius,
         inf._ByCluster,
-        inf.resolve_image_label,
         inf._forced_digit,
         inf._Propagation,
         inf.LabelState.counts,
