@@ -17,19 +17,20 @@ weights (W0..b4) are unchanged.
 import numpy as np
 
 from . import nn
-from .dataset import decode, grid_sums
-from .errors import ConsistencyError, DivergenceError
-from .tensorfile import load_tensors, save_tensors
+from .dataset import grid_sums
+from .errors import ConsistencyError
 
 BATCH = 32  # images per training step, and per classification chunk
 
 
-class CnnParams:
-    """The network's layers: He-initialized weights (fan-in scaling), zero biases."""
+class CnnParams(nn.Network):
+    """The network's layers: He-initialized weights (fan-in scaling), zero
+    biases. Its tensor file's meta holds seed and side."""
 
     def __init__(self, seed=0, dtype=np.float64, side=28):
         self.seed = seed
         self.side = side
+        self.input_shape = (1, side, side)
         rng = np.random.default_rng(seed)
         after_pool1 = (side - 2) // 2
         after_pool2 = (after_pool1 - 2 - 2) // 2
@@ -49,61 +50,39 @@ class CnnParams:
             nn.Dense(100, 10, rng, dtype=dtype),
         ]
 
-    def weighted_layers(self):
-        return [l for l in self.layers if l.params()]
-
-    def save(self, path, meta=None):
-        m = dict(meta or {})
-        m.update(seed=self.seed, side=self.side)
-        save_tensors(path, nn.weight_tensors(self.weighted_layers()), meta=m)
+    def meta(self):
+        return {"seed": self.seed, "side": self.side}
 
     @classmethod
-    def load(cls, path):
-        meta, tensors = load_tensors(path)
-        dtype = tensors["W0"].dtype.type
-        params = cls(seed=meta["seed"], dtype=dtype, side=meta.get("side", 28))
-        nn.set_weights(params.weighted_layers(), tensors)
-        return params
+    def from_meta(cls, meta, dtype):
+        return cls(seed=meta["seed"], dtype=dtype, side=meta.get("side", 28))
 
 
-def _as_batch(images, side, dtype):
-    x = np.asarray(images)
-    if x.ndim == 2 and x.shape[1] == side * side:
-        x = x.reshape(-1, 1, side, side)
-    elif x.ndim == 3 and x.shape[1:] == (side, side):
-        x = x[:, None, :, :]
-    elif x.ndim != 4 or x.shape[1:] != (1, side, side):
-        raise ValueError(f"expected {side}x{side} images, got shape {x.shape}")
-    return x.astype(dtype)
+def check_labels(labels, n_images):
+    """`labels` as int64, refused with a ValueError unless there is one per
+    image and each is a digit 0..9; the first bad image is named."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape[0] != n_images:
+        raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
+    bad = np.flatnonzero((labels < 0) | (labels > 9))
+    if bad.size:
+        raise ValueError(f"image {bad[0]} has label {labels[bad[0]]}, outside 0..9")
+    return labels
 
 
 def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batch_size=BATCH):
     """SGD (lr 0.01, momentum 0.9) on softmax cross entropy.
 
     Mini-batches reshuffled each epoch from `seed`; epochs=0 leaves the
-    parameters untouched.
+    parameters untouched. `labels` must pass `check_labels`.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != len(store):
-        raise ValueError(f"{labels.shape[0]} labels for {len(store)} images")
+    labels = check_labels(labels, len(store))
     if epochs <= 0:
         return params
-
-    dtype = params.weighted_layers()[0].W.dtype.type
-    opt = nn.SGDMomentum(params.layers, lr=lr, momentum=momentum)
-    rng = np.random.default_rng(seed)
-    n = len(store)
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            x = _as_batch(decode(store.images[idx]), params.side, dtype)
-            logits = nn.forward(params.layers, x)
-            loss, grad = nn.softmax_cross_entropy(logits, labels[idx])
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            nn.backward(params.layers, grad)
-            opt.step()
+    nn.fit(  # the loss is looked up per call, so perfbench's tracer can wrap it
+        params.layers, lambda idx: (params.inputs(store.images[idx]), labels[idx]), len(store),
+        nn.softmax_cross_entropy, epochs, np.random.default_rng(seed), lr, momentum, batch_size,
+    )
     return params
 
 
@@ -120,12 +99,10 @@ def classify(params, images, chunk=BATCH):
     1-8 images can differ in the last bits of `probs` from the same images
     inside a larger chunk.
     """
-    dtype = params.weighted_layers()[0].W.dtype.type
     images = np.asarray(images)
     probs = np.empty((len(images), 10), dtype=np.float64)
     for start in range(0, len(images), chunk):
-        x = _as_batch(decode(images[start : start + chunk]), params.side, dtype)
-        logits = nn.forward(params.layers, x, cache=False)
+        logits = nn.forward(params.layers, params.inputs(images[start : start + chunk]), cache=False)
         probs[start : start + logits.shape[0]] = nn.softmax(logits)
     return probs.argmax(axis=1), probs
 

@@ -243,7 +243,11 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
     """Train the CNN on the inferred labels."""
     config = RunConfig(classifier_epochs=epochs, seed=seed)
     store = _store(store_path, data_dir, "train")
-    pl.train_classifier(config, store, load_int64(labels_path)).save(_out_path(out))
+    try:
+        labels = clf.check_labels(load_int64(labels_path), len(store))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--labels'") from exc
+    pl.train_classifier(config, store, labels).save(_out_path(out))
     click.echo(f"cnn -> {out}")
 
 

@@ -13,8 +13,6 @@ uint8 store is refused. A float64 store's covariance is a float64 sum.
 import numpy as np
 
 from . import nn
-from .dataset import decode
-from .errors import DivergenceError
 from .tensorfile import load_tensors, save_tensors
 
 ENCODER_WIDTHS = (784, 500, 500, 2000, 10)
@@ -23,15 +21,17 @@ EXACT_ROWS = 1024  # rows per float32 Gram block: 1024 * 128^2 = 2^24 stays exac
 EXACT_MAX_ROWS = 1 << 24  # images the int64 scatter n G - S S^T holds without overflow
 
 
-class AutoencoderParams:
+class AutoencoderParams(nn.Network):
     """Symmetric dense autoencoder: encoder widths mirrored by the decoder.
 
     Hidden layers are ReLU; the code layer and the reconstruction layer
-    are linear.
+    are linear. Its tensor file's meta holds widths, seed, epochs and
+    loss_history.
     """
 
     def __init__(self, widths=ENCODER_WIDTHS, seed=0, dtype=np.float64):
         self.widths = tuple(int(w) for w in widths)
+        self.input_shape = (self.widths[0],)
         self.seed = seed
         self.epochs_trained = 0
         self.loss_history = []
@@ -55,25 +55,17 @@ class AutoencoderParams:
     def layers(self):
         return self.encoder + self.decoder
 
-    def dense_layers(self):
-        return [l for l in self.layers if isinstance(l, nn.Dense)]
-
-    def save(self, path, meta=None):
-        m = dict(meta or {})
-        m.update(
-            widths=list(self.widths),
-            seed=self.seed,
-            epochs=self.epochs_trained,
-            loss_history=self.loss_history,
-        )
-        save_tensors(path, nn.weight_tensors(self.dense_layers()), meta=m)
+    def meta(self):
+        return {
+            "widths": list(self.widths),
+            "seed": self.seed,
+            "epochs": self.epochs_trained,
+            "loss_history": self.loss_history,
+        }
 
     @classmethod
-    def load(cls, path):
-        meta, tensors = load_tensors(path)
-        dtype = tensors["W0"].dtype.type
+    def from_meta(cls, meta, dtype):
         params = cls(widths=meta["widths"], seed=meta["seed"], dtype=dtype)
-        nn.set_weights(params.dense_layers(), tensors)
         params.epochs_trained = meta.get("epochs", 0)
         params.loss_history = list(meta.get("loss_history", []))
         return params
@@ -81,7 +73,8 @@ class AutoencoderParams:
 
 def train_autoencoder(params, store, epochs, seed=0, lr=1e-3, momentum=0.9, batch_size=256):
     """Minimize mean-squared reconstruction error with mini-batch SGD
-    (lr 1e-3, momentum 0.9), in the dtype of `params`.
+    (lr 1e-3, momentum 0.9), in the dtype of `params`; each epoch's mean
+    loss is appended to `loss_history`.
 
     The per-epoch shuffles derive from `seed`, on a stream advanced past
     the draws that `AutoencoderParams(seed=seed)` makes; epochs=0 leaves
@@ -89,43 +82,26 @@ def train_autoencoder(params, store, epochs, seed=0, lr=1e-3, momentum=0.9, batc
     """
     if epochs <= 0:
         return params
-
-    dtype = params.encoder[0].W.dtype.type
-    layers = params.layers
-    opt = nn.SGDMomentum(layers, lr=lr, momentum=momentum)
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(1 << 20)  # decouple shuffles from init draws
-    n = len(store)
 
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = decode(store.images[idx]).astype(dtype, copy=False)
-            recon = nn.forward(layers, batch)
-            loss, grad = nn.mse(recon, batch)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite reconstruction loss at epoch {epoch}")
-            nn.backward(layers, grad)
-            opt.step()
-            total += loss * batch.shape[0]
-        params.loss_history.append(total / n)
-        params.epochs_trained = epoch
+    def batch(idx):
+        x = params.inputs(store.images[idx])
+        return x, x
+
+    params.loss_history += nn.fit(
+        params.layers, batch, len(store), nn.mse, epochs, rng, lr, momentum, batch_size
+    )
+    params.epochs_trained = epochs
     return params
 
 
 def encode(params, store):
     """Forward pass through the encoder half only, PCA_BLOCK rows at a
     time. Pure and deterministic."""
-    if store.dim != params.widths[0]:
-        raise ValueError(
-            f"encoder expects dim {params.widths[0]}, store has {store.dim}"
-        )
-    dtype = params.encoder[0].W.dtype
     out = np.empty((len(store), params.widths[-1]), dtype=np.float64)
     for start in range(0, len(store), PCA_BLOCK):
-        x = decode(store.images[start : start + PCA_BLOCK]).astype(dtype, copy=False)
+        x = params.inputs(store.images[start : start + PCA_BLOCK])
         out[start : start + x.shape[0]] = nn.forward(params.encoder, x, cache=False)
     return out
 

@@ -11,8 +11,8 @@ matrix once dW is formed, so each forward pass serves one backward pass.
 reads the gradient w.r.t. the network input, so the first weighted layer is
 called with `input_grad=False` and skips its input-gradient product, and
 parameter-free layers in front of it are not run.
-Determinism: all randomness comes from the rng handed to the constructors,
-and batch order is owned by the callers.
+Determinism: all randomness comes from the rng handed to the constructors
+and to `fit`.
 
 Memory layout: image layers take and return (B, C, H, W) arrays, but
 Conv2d and MaxPool2x2 work channels-last. They read their input and
@@ -27,10 +27,22 @@ Conv2d's input gradient (col2im) is formed per window offset: one batched
 product gives a (kh*kw, B*Ho*Wo, C) array, one contiguous slab per offset,
 and each slab is added into its shifted window of the input gradient in
 (p, q) order, the order of the im2col columns.
+
+`Network` is what the autoencoder and the CNN have in common: the weighted
+layers, the weights' dtype, one tensor file per network (`save`/`load`,
+tensors W0, b0, W1, ... and the meta that rebuilds the layers), and
+`inputs`, the one path from a store's pixels to a batch. `fit` is the one
+mini-batch SGD-with-momentum loop that trains either network.
 """
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .dataset import decode
+from .errors import DivergenceError
+from .tensorfile import load_tensors, save_tensors
 
 
 def weight_tensors(layers):
@@ -39,13 +51,54 @@ def weight_tensors(layers):
     return {f"{name}{i}": getattr(layer, name) for i, layer in enumerate(layers) for name in "Wb"}
 
 
-def set_weights(layers, tensors):
-    """Inverse of weight_tensors: load W{i}/b{i} into layer i, zero its grads."""
-    for i, layer in enumerate(layers):
-        layer.W = tensors[f"W{i}"]
-        layer.b = tensors[f"b{i}"]
-        layer.dW = np.zeros_like(layer.W)
-        layer.db = np.zeros_like(layer.b)
+class Network:
+    """Base of the autoencoder and the CNN. A subclass sets `layers` and
+    `input_shape` (one input's shape) and defines `meta()`, its tensor file's
+    meta, and `from_meta(meta, dtype)`, which rebuilds the layers from it."""
+
+    def weighted_layers(self):
+        return [layer for layer in self.layers if layer.params()]
+
+    @property
+    def dtype(self):
+        return self.weighted_layers()[0].W.dtype
+
+    def inputs(self, pixels):
+        """Rows of a store's pixels as a batch: decoded, cast to the weights'
+        dtype and shaped (rows, *input_shape). A row of the wrong width is
+        refused."""
+        width = math.prod(self.input_shape)
+        if pixels.ndim != 2 or pixels.shape[1] != width:
+            raise ValueError(
+                f"{type(self).__name__} takes rows of {width} pixels, got shape {pixels.shape}"
+            )
+        return decode(pixels).astype(self.dtype, copy=False).reshape(-1, *self.input_shape)
+
+    def save(self, path, meta=None):
+        """The weights as W{i}/b{i} and `meta` plus the network's own meta."""
+        save_tensors(path, weight_tensors(self.weighted_layers()), meta={**(meta or {}), **self.meta()})
+
+    @classmethod
+    def load(cls, path):
+        """The network a `save` wrote. A file whose tensors' names, shapes or
+        dtypes differ from those of the layers its meta rebuilds is refused
+        with a ValueError naming the first tensor that differs."""
+        meta, tensors = load_tensors(path)
+        if "W0" not in tensors:
+            raise ValueError(f"{path}: no tensor 'W0'")
+        network = cls.from_meta(meta, tensors["W0"].dtype.type)
+        expected = weight_tensors(network.weighted_layers())
+        for name in [*expected, *sorted(tensors.keys() - expected.keys())]:
+            want, got = (_describe(t.get(name)) for t in (expected, tensors))
+            if want != got:
+                raise ValueError(f"{path}: tensor {name!r} is {got}, the network its meta describes needs {want}")
+        for i, layer in enumerate(network.weighted_layers()):  # grads stay the zeros built above
+            layer.W, layer.b = tensors[f"W{i}"], tensors[f"b{i}"]
+        return network
+
+
+def _describe(tensor):
+    return "missing" if tensor is None else f"{tensor.dtype.name} {tensor.shape}"
 
 
 def he_normal(rng, fan_in, shape, dtype):
@@ -241,6 +294,34 @@ class SGDMomentum:
             v *= self.momentum
             v -= self.lr * g
             p += v
+
+
+def fit(layers, batch, n, loss, epochs, rng, lr, momentum, batch_size):
+    """Mini-batch SGD with momentum over `n` examples; returns the mean loss
+    of each epoch.
+
+    Each epoch cuts `rng.permutation(n)` into `batch_size` slices. For a
+    slice `idx`, `batch(idx)` gives the (input, target) pair and
+    `loss(output, target)` the loss and its gradient. A non-finite loss
+    raises DivergenceError. `forward` and `backward` are read as module
+    globals, as perfbench's tracer expects.
+    """
+    opt = SGDMomentum(layers, lr=lr, momentum=momentum)
+    history = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            x, target = batch(idx)
+            value, grad = loss(forward(layers, x), target)
+            if not np.isfinite(value):
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
+            backward(layers, grad)
+            opt.step()
+            total += float(value) * len(idx)
+        history.append(total / n)
+    return history
 
 
 def softmax(logits):

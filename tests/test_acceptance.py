@@ -190,7 +190,7 @@ def test_c4_gradient_checks():
     recon = nn.forward(params.layers, x)
     _, grad = nn.mse(recon, x)
     nn.backward(params.layers, grad)
-    pairs = [(p, g.copy()) for layer in params.dense_layers() for p, g in layer.params()]
+    pairs = [(p, g.copy()) for layer in params.weighted_layers() for p, g in layer.params()]
     worst = max_relative_error(
         params.layers, pairs, lambda: nn.mse(nn.forward(params.layers, x), x)[0]
     )

@@ -12,9 +12,10 @@ from sumlearn.classifier import (
     eval_classification,
     train_cnn,
 )
-from sumlearn.dataset import ImageStore, build_corpus
+from sumlearn.dataset import ImageStore, build_corpus, decode
 from sumlearn.embedding import PCA_BLOCK, AutoencoderParams
 from sumlearn.errors import DivergenceError
+from sumlearn.tensorfile import load_tensors, save_tensors
 
 from conftest import store_with_labels, uint8_store_pair
 
@@ -372,6 +373,28 @@ class TestInitCnn:
             assert np.array_equal(la.W, lb.W)
 
 
+def reference_train_cnn(params, store, labels, epochs, seed, lr=0.01, momentum=0.9, batch_size=32):
+    """The CNN's own epoch loop and input path from before nn.fit and
+    Network.inputs, kept as the reference they must match bit for bit."""
+    side = params.side
+    dtype = params.weighted_layers()[0].W.dtype.type
+    opt = nn.SGDMomentum(params.layers, lr=lr, momentum=momentum)
+    rng = np.random.default_rng(seed)
+    n = len(store)
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            x = decode(store.images[idx]).reshape(-1, 1, side, side).astype(dtype)
+            logits = nn.forward(params.layers, x)
+            loss, grad = nn.softmax_cross_entropy(logits, labels[idx])
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
+            nn.backward(params.layers, grad)
+            opt.step()
+    return params
+
+
 class TestTrainCnn:
     def test_zero_epochs_noop(self):
         store = blob_store(n=16)
@@ -412,6 +435,28 @@ class TestTrainCnn:
             )
             wins += loss_after < loss_before
         assert wins >= 3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_loop(self, dtype):
+        store = blob_store(n=45, seed=3)  # batches of 16: the last one has 13 images
+        labels = store.evaluation_labels()
+        ours, reference = CnnParams(seed=3, side=14, dtype=dtype), CnnParams(seed=3, side=14, dtype=dtype)
+        train_cnn(ours, store, labels, epochs=2, seed=3, batch_size=16)
+        reference_train_cnn(reference, store, labels, epochs=2, seed=3, batch_size=16)
+        a, b = (nn.weight_tensors(p.weighted_layers()) for p in (ours, reference))
+        for name in a:
+            assert same_bits(a[name], b[name]), name
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_label_outside_digits_refused(self, bad):
+        store = blob_store(n=8)
+        labels = store.evaluation_labels().copy()
+        labels[[5, 7]] = bad
+        params = CnnParams(seed=0, side=14)
+        before = params.weighted_layers()[0].W.copy()
+        with pytest.raises(ValueError, match=f"image 5 has label {bad}, outside 0..9"):
+            train_cnn(params, store, labels, epochs=1)
+        assert np.array_equal(params.weighted_layers()[0].W, before)
 
     def test_label_length_mismatch(self):
         store = blob_store(n=8)
@@ -630,3 +675,25 @@ class TestPersistence:
         loaded = CnnParams.load(path)
         x = rng.random((4, 196))
         assert np.array_equal(classify(loaded, x)[1], classify(params, x)[1])
+
+    @pytest.mark.parametrize("edit", ["autoencoder", "missing", "extra", "dtype"])
+    def test_load_refuses_tensors_its_meta_does_not_describe(self, tmp_path, edit):
+        path = tmp_path / "cnn.tf"
+        if edit == "autoencoder":  # an autoencoder.tf passed as the CNN
+            AutoencoderParams(widths=(196, 20, 10), seed=0).save(path)
+            name = "W0"
+        else:
+            CnnParams(seed=0, side=14, dtype=np.float32).save(path)
+            meta, tensors = load_tensors(path)
+            if edit == "missing":
+                del tensors["b4"]
+                name = "b4"
+            elif edit == "extra":
+                tensors["W5"] = tensors["W4"]
+                name = "W5"
+            else:
+                tensors["b0"] = tensors["b0"].astype(np.float64)
+                name = "b0"
+            save_tensors(path, tensors, meta=meta)
+        with pytest.raises(ValueError, match=f"tensor '{name}' is "):
+            CnnParams.load(path)

@@ -341,6 +341,18 @@ class TestUsageErrors:
             assert name in r.output
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_train_label_outside_digits(self, chain, tmp_path, bad):
+        labels = np.fromfile(chain / "labels.bin", dtype="<i8")
+        labels[3] = bad
+        labels.astype("<i8").tofile(tmp_path / "labels.bin")
+        r = run_cli("train", "--store", str(chain / "store.tf"), "--labels", str(tmp_path / "labels.bin"),
+                    "--epochs", "1", "--out", str(tmp_path / "cnn.tf"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--labels'" in r.output
+        assert f"image 3 has label {bad}, outside 0..9" in r.output
+        assert not (tmp_path / "cnn.tf").exists()
+
     @pytest.mark.parametrize("option", ["--w-list", "--h-list"])
     def test_sweep_list_not_integers(self, tmp_path, option):
         r = run_cli("sweep", option, "1,x", "--synthetic", "--csv", str(tmp_path / "sweep.csv"))

@@ -65,7 +65,7 @@ class TestGradients:
         _, grad = nn.mse(recon, x)
         nn.backward(layers, grad)
 
-        for layer in params.dense_layers():
+        for layer in params.weighted_layers():
             for analytic, param in ((layer.dW, layer.W), (layer.db, layer.b)):
                 numeric = numeric_grads(layers, x, param)
                 scale = np.maximum(np.abs(numeric), 1e-8)
@@ -74,6 +74,33 @@ class TestGradients:
                 mask = np.abs(numeric) > 1e-10
                 assert rel[mask].max(initial=0.0) < 1e-4
                 assert np.abs(analytic[~mask]).max(initial=0.0) < 1e-8
+
+
+def reference_train_autoencoder(params, store, epochs, seed, lr=1e-3, momentum=0.9, batch_size=256):
+    """The autoencoder's own epoch loop and input path from before nn.fit
+    and Network.inputs, kept as the reference they must match bit for bit."""
+    dtype = params.encoder[0].W.dtype.type
+    layers = params.layers
+    opt = nn.SGDMomentum(layers, lr=lr, momentum=momentum)
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(1 << 20)
+    n = len(store)
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            batch = decode(store.images[idx]).astype(dtype, copy=False)
+            recon = nn.forward(layers, batch)
+            loss, grad = nn.mse(recon, batch)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite reconstruction loss at epoch {epoch}")
+            nn.backward(layers, grad)
+            opt.step()
+            total += loss * batch.shape[0]
+        params.loss_history.append(total / n)
+        params.epochs_trained = epoch
+    return params
 
 
 class TestTrainAutoencoder:
@@ -102,9 +129,20 @@ class TestTrainAutoencoder:
         store = toy_store(n=32)
         a = train_autoencoder(toy_params(7), store, epochs=5, seed=7)
         b = train_autoencoder(toy_params(7), store, epochs=5, seed=7)
-        for la, lb in zip(a.dense_layers(), b.dense_layers()):
+        for la, lb in zip(a.weighted_layers(), b.weighted_layers()):
             assert np.array_equal(la.W, lb.W)
             assert np.array_equal(la.b, lb.b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_loop(self, dtype):
+        store = toy_store(n=37)  # batches of 8: the last one has 5 images
+        ours = train_autoencoder(toy_params(6, dtype), store, epochs=2, seed=6, batch_size=8)
+        reference = reference_train_autoencoder(toy_params(6, dtype), store, epochs=2, seed=6, batch_size=8)
+        for la, lb in zip(ours.weighted_layers(), reference.weighted_layers()):
+            for a, b in ((la.W, lb.W), (la.b, lb.b)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert ours.loss_history == reference.loss_history
+        assert ours.epochs_trained == reference.epochs_trained == 2
 
     def test_divergence_names_epoch(self):
         store = toy_store(n=32)
@@ -122,7 +160,7 @@ class TestEncode:
     def test_zero_weights_zero_embedding(self):
         store = toy_store()
         params = AutoencoderParams(widths=TOY_WIDTHS, seed=0)
-        for layer in params.dense_layers():
+        for layer in params.weighted_layers():
             layer.W[...] = 0.0
             layer.b[...] = 0.0
         assert not encode(params, store).any()

@@ -13,6 +13,7 @@ from sumlearn import clustering as clu
 from sumlearn import dataset as ds
 from sumlearn import embedding as emb
 from sumlearn import inference as inf
+from sumlearn import nn
 from sumlearn import pipeline as pl
 from sumlearn import tensorfile
 from sumlearn.errors import ConsistencyError
@@ -267,6 +268,20 @@ class TestRunPipeline:
         assert rerun.failure is None
         assert strip_timings(rerun) == strip_timings(cold)
         assert path.read_bytes() == whole
+
+    def test_other_networks_weights_recomputed(self, tmp_path):
+        # cnn.tf holding the autoencoder's tensors under the CNN's key
+        cfg = tiny_config(tmp_path, backend="autoencoder", autoencoder_epochs=1)
+        cold = run_pipeline(cfg)
+        artifacts = tmp_path / "artifacts"
+        whole = (artifacts / "cnn.tf").read_bytes()
+        meta, tensors = tensorfile.load_tensors(artifacts / "autoencoder.tf")
+        meta["config_key"] = cfg.train_key()
+        tensorfile.save_tensors(artifacts / "cnn.tf", tensors, meta=meta)
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert (artifacts / "cnn.tf").read_bytes() == whole
 
     @pytest.mark.parametrize("bad", ["digit 12", "not a list"])
     def test_bad_digits_recomputed(self, tmp_path, bad):
@@ -661,8 +676,11 @@ class TestLabelFreedomAudit:
         inf.LabelState.counts,
         inf.infer_correct_labels,
         inf.run_inference,
+        clf.check_labels,
         clf.train_cnn,
         clf.classify,
+        nn.Network.inputs,
+        nn.fit,
         pl.run_pipeline,
         pl._load_labels,
         pl._save_labels,
