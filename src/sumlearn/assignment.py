@@ -8,8 +8,9 @@ objective, ties broken toward the lexicographically smallest digit vector,
 by one depth-first branch and bound over the 10 bounded integer variables.
 It minimizes the integer key residual * 10^m + rank, where rank reads the
 m active clusters' digits, in cluster index order, as one decimal number.
-A node is pruned when an interval or Lagrangian bound on its residual,
-times 10^m, plus the rank of its fixed digits reaches the best key.
+A node is pruned when a bound on its residual, times 10^m, plus the rank
+of its fixed digits reaches the best key: an interval bound on each child,
+and a Lagrangian bound on each shallow node.
 
 Most batches of a clean corpus need no search: when the warm start (the
 previous batch's digits) leaves zero residual and the active columns of A
@@ -211,85 +212,75 @@ def _quantize(lam):
 
 
 def dual_multipliers(coeffs, targets, warm_digits, iters=60):
-    """Quantized Lagrangian multipliers n with lambda = n/256 in [-1,1]^B.
+    """Root Lagrangian multipliers lambda in [-1,1]^B, floats.
 
     Since |x| >= lambda*x for any lambda in [-1,1], every such vector yields
     an admissible bound; projected supergradient ascent only improves its
-    quality. Returns int64 numerators and the float multipliers.
+    quality. The search's node ascent starts from them.
     """
     if targets.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
+        return np.zeros(0)
     a = coeffs.astype(np.float64)
     s = targets.astype(np.float64)
     lam = np.sign(a @ warm_digits - s)  # subgradient of |.| at the incumbent
-    best_lam = _ascend(a, -s, lam, iters + 1, 0.5, 0.7)
-    return _quantize(best_lam), best_lam
+    return _ascend(a, -s, lam, iters + 1, 0.5, 0.7)
 
 
 class _Bounds:
-    """Search context over mass-ordered columns: admissible lower bounds.
+    """Search context over mass-ordered columns: admissible lower bounds on
+    the residual, one per search level.
 
-    Per child (digit choice) the cheap bound is the max of the per-example
-    interval distance (free digits relaxed independently) and a static
-    Lagrangian bound from quantized root multipliers. At shallow nodes a
-    short warm-started multiplier ascent produces a much tighter bound; any
-    prune decision is taken only on the exact integer evaluation of the
-    quantized multipliers, never on float values.
+    Each child (digit choice) gets the interval bound: free digits relaxed
+    independently, per example. Each shallow node gets a Lagrangian bound
+    from a short warm-started multiplier ascent; its prune decision is
+    taken only on the exact integer evaluation of the quantized
+    multipliers, never on float values.
     """
 
     ASCENT_MAX_DEPTH = 8
     ASCENT_MIN_FREE = 3
     ASCENT_ITERS = 16
 
-    def __init__(self, coeffs, targets, dual_n):
+    def __init__(self, coeffs, targets):
         self.coeffs = coeffs
         self.targets = targets
         self.n_cols = coeffs.shape[1]
         m = self.n_cols
-        # suffix sums over columns j.. (row m is the empty suffix):
-        # slack9[j] = 9 * coeffs[:, j:].sum(1), suffmin256[j] sums min(0, 9 * u256[j:])
+        # slack9[j] = 9 * coeffs[:, j:].sum(1); row m is the empty suffix
         self.slack9 = np.zeros((m + 1, coeffs.shape[0]), dtype=np.int64)
         self.slack9[:m] = np.cumsum(9 * coeffs.T[::-1], axis=0)[::-1]
-        self.u256 = coeffs.T @ dual_n  # exact int64
-        self.const256 = -int(dual_n @ targets)
-        self.suffmin256 = np.zeros(m + 1, dtype=np.int64)
-        self.suffmin256[:m] = np.cumsum(np.minimum(0, 9 * self.u256)[::-1])[::-1]
         self.coeffs_f = coeffs.astype(np.float64)
         self.targets_f = targets.astype(np.float64)
 
-    def children(self, j, fixed, nfx256):
-        """Cheap bounds and state for the 10 digit choices of column j.
+    def children(self, j, fixed):
+        """Interval bounds and partial sums for the 10 digit choices of column j.
 
-        `interval` is each target's distance to [fixed, fixed + slack9],
-        the range every completion of columns j+1.. can reach.
+        A child's bound sums each target's distance to [fixed, fixed +
+        slack9], the range every completion of columns j+1.. can reach.
         """
         col = self.coeffs[:, j]
         fx = fixed[:, None] + np.outer(col, _DIGITS)
         lo = fx - self.targets[:, None]
         hi = self.targets[:, None] - (fx + self.slack9[j + 1][:, None])
-        interval = np.maximum(0, np.maximum(lo, hi)).sum(axis=0)
+        return np.maximum(0, np.maximum(lo, hi)).sum(axis=0), fx
 
-        nfx_children = nfx256 + _DIGITS * int(self.u256[j])
-        lag256 = nfx_children + self.suffmin256[j + 1] + self.const256
-        lagrangian = -((-lag256) // _DUAL_SCALE)  # ceil division, admissible
-        return interval, np.maximum(interval, lagrangian), fx, nfx_children
+    def node_bound(self, j, fixed, lam):
+        """Bound on the node whose columns before j sum to `fixed`, and the
+        multipliers its children start from.
 
-    def use_ascent(self, j):
-        return j <= self.ASCENT_MAX_DEPTH and self.n_cols - j >= self.ASCENT_MIN_FREE
-
-    def ascent_bound(self, j, fixed, lam):
-        """Node bound via short multiplier ascent on the free suffix.
-
-        Returns (exact integer bound, improved multipliers). The float
-        ascent only steers the search for good multipliers; the returned
-        bound is evaluated exactly from their quantization.
+        Above depth ASCENT_MAX_DEPTH or with fewer than ASCENT_MIN_FREE free
+        columns it is (0, lam). Elsewhere a short multiplier ascent on the
+        free suffix steers the search for good multipliers, and the
+        returned bound is evaluated exactly from their quantization.
         """
+        if j > self.ASCENT_MAX_DEPTH or self.n_cols - j < self.ASCENT_MIN_FREE:
+            return 0, lam
         free = self.coeffs_f[:, j:]
         best_lam = _ascend(free, fixed - self.targets_f, lam, self.ASCENT_ITERS, 0.6, 0.6)
         n = _quantize(best_lam)
-        u256 = self.coeffs[:, j:].T @ n
-        b256 = int(n @ fixed) + int(np.minimum(0, 9 * u256).sum()) - int(n @ self.targets)
-        return -((-b256) // _DUAL_SCALE), best_lam
+        u = self.coeffs[:, j:].T @ n
+        scaled = int(n @ fixed) + int(np.minimum(0, 9 * u).sum()) - int(n @ self.targets)
+        return -((-scaled) // _DUAL_SCALE), best_lam  # ceil division, admissible
 
 
 def _search(bounds, place, lam, best_key):
@@ -305,29 +296,28 @@ def _search(bounds, place, lam, best_key):
     path = np.zeros(m, dtype=np.int64)
     found = None
 
-    def rec(j, fx, nfx, rank, lam):
+    def rec(j, fx, rank, lam):
         nonlocal best_key, found
         if j == m:
             key = int(np.abs(fx - bounds.targets).sum()) * scale + rank
             if key < best_key:
                 best_key, found = key, path.copy()
             return
-        if bounds.use_ascent(j):
-            node_bound, lam = bounds.ascent_bound(j, fx, lam)
-            if node_bound * scale + rank >= best_key:
-                return
-        order_key, child, fxs, nfxs = bounds.children(j, fx, nfx)
-        order, child = order_key.tolist(), child.tolist()
-        for d in np.argsort(order_key, kind="stable").tolist():
-            if order[d] * scale + rank >= best_key:
+        node, lam = bounds.node_bound(j, fx, lam)
+        if node * scale + rank >= best_key:
+            return
+        child, fxs = bounds.children(j, fx)
+        bound = child.tolist()
+        for d in np.argsort(child, kind="stable").tolist():
+            if bound[d] * scale + rank >= best_key:
                 break  # ascending order: remaining digits prune too
             child_rank = rank + d * place[j]
-            if child[d] * scale + child_rank >= best_key:
+            if bound[d] * scale + child_rank >= best_key:
                 continue
             path[j] = d
-            rec(j + 1, fxs[:, d], int(nfxs[d]), child_rank, lam)
+            rec(j + 1, fxs[:, d], child_rank, lam)
 
-    rec(0, np.zeros_like(bounds.targets), 0, 0, lam)
+    rec(0, np.zeros_like(bounds.targets), 0, lam)
     return best_key, found
 
 
@@ -368,12 +358,12 @@ def solve_batch(system, initial_digits=None, independent=None):
         if independent:
             digits[active] = warm[active]
             return DigitAssignment(digits=digits, objective=0)
-    dual_n, lam = dual_multipliers(coeffs, targets, warm)
+    lam = dual_multipliers(coeffs, targets, warm)
 
     m = len(active)
     place = [10 ** sum(a > c for a in active) for c in active]  # 10^(later active clusters)
     warm_rank = sum(int(warm[c]) * p for c, p in zip(active, place))
-    bounds = _Bounds(coeffs[:, active], targets, dual_n)
+    bounds = _Bounds(coeffs[:, active], targets)
     best_key, cols = _search(bounds, place, lam, incumbent * 10**m + warm_rank)
     digits[active] = warm[active] if cols is None else cols
     return DigitAssignment(digits=digits, objective=best_key // 10**m)

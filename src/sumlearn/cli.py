@@ -4,6 +4,7 @@ calls the same stage code as `run`, without resuming."""
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import click
@@ -42,6 +43,16 @@ def _store(store_path, data_dir, split):
     if store_path:
         return ds.load_store(store_path)
     return pl.idx_store(_data_dir(data_dir, "--store"), split)
+
+
+def _validated(config):
+    """`config` if `RunConfig.validate` accepts it; a refusal is a usage
+    error, raised before anything is written."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    return config
 
 
 def _int_list(ctx, param, value):
@@ -97,9 +108,12 @@ def _build_config(config_file, **kwargs):
     if not base.get("synthetic"):
         base["data_dir"] = _data_dir(base.get("data_dir"), "--synthetic")
     try:
-        return RunConfig.from_json(base)
+        config = RunConfig.from_json(base)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--config'") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # run_pipeline validates again and warns there
+        return _validated(config)
 
 
 @main.command()
@@ -153,12 +167,12 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
     With --synthetic, also write the generated train and held-out test
     images as store.tf and test_store.tf, split as `run --synthetic` does.
     """
-    config = RunConfig(
+    config = _validated(RunConfig(
         w=w, h=h, oversample_factor=factor, seed=seed,
         data_dir=None if synthetic else _data_dir(data_dir, "--synthetic"), synthetic=synthetic,
         synthetic_images=n_images, synthetic_clusters=n_clusters,
         synthetic_separation=separation, synthetic_dim=dim,
-    )
+    ))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     store, test_store = pl.load_stores(config)
@@ -262,8 +276,12 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
 def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):
     """Classification and addition accuracy on the test split."""
     test_store = _store(store_path, data_dir, "test")
+    try:
+        cnn = clf.CnnParams.load(cnn_path)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--cnn'") from exc
     test_corpus = ds.build_corpus(test_store, w, h, 1, seed=seed)
-    metrics = clf.evaluate(clf.CnnParams.load(cnn_path), test_corpus, test_store)
+    metrics = clf.evaluate(cnn, test_corpus, test_store)
     if out:
         save_json(_out_path(out), metrics)
     click.echo(json.dumps(metrics, sort_keys=True))

@@ -92,7 +92,7 @@ def train_autoencoder(params, store, epochs, seed=0, lr=1e-3, momentum=0.9, batc
     params.loss_history += nn.fit(
         params.layers, batch, len(store), nn.mse, epochs, rng, lr, momentum, batch_size
     )
-    params.epochs_trained = epochs
+    params.epochs_trained += epochs
     return params
 
 

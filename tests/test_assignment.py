@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -366,14 +367,13 @@ class TestCompletionBound:
         for _ in range(25):
             system = random_system(rng, k=3, n_rows=8)
             coeffs, targets = system.coeffs, system.targets
-            dual_n, _ = dual_multipliers(coeffs, targets, np.zeros(3, dtype=np.int64))
-            bounds = _Bounds(coeffs, targets, dual_n)
+            bounds = _Bounds(coeffs, targets)
             n_fixed = int(rng.integers(0, 3))
             fixed_digits = rng.integers(0, 10, size=n_fixed)
             fixed = coeffs[:, :n_fixed] @ fixed_digits if n_fixed else np.zeros(
                 8, dtype=np.int64
             )
-            interval, _, _, _ = bounds.children(n_fixed, fixed, int(dual_n @ fixed))
+            interval, _ = bounds.children(n_fixed, fixed)
             for d in range(10):
                 head = fixed + coeffs[:, n_fixed] * d
                 best = min(
@@ -382,26 +382,51 @@ class TestCompletionBound:
                 )
                 assert interval[d] <= best
 
-    def test_lagrangian_bounds_admissible(self, rng):
-        # both the static multiplier bound and the per-node ascent bound
-        # must never exceed the true best completion cost
+    def test_node_bound_admissible(self, rng):
+        # the node bound never exceeds the true best completion cost; at
+        # k=5 the ascent runs at every depth 0..2 drawn here
         for _ in range(25):
-            system = random_system(rng, k=3, n_rows=8)
+            system = random_system(rng, k=5, n_rows=8)
             coeffs, targets = system.coeffs, system.targets
-            dual_n, lam = dual_multipliers(coeffs, targets, np.zeros(3, dtype=np.int64))
-            bounds = _Bounds(coeffs, targets, dual_n)
-
+            lam = dual_multipliers(coeffs, targets, np.zeros(5, dtype=np.int64))
+            bounds = _Bounds(coeffs, targets)
             n_fixed = int(rng.integers(0, 3))
-            fixed_digits = rng.integers(0, 10, size=n_fixed)
-            fixed = coeffs[:, :n_fixed] @ fixed_digits if n_fixed else np.zeros(
-                8, dtype=np.int64
-            )
-            best = min(
-                int(np.abs(fixed + coeffs[:, n_fixed:] @ np.array(c) - targets).sum())
-                for c in itertools.product(range(10), repeat=3 - n_fixed)
-            )
-            node_bound, _ = bounds.ascent_bound(n_fixed, fixed, lam)
+            fixed = coeffs[:, :n_fixed] @ rng.integers(0, 10, size=n_fixed)
+            free = np.array(list(itertools.product(range(10), repeat=5 - n_fixed)))
+            completions = fixed[:, None] + coeffs[:, n_fixed:] @ free.T
+            best = int(np.abs(completions - targets[:, None]).sum(axis=0).min())
+            node_bound, _ = bounds.node_bound(n_fixed, fixed, lam)
             assert node_bound <= best
+
+    @pytest.mark.parametrize("k, gated", [(12, range(9, 12)), (6, range(4, 6))])
+    def test_node_bound_gate(self, rng, k, gated):
+        # the ascent runs at depth <= ASCENT_MAX_DEPTH with at least
+        # ASCENT_MIN_FREE free columns; k=12 reaches the depth gate first,
+        # k=6 the free-column gate. Elsewhere the bound is 0 and the
+        # multipliers pass through unchanged.
+        system = grid_system(rng, k, 8, 2, 2)
+        coeffs, targets = system.coeffs, system.targets
+        lam = dual_multipliers(coeffs, targets, np.zeros(k, dtype=np.int64))
+        bounds = _Bounds(coeffs, targets)
+        digits = rng.integers(0, 10, size=k)
+        for j in range(k):
+            fixed = coeffs[:, :j] @ digits[:j]
+            got, got_lam = bounds.node_bound(j, fixed, lam)
+            if j in gated:
+                assert got == 0 and got_lam is lam
+                continue
+            # the ascent's multipliers, quantized to n/256, and the exact
+            # rational value of their Lagrangian, rounded up
+            free = coeffs[:, j:].astype(float)
+            want_lam = asg._ascend(free, (fixed - targets).astype(float), lam,
+                                   _Bounds.ASCENT_ITERS, 0.6, 0.6)
+            quantized = np.clip(np.rint(want_lam * 256), -256, 256)
+            mult = [Fraction(int(n), 256) for n in quantized]
+            value = sum(m * int(f - s) for m, f, s in zip(mult, fixed, targets))
+            for col in coeffs[:, j:].T:
+                value += min(0, 9 * sum(m * int(a) for m, a in zip(mult, col)))
+            assert np.array_equal(got_lam, want_lam)
+            assert got == math.ceil(value)
 
 
 class TestSolveBatch:

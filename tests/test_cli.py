@@ -353,6 +353,44 @@ class TestUsageErrors:
         assert f"image 3 has label {bad}, outside 0..9" in r.output
         assert not (tmp_path / "cnn.tf").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["run", "--w", "0"], "grid shape must be positive, got w=0, h=2"),
+            (["run", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+            (["sweep", "--w-list", "1,0", "--h-list", "2"], "grid shape must be positive, got w=0, h=2"),
+            (["generate-data", "--w", "0"], "grid shape must be positive, got w=0, h=2"),
+            (["generate-data", "--factor", "0"], "oversample_factor must be >= 1, got 0"),
+        ],
+        ids=["run-w", "run-batch-size", "sweep-w", "generate-data-w", "generate-data-factor"],
+    )
+    def test_invalid_config_refused_before_writing(self, tmp_path, args, message):
+        out = {
+            "run": ["--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r")],
+            "sweep": ["--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"),
+                      "--csv", str(tmp_path / "sweep.csv")],
+            "generate-data": ["--out", str(tmp_path / "a")],
+        }[args[0]]
+        r = run_cli(*args, "--synthetic", *out)
+        assert r.exit_code == 2, r.output
+        assert f"Error: {message}" in r.output
+        assert not any(tmp_path.iterdir())
+
+    def test_envelope_warning_once_per_config(self, tmp_path, recwarn):
+        run_cli("run", "--synthetic", "--w", "11", "--h", "1", "--backend", "pca",
+                "--classifier-epochs", "1", "--config", _write_config(tmp_path),
+                "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"))
+        assert len([w for w in recwarn.list if "envelope" in str(w.message)]) == 1
+
+    @pytest.mark.parametrize("name", ["cluster.tf", "embedding.tf"])
+    def test_evaluate_refuses_a_file_that_is_not_a_cnn(self, chain, tmp_path, name):
+        r = run_cli("evaluate", "--cnn", str(chain / name), "--store", str(chain / "test_store.tf"),
+                    "--out", str(tmp_path / "metrics.json"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--cnn'" in r.output
+        assert f"{name}: no tensor 'W0'" in r.output
+        assert not (tmp_path / "metrics.json").exists()
+
     @pytest.mark.parametrize("option", ["--w-list", "--h-list"])
     def test_sweep_list_not_integers(self, tmp_path, option):
         r = run_cli("sweep", option, "1,x", "--synthetic", "--csv", str(tmp_path / "sweep.csv"))

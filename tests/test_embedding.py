@@ -186,6 +186,13 @@ class TestParamsPersistence:
         assert loaded.epochs_trained == 3
         assert np.array_equal(encode(loaded, store), encode(params, store))
 
+    def test_resumed_training_counts_epochs(self, tmp_path):
+        # epochs_trained is a running total, in step with loss_history
+        store = toy_store(n=16)
+        train_autoencoder(toy_params(8), store, epochs=2, seed=8).save(tmp_path / "ae.tf")
+        resumed = train_autoencoder(AutoencoderParams.load(tmp_path / "ae.tf"), store, epochs=1, seed=9)
+        assert resumed.epochs_trained == len(resumed.loss_history) == 3
+
 
 def unblocked_pca(images, dim):
     """The whole-matrix float64 PCA: centre, covariance, eigh, project."""
