@@ -16,12 +16,13 @@ Most batches of a clean corpus need no search: when the warm start (the
 previous batch's digits) leaves zero residual and the active columns of A
 are linearly independent, A v = s has exactly one solution, so the warm
 digits are the unique, hence lexicographically smallest, optimum. The rank
-is decided exactly by elimination modulo a prime; a rank deficiency there
-only sends the batch to the search. `solve_corpus` decides it for every
-batch of the corpus in one stacked elimination (the short last batch
-padded with zero rows, inactive columns zeroed) and hands each batch its
-answer. The search's integer bounds are exact only while they fit int64;
-`solve_batch` rejects larger systems.
+is decided exactly by elimination modulo a prime that scales rows by the
+pivot instead of dividing; a rank deficiency there only sends the batch to
+the search. `solve_corpus` decides it for every batch of the corpus in one
+stacked elimination (the short last batch padded with zero rows, inactive
+columns zeroed) and hands each batch its answer. The search's integer
+bounds are exact only while they fit int64; `solve_batch` rejects larger
+systems.
 
 Batch candidates then vote: the one satisfying the most examples
 corpus-wide wins.
@@ -141,29 +142,14 @@ def _check_envelope(coeffs, targets):
         )
 
 
-def _inverse_mod_p(x):
-    """x^(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0.
-
-    Square-and-multiply over the exponent's bits; every product is of two
-    residues below 2^31, so it stays below 2^62.
-    """
-    result = np.ones_like(x)
-    e = _PRIME - 2
-    while e:
-        if e & 1:
-            result = result * x % _PRIME
-        x = x * x % _PRIME
-        e >>= 1
-    return result
-
-
 def _rank_mod_p(a):
     """Ranks of a stack (..., B, m) of integer matrices modulo the prime
     2^31 - 1, exactly; a 2-D matrix is a stack of one.
 
     Gaussian elimination on the columns in int64, every matrix of the stack
-    at once: each column's first nonzero entry is its pivot (a column with
-    none stays zero, and its multipliers are zero). A rank mod p is never
+    at once, without division: a column's pivot is its first nonzero entry,
+    and each later column is scaled by it before the pivot column's multiple
+    is subtracted (a zero column changes nothing). A rank mod p is never
     above the rank over Q, so full column rank mod p proves it over Q.
     """
     cols = np.swapaxes(np.asarray(a, dtype=np.int64), -1, -2) % _PRIME  # (..., m, B)
@@ -176,7 +162,7 @@ def _rank_mod_p(a):
         pivot = np.take_along_axis(col, at, axis=-1)  # (..., 1)
         rank += pivot[..., 0] != 0
         scale = np.take_along_axis(rest, at[..., None], axis=-1)  # (..., m-j-1, 1)
-        scale = scale * _inverse_mod_p(pivot)[..., None] % _PRIME
+        rest *= np.maximum(pivot, 1)[..., None]
         rest -= scale * col[..., None, :]
         rest %= _PRIME
     return rank

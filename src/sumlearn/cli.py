@@ -5,6 +5,7 @@ calls the same stage code as `run`, without resuming."""
 import json
 import os
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -63,9 +64,23 @@ def _int_list(ctx, param, value):
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
 
 
+@contextmanager
+def _one_line_warnings():
+    """Print each warning as `Category: message`, without the source line
+    that issued it: the cause is an option on the command line."""
+    saved = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *_, **__: f"{category.__name__}: {message}\n"
+    try:
+        yield
+    finally:
+        warnings.formatwarning = saved
+
+
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Weakly supervised digit classification from grid-sum supervision."""
+    ctx.with_resource(_one_line_warnings())
 
 
 def _config_options(fn):
@@ -78,8 +93,8 @@ def _config_options(fn):
         click.option("--seed", type=int, default=None, help=f"[default: {RunConfig.seed}]"),
         click.option("--batch-size", type=int, default=None, help=f"[default: {RunConfig.batch_size}]"),
         click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=None, help=f"[default: {RunConfig.backend}]"),
-        click.option("--autoencoder-epochs", type=int, default=None, help=f"[default: {RunConfig.autoencoder_epochs}]"),
-        click.option("--classifier-epochs", type=int, default=None, help=f"[default: {RunConfig.classifier_epochs}]"),
+        click.option("--autoencoder-epochs", type=click.IntRange(min=0), default=None, help=f"[default: {RunConfig.autoencoder_epochs}]"),
+        click.option("--classifier-epochs", type=click.IntRange(min=0), default=None, help=f"[default: {RunConfig.classifier_epochs}]"),
         click.option("--data", "data_dir", type=click.Path(), default=None, help=f"MNIST IDX dir (or ${DATA_DIR_ENV})"),
         click.option("--synthetic", is_flag=True, default=False, help="use generated Gaussian data"),
         click.option("--artifacts", "artifacts_dir", type=click.Path(), default=None, help=f"[default: {RunConfig.artifacts_dir}]"),
@@ -156,10 +171,10 @@ def sweep_cmd(w_list, h_list, csv_path, config_file, **kwargs):
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--synthetic", is_flag=True)
-@click.option("--n-images", type=int, default=RunConfig.synthetic_images, show_default=True)
-@click.option("--n-clusters", type=int, default=RunConfig.synthetic_clusters, show_default=True)
-@click.option("--separation", type=float, default=RunConfig.synthetic_separation, show_default=True)
-@click.option("--dim", type=int, default=RunConfig.synthetic_dim, show_default=True)
+@click.option("--n-images", type=click.IntRange(min=1), default=RunConfig.synthetic_images, show_default=True)
+@click.option("--n-clusters", type=click.IntRange(1, 10), default=RunConfig.synthetic_clusters, show_default=True)
+@click.option("--separation", type=click.FloatRange(min=0, min_open=True), default=RunConfig.synthetic_separation, show_default=True)
+@click.option("--dim", type=click.IntRange(min=1), default=RunConfig.synthetic_dim, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=RunConfig.artifacts_dir, show_default=True)
 def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters, separation, dim, out_dir):
     """Bundle images into sum-supervised examples; write corpus.txt.
@@ -188,8 +203,8 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None, help="store.tf from generate-data --synthetic")
 @click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=RunConfig.backend, show_default=True)
-@click.option("--epochs", type=int, default=RunConfig.autoencoder_epochs, show_default=True)
-@click.option("--dim", type=int, default=RunConfig.embed_dim, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=0), default=RunConfig.autoencoder_epochs, show_default=True)
+@click.option("--dim", type=click.IntRange(min=1), default=RunConfig.embed_dim, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/embedding.tf", show_default=True)
 def embed(data_dir, store_path, backend, epochs, dim, seed, out):
@@ -201,9 +216,9 @@ def embed(data_dir, store_path, backend, epochs, dim, seed, out):
 
 @main.command()
 @click.option("--embedding", "embedding_path", type=click.Path(exists=True), required=True)
-@click.option("--k", type=int, default=RunConfig.kmeans_k, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=RunConfig.kmeans_k, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
-@click.option("--max-iter", type=int, default=RunConfig.kmeans_max_iter, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=RunConfig.kmeans_max_iter, show_default=True)
 @click.option("--tol", type=float, default=RunConfig.kmeans_tol, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cluster.tf", show_default=True)
 def cluster(embedding_path, k, seed, max_iter, tol, out):
@@ -217,7 +232,7 @@ def cluster(embedding_path, k, seed, max_iter, tol, out):
 @main.command()
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--cluster", "cluster_path", type=click.Path(exists=True), required=True)
-@click.option("--batch-size", type=int, default=RunConfig.batch_size, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=RunConfig.batch_size, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/assignment.json", show_default=True)
 def assign(corpus_path, cluster_path, batch_size, out):
     """Solve the per-batch integer program and vote the winner."""
@@ -250,7 +265,7 @@ def infer(corpus_path, cluster_path, assignment_path, out_labels, out_summary):
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None)
 @click.option("--labels", "labels_path", type=click.Path(exists=True), required=True)
-@click.option("--epochs", type=int, default=RunConfig.classifier_epochs, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=0), default=RunConfig.classifier_epochs, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cnn.tf", show_default=True)
 def train(data_dir, store_path, labels_path, epochs, seed, out):
@@ -269,8 +284,8 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
 @click.option("--cnn", "cnn_path", type=click.Path(exists=True), required=True)
 @click.option("--data", "data_dir", type=click.Path(), default=None, help="MNIST dir (uses t10k split)")
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None, help="test_store.tf from generate-data --synthetic")
-@click.option("--w", type=int, default=RunConfig.w, show_default=True)
-@click.option("--h", type=int, default=RunConfig.h, show_default=True)
+@click.option("--w", type=click.IntRange(min=1), default=RunConfig.w, show_default=True)
+@click.option("--h", type=click.IntRange(min=1), default=RunConfig.h, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="optional metrics JSON")
 def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):

@@ -9,8 +9,8 @@ distances can differ from the (N, 1) product in the last bits. Seeding keeps
 the (N, 1) product for that reason. Embeddings with a non-finite or
 overflowing squared norm are refused.
 
-The fitted model also answers the distance-quantile queries the label
-inference step uses for its radius schedule.
+`distance_percentiles` gives the quantile of one cluster's member distances
+that the label inference step uses for its radius schedule.
 """
 
 from dataclasses import dataclass, field
@@ -32,9 +32,6 @@ class ClusterModel:
 
     def __len__(self):
         return self.assignment.shape[0]
-
-    def members(self, cluster):
-        return np.flatnonzero(self.assignment == cluster)
 
     def save(self, path, meta=None):
         m = dict(meta or {})
@@ -233,12 +230,11 @@ def purity(model, true_labels):
     return total / labels.shape[0]
 
 
-def distance_percentiles(model, cluster, q):
-    """q-quantile (linear interpolation) of member distances to centroid."""
+def distance_percentiles(distances, q):
+    """q-quantile (linear interpolation) of one cluster's member distances
+    to its centroid."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0,1], got {q}")
-    members = model.members(cluster)
-    if members.size == 0:
-        raise ValueError(f"cluster {cluster} is empty")
-    return float(np.quantile(model.distance[members], q))
-
+    if len(distances) == 0:
+        raise ValueError("cluster is empty")
+    return float(np.quantile(distances, q))

@@ -68,33 +68,20 @@ def init_labels(model, assignment):
     )
 
 
-class _ByCluster:
-    """A model's distances grouped by cluster with one stable argsort, for
-    `distance_percentiles`: cluster c's members are one run of `distance`,
-    in index order, so reading them scans no other cluster. The assignment
-    is narrowed to the smallest unsigned type that holds k, which makes
-    numpy's stable sort a radix sort for k < 65,536."""
-
-    def __init__(self, model):
-        order = np.argsort(model.assignment.astype(np.min_scalar_type(model.k)), kind="stable")
-        self.distance = model.distance[order]
-        self.counts = np.bincount(model.assignment, minlength=model.k)
-        self.starts = np.cumsum(self.counts) - self.counts
-
-    def members(self, cluster):
-        return np.arange(self.starts[cluster], self.starts[cluster] + self.counts[cluster])
-
-
 def images_within_radius(model, radius):
     """Ids of images within the (radius*20)-percentile of their own
     cluster's centroid-distance distribution. radius=5 covers everything."""
     if radius not in RADII:
         raise ValueError(f"radius must be in 1..5, got {radius}")
     q = radius * 20 / 100.0
-    grouped = _ByCluster(model)
+    # one stable argsort (a radix sort for k < 65,536 on the narrowed
+    # assignment) makes each cluster's distances one run, in index order
+    order = np.argsort(model.assignment.astype(np.min_scalar_type(model.k)), kind="stable")
+    counts = np.bincount(model.assignment, minlength=model.k)
+    runs = np.split(model.distance[order], np.cumsum(counts)[:-1])
     thresholds = np.zeros(model.k)  # empty clusters have no member to compare
-    for c in np.flatnonzero(grouped.counts):
-        thresholds[c] = distance_percentiles(grouped, c, q)
+    for c in np.flatnonzero(counts):
+        thresholds[c] = distance_percentiles(runs[c], q)
     return np.flatnonzero(model.distance <= thresholds[model.assignment])
 
 

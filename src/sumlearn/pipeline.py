@@ -95,6 +95,12 @@ class RunConfig:
             raise ValueError(f"unknown embedding backend {self.backend!r}")
         if not self.synthetic and self.data_dir is None:
             raise ValueError("either pass data_dir or select synthetic mode")
+        grid = self.w * self.h
+        if self.synthetic and min(self.synthetic_images, self.synthetic_test_images) < grid:
+            raise ValueError(
+                f"a synthetic store needs one {self.w}x{self.h} grid ({grid} images), got "
+                f"{self.synthetic_images} train and {self.synthetic_test_images} test images"
+            )
 
     def to_json(self):
         out = asdict(self)
@@ -357,7 +363,7 @@ def _save_labels(value, path, meta):
 
 def _load_labels(path):
     summary = json.loads(path.read_text(encoding="utf-8"))
-    if "inference_radii" not in summary:  # written before the per-radius record
+    if "inference_radii" not in summary:  # the report reads it; STAGE_FORMAT keys out older files
         raise ValueError("labels.json has no inference_radii")
     json_int(summary, "inconsistent_examples")  # the report reads it
     labels = load_int64(path.with_name("labels.bin"))

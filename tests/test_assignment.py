@@ -13,7 +13,6 @@ from sumlearn.assignment import (
     DigitAssignment,
     _Bounds,
     _independent_batches,
-    _inverse_mod_p,
     _PRIME,
     _rank_mod_p,
     build_batch_system,
@@ -292,12 +291,6 @@ class TestStackedRankModP:
         assert ranks.shape == (3, 2)
         for idx in np.ndindex(3, 2):
             assert ranks[idx] == fraction_rank(a[idx])
-
-    def test_inverse_mod_p(self, rng):
-        x = np.concatenate([[0, 1, 2, _PRIME - 1], rng.integers(1, _PRIME, size=200)])
-        inv = _inverse_mod_p(x)
-        assert inv[0] == 0
-        assert ((inv[1:] * x[1:]) % _PRIME == 1).all()
 
     @pytest.mark.parametrize("batch_size", [1, 3, 4, 7, 40])
     def test_independent_batches_read_active_columns(self, rng, batch_size):

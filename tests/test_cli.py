@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -361,8 +364,11 @@ class TestUsageErrors:
             (["sweep", "--w-list", "1,0", "--h-list", "2"], "grid shape must be positive, got w=0, h=2"),
             (["generate-data", "--w", "0"], "grid shape must be positive, got w=0, h=2"),
             (["generate-data", "--factor", "0"], "oversample_factor must be >= 1, got 0"),
+            (["generate-data", "--n-images", "3"],
+             "a synthetic store needs one 2x2 grid (4 images), got 3 train and 400 test images"),
         ],
-        ids=["run-w", "run-batch-size", "sweep-w", "generate-data-w", "generate-data-factor"],
+        ids=["run-w", "run-batch-size", "sweep-w", "generate-data-w", "generate-data-factor",
+             "generate-data-n-images-below-grid"],
     )
     def test_invalid_config_refused_before_writing(self, tmp_path, args, message):
         out = {
@@ -375,6 +381,51 @@ class TestUsageErrors:
         assert r.exit_code == 2, r.output
         assert f"Error: {message}" in r.output
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["embed", "--store", "{chain}/store.tf", "--dim", "0"], "--dim"),
+            (["embed", "--store", "{chain}/store.tf", "--epochs", "-1"], "--epochs"),
+            (["cluster", "--embedding", "{chain}/embedding.tf", "--k", "0"], "--k"),
+            (["cluster", "--embedding", "{chain}/embedding.tf", "--max-iter", "0"], "--max-iter"),
+            (["assign", "--corpus", "{chain}/corpus.txt", "--cluster", "{chain}/cluster.tf",
+              "--batch-size", "0"], "--batch-size"),
+            (["train", "--store", "{chain}/store.tf", "--labels", "{chain}/labels.bin",
+              "--epochs", "-1"], "--epochs"),
+            (["evaluate", "--cnn", "{chain}/cnn.tf", "--store", "{chain}/test_store.tf", "--w", "0"], "--w"),
+            (["generate-data", "--synthetic", "--n-clusters", "11"], "--n-clusters"),
+            (["generate-data", "--synthetic", "--separation", "0"], "--separation"),
+            (["generate-data", "--synthetic", "--dim", "0"], "--dim"),
+            (["generate-data", "--synthetic", "--n-images", "0"], "--n-images"),
+            (["run", "--synthetic", "--backend", "pca", "--classifier-epochs", "-1"], "--classifier-epochs"),
+        ],
+        ids=["embed-dim", "embed-epochs", "cluster-k", "cluster-max-iter", "assign-batch-size",
+             "train-epochs", "evaluate-w", "generate-data-n-clusters", "generate-data-separation",
+             "generate-data-dim", "generate-data-n-images", "run-classifier-epochs"],
+    )
+    def test_out_of_range_number_refused_before_writing(self, chain, tmp_path, args, option):
+        out = {
+            "run": ["--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r")],
+            "generate-data": ["--out", str(tmp_path / "a")],
+        }.get(args[0], ["--out", str(tmp_path / "a" / "result")])
+        r = run_cli(*[arg.format(chain=chain) for arg in args], *out)
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{option}'" in r.output
+        assert not any(tmp_path.iterdir())
+
+    def test_envelope_warning_is_one_line(self, tmp_path):
+        # a child process: in-process, pytest records the warning instead of printing it
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r = subprocess.run(
+            [sys.executable, "-m", "sumlearn.cli", "generate-data", "--synthetic", "--w", "11", "--h", "1",
+             "--n-images", "40", "--n-clusters", "4", "--dim", "8", "--out", str(tmp_path / "a")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert r.stderr.splitlines() == [
+            "UserWarning: w=11, h=1 is outside the tested envelope (w <= 10, h <= 6); proceeding anyway"
+        ]
 
     def test_envelope_warning_once_per_config(self, tmp_path, recwarn):
         run_cli("run", "--synthetic", "--w", "11", "--h", "1", "--backend", "pca",

@@ -397,22 +397,18 @@ class TestPurity:
 
 class TestDistancePercentiles:
     def test_endpoint_is_max(self):
-        model = identity_model([0, 0, 0], distance=[1.0, 5.0, 3.0])
-        assert distance_percentiles(model, 0, 1.0) == 5.0
+        assert distance_percentiles(np.array([1.0, 5.0, 3.0]), 1.0) == 5.0
 
     def test_constant_distances(self):
-        model = identity_model([0, 0, 0, 0], distance=[2.0] * 4)
         for q in (0.0, 0.25, 0.5, 1.0):
-            assert distance_percentiles(model, 0, q) == 2.0
+            assert distance_percentiles(np.full(4, 2.0), q) == 2.0
 
     def test_median_interpolation(self):
-        model = identity_model([0, 0, 0], distance=[1.0, 2.0, 3.0])
-        assert distance_percentiles(model, 0, 0.5) == 2.0
+        assert distance_percentiles(np.array([1.0, 2.0, 3.0]), 0.5) == 2.0
 
     def test_empty_cluster(self):
-        model = identity_model([0, 0], k=2)
         with pytest.raises(ValueError):
-            distance_percentiles(model, 1, 0.5)
+            distance_percentiles(np.zeros(0), 0.5)
 
 
 class TestPersistence:

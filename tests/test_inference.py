@@ -82,9 +82,9 @@ class TestImagesWithinRadius:
         for radius in (1, 2, 3, 4, 5):
             mask = np.zeros(len(model), dtype=bool)
             for c in range(model.k):
-                members = model.members(c)
+                members = np.flatnonzero(model.assignment == c)
                 if members.size:
-                    threshold = distance_percentiles(model, c, radius * 20 / 100.0)
+                    threshold = distance_percentiles(model.distance[members], radius * 20 / 100.0)
                     mask[members[model.distance[members] <= threshold]] = True
             assert np.array_equal(images_within_radius(model, radius), np.flatnonzero(mask))
 

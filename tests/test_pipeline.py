@@ -102,6 +102,13 @@ class TestRunConfig:
             run_pipeline(cfg)
         assert not (tmp_path / "artifacts").exists()  # refused before any stage ran
 
+    @pytest.mark.parametrize("field", ["synthetic_images", "synthetic_test_images"])
+    def test_refuses_synthetic_store_smaller_than_a_grid(self, field):
+        cfg = RunConfig(w=2, h=2, synthetic=True, **{field: 3})
+        with pytest.raises(ValueError, match="needs one 2x2 grid"):
+            cfg.validate()
+        RunConfig(w=2, h=2, synthetic=True, **{field: 4}).validate()
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             RunConfig(batch_size=0, synthetic=True).validate()
@@ -667,10 +674,8 @@ class TestLabelFreedomAudit:
         asg.solve_corpus,
         asg._independent_batches,
         asg._rank_mod_p,
-        asg._inverse_mod_p,
         inf.init_labels,
         inf.images_within_radius,
-        inf._ByCluster,
         inf._forced_digit,
         inf._Propagation,
         inf.LabelState.counts,
