@@ -20,9 +20,10 @@ is decided exactly by elimination modulo a prime that scales rows by the
 pivot instead of dividing; a rank deficiency there only sends the batch to
 the search. `solve_corpus` decides it for every batch of the corpus in one
 stacked elimination (the short last batch padded with zero rows, inactive
-columns zeroed) and hands each batch its answer. The search's integer
-bounds are exact only while they fit int64; `solve_batch` rejects larger
-systems.
+columns zeroed) and hands each batch its answer; `solve_batch` takes the
+certificate only from its caller. The search's root multipliers are the
+warm start's subgradient, and its integer bounds are exact only while
+they fit int64; `solve_batch` rejects larger systems.
 
 Batch candidates then vote: the one satisfying the most examples
 corpus-wide wins.
@@ -197,19 +198,12 @@ def _quantize(lam):
     return n.astype(np.int64)
 
 
-def dual_multipliers(coeffs, targets, warm_digits, iters=60):
-    """Root Lagrangian multipliers lambda in [-1,1]^B, floats.
-
-    Since |x| >= lambda*x for any lambda in [-1,1], every such vector yields
-    an admissible bound; projected supergradient ascent only improves its
-    quality. The search's node ascent starts from them.
+def dual_multipliers(coeffs, targets, warm_digits):
+    """Root Lagrangian multipliers, floats: sign(A warm - s), the subgradient
+    of |A x - s| at the warm start. Any lambda in [-1,1]^B gives an admissible
+    bound, since |x| >= lambda*x; the root node's ascent starts from these.
     """
-    if targets.shape[0] == 0:
-        return np.zeros(0)
-    a = coeffs.astype(np.float64)
-    s = targets.astype(np.float64)
-    lam = np.sign(a @ warm_digits - s)  # subgradient of |.| at the incumbent
-    return _ascend(a, -s, lam, iters + 1, 0.5, 0.7)
+    return np.sign(coeffs @ warm_digits - targets).astype(np.float64)
 
 
 class _Bounds:
@@ -307,19 +301,20 @@ def _search(bounds, place, lam, best_key):
     return best_key, found
 
 
-def solve_batch(system, initial_digits=None, independent=None):
+def solve_batch(system, initial_digits=None, independent=False):
     """Globally optimal, lexicographically smallest digit vector for one batch.
 
     If the warm start leaves zero residual and the active columns of A
     (clusters present in the batch) are linearly independent, A v = s has
     exactly one solution: the warm digits are the unique optimum and are
     returned on the active clusters without any search. `independent` is
-    that certificate when the caller already has it (`solve_corpus` takes
-    every batch's at once); None computes it here.
+    that certificate, from the caller (`solve_corpus` takes every batch's
+    at once); without it the search proves the same optimum.
 
     Otherwise one search for the smallest key residual * 10^m + rank over
-    the m active clusters starts from the warm (or all-zero) start's key.
-    It fixes columns in descending mass order, children best-bound first.
+    the m active clusters starts from the warm (or all-zero) start's key,
+    with its subgradient as the root multipliers. It fixes columns in
+    descending mass order, children best-bound first.
 
     Clusters absent from the batch get digit 0. Raises ValueError if the
     system is too large for the search's exact int64 bounds.
@@ -338,12 +333,9 @@ def solve_batch(system, initial_digits=None, independent=None):
             warm = np.asarray(initial_digits, dtype=np.int64)
             incumbent = warm_obj
     digits = np.zeros(k, dtype=np.int64)
-    if incumbent == 0:
-        if independent is None:
-            independent = _rank_mod_p(coeffs[:, active]) == len(active)
-        if independent:
-            digits[active] = warm[active]
-            return DigitAssignment(digits=digits, objective=0)
+    if incumbent == 0 and independent:
+        digits[active] = warm[active]
+        return DigitAssignment(digits=digits, objective=0)
     lam = dual_multipliers(coeffs, targets, warm)
 
     m = len(active)

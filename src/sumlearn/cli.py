@@ -210,7 +210,10 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
 def embed(data_dir, store_path, backend, epochs, dim, seed, out):
     """Learn the 10-d representation (autoencoder or PCA fallback)."""
     config = RunConfig(backend=backend, autoencoder_epochs=epochs, embed_dim=dim, seed=seed)
-    matrix = pl.embed_store(config, _store(store_path, data_dir, "train"), _out_path(out))
+    store = _store(store_path, data_dir, "train")
+    if backend == "pca" and dim > store.dim:
+        raise click.BadParameter(f"PCA needs at most the store's {store.dim} pixels, got {dim}", param_hint="'--dim'")
+    matrix = pl.embed_store(config, store, _out_path(out))
     click.echo(f"embedding {matrix.shape} -> {out}")
 
 
@@ -224,7 +227,10 @@ def embed(data_dir, store_path, backend, epochs, dim, seed, out):
 def cluster(embedding_path, k, seed, max_iter, tol, out):
     """k-means with k-means++ seeding over the embedding."""
     config = RunConfig(kmeans_k=k, seed=seed, kmeans_max_iter=max_iter, kmeans_tol=tol)
-    model = pl.fit_clusters(config, emb.load_embedding(embedding_path))
+    matrix = emb.load_embedding(embedding_path)
+    if k > len(matrix):
+        raise click.BadParameter(f"k={k} exceeds the embedding's {len(matrix)} rows", param_hint="'--k'")
+    model = pl.fit_clusters(config, matrix)
     pl.save_cluster(model, _out_path(out))
     click.echo(f"k={k} clusters, inertia {model.inertia_history[-1]:.4g} -> {out}")
 
@@ -290,6 +296,10 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
 @click.option("--out", type=click.Path(), default=None, help="optional metrics JSON")
 def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):
     """Classification and addition accuracy on the test split."""
+    try:
+        ds.check_grid_shape(w, h)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--w'") from exc
     test_store = _store(store_path, data_dir, "test")
     try:
         cnn = clf.CnnParams.load(cnn_path)

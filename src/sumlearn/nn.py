@@ -194,12 +194,7 @@ class Conv2d:
         if not input_grad:
             return None
         wk = self.W.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
-        if c > 1:
-            slabs = np.matmul(g, wk)  # (kh*kw, B*Ho*Wo, C)
-        else:  # one (B*Ho*Wo, kh*kw) GEMM, read transposed: per offset the
-            # product would be matrix-vector, slower and summed in another order
-            slabs = (g @ wk[:, :, 0].T).T
-        slabs = slabs.reshape(kh, kw, b_, ho, wo, c)
+        slabs = np.matmul(g, wk).reshape(kh, kw, b_, ho, wo, c)  # per kernel offset
         dx = np.zeros(self._xshape, dtype=grad.dtype)  # (B, H, W, C)
         for p in range(kh):
             for q in range(kw):

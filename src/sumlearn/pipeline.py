@@ -48,6 +48,13 @@ TOTAL_TIME_STAGES = ("cluster", "assign", "infer", "train")
 STAGE_FORMAT = 2
 
 
+# the least value of each numeric RunConfig field that has one
+_LEAST = {
+    "batch_size": 1, "oversample_factor": 1, "embed_dim": 1, "kmeans_k": 1,
+    "kmeans_max_iter": 1, "kmeans_n_init": 1, "autoencoder_epochs": 0, "classifier_epochs": 0,
+}
+
+
 @dataclass
 class RunConfig:
     w: int = 2
@@ -82,21 +89,26 @@ class RunConfig:
                 "(w <= 10, h <= 6); proceeding anyway",
                 stacklevel=2,
             )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.oversample_factor < 1:
-            raise ValueError(
-                f"oversample_factor must be >= 1, got {self.oversample_factor}"
-            )
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         outside = [r for r in self.radius_schedule if r not in inf.RADII]
         if outside:
             raise ValueError(f"radius_schedule values must be in 1..5, got {outside}")
         if self.backend not in ("autoencoder", "pca"):
             raise ValueError(f"unknown embedding backend {self.backend!r}")
-        if not self.synthetic and self.data_dir is None:
-            raise ValueError("either pass data_dir or select synthetic mode")
+        if not self.synthetic:
+            if self.data_dir is None:
+                raise ValueError("either pass data_dir or select synthetic mode")
+            return
+        if not 1 <= self.synthetic_clusters <= 10:
+            raise ValueError(f"synthetic_clusters must be in 1..10, got {self.synthetic_clusters}")
+        if not self.synthetic_separation > 0:
+            raise ValueError(f"synthetic_separation must be > 0, got {self.synthetic_separation}")
+        if self.synthetic_dim < 1:
+            raise ValueError(f"synthetic_dim must be >= 1, got {self.synthetic_dim}")
         grid = self.w * self.h
-        if self.synthetic and min(self.synthetic_images, self.synthetic_test_images) < grid:
+        if min(self.synthetic_images, self.synthetic_test_images) < grid:
             raise ValueError(
                 f"a synthetic store needs one {self.w}x{self.h} grid ({grid} images), got "
                 f"{self.synthetic_images} train and {self.synthetic_test_images} test images"

@@ -341,7 +341,7 @@ class TestStackedRankModP:
 
     def test_solve_batch_certificate_matches_its_own(self, rng):
         # solve_corpus hands each batch its stacked certificate; solve_batch
-        # alone computes it, and both give the same candidate
+        # without one searches, and both give the same candidate
         for _ in range(20):
             system = random_system(rng, k=4, n_rows=6)
             digits = rng.integers(0, 10, size=4)
@@ -511,7 +511,7 @@ class TestSolveBatch:
             raise AssertionError("certified batch must not search")
 
         monkeypatch.setattr("sumlearn.assignment.dual_multipliers", no_search)
-        got = solve_batch(system, initial_digits=np.array([3, 4, 7]))
+        got = solve_batch(system, initial_digits=np.array([3, 4, 7]), independent=True)
         assert got.objective == 0
         assert np.array_equal(got.digits, [3, 4, 0])
 

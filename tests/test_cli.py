@@ -383,6 +383,31 @@ class TestUsageErrors:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"kmeans_k": 0}, "kmeans_k must be >= 1, got 0"),
+            ({"kmeans_max_iter": 0}, "kmeans_max_iter must be >= 1, got 0"),
+            ({"kmeans_n_init": 0}, "kmeans_n_init must be >= 1, got 0"),
+            ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
+            ({"autoencoder_epochs": -1}, "autoencoder_epochs must be >= 0, got -1"),
+            ({"classifier_epochs": -1}, "classifier_epochs must be >= 0, got -1"),
+            ({"synthetic_clusters": 11}, "synthetic_clusters must be in 1..10, got 11"),
+            ({"synthetic_separation": 0.0}, "synthetic_separation must be > 0, got 0.0"),
+            ({"synthetic_dim": 0}, "synthetic_dim must be >= 1, got 0"),
+        ],
+        ids=["kmeans_k", "kmeans_max_iter", "kmeans_n_init", "embed_dim", "autoencoder_epochs",
+             "classifier_epochs", "synthetic_clusters", "synthetic_separation", "synthetic_dim"],
+    )
+    def test_invalid_config_file_value_refused_before_writing(self, tmp_path, values, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synthetic": True, **values}))
+        r = run_cli("run", "--config", str(config), "--backend", "pca",
+                    "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"))
+        assert r.exit_code == 2, r.output
+        assert f"Error: {message}" in r.output
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize(
         "args, option",
         [
             (["embed", "--store", "{chain}/store.tf", "--dim", "0"], "--dim"),
@@ -399,10 +424,15 @@ class TestUsageErrors:
             (["generate-data", "--synthetic", "--dim", "0"], "--dim"),
             (["generate-data", "--synthetic", "--n-images", "0"], "--n-images"),
             (["run", "--synthetic", "--backend", "pca", "--classifier-epochs", "-1"], "--classifier-epochs"),
+            # bounds that depend on the data: the chain's 480 images of 196 pixels
+            (["embed", "--store", "{chain}/store.tf", "--backend", "pca", "--dim", "500"], "--dim"),
+            (["cluster", "--embedding", "{chain}/embedding.tf", "--k", "5000"], "--k"),
+            (["evaluate", "--cnn", "{chain}/cnn.tf", "--store", "{chain}/test_store.tf", "--w", "20"], "--w"),
         ],
         ids=["embed-dim", "embed-epochs", "cluster-k", "cluster-max-iter", "assign-batch-size",
              "train-epochs", "evaluate-w", "generate-data-n-clusters", "generate-data-separation",
-             "generate-data-dim", "generate-data-n-images", "run-classifier-epochs"],
+             "generate-data-dim", "generate-data-n-images", "run-classifier-epochs",
+             "embed-dim-above-pixels", "cluster-k-above-rows", "evaluate-w-overflow"],
     )
     def test_out_of_range_number_refused_before_writing(self, chain, tmp_path, args, option):
         out = {
