@@ -231,7 +231,7 @@ def cluster(embedding_path, k, seed, max_iter, tol, out):
     if k > len(matrix):
         raise click.BadParameter(f"k={k} exceeds the embedding's {len(matrix)} rows", param_hint="'--k'")
     model = pl.fit_clusters(config, matrix)
-    pl.save_cluster(model, _out_path(out))
+    model.save(_out_path(out))
     click.echo(f"k={k} clusters, inertia {model.inertia_history[-1]:.4g} -> {out}")
 
 
@@ -255,16 +255,17 @@ def assign(corpus_path, cluster_path, batch_size, out):
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--cluster", "cluster_path", type=click.Path(exists=True), required=True)
 @click.option("--assignment", "assignment_path", type=click.Path(exists=True), required=True)
-@click.option("--out-labels", type=click.Path(), default=f"{RunConfig.artifacts_dir}/labels.bin", show_default=True)
-@click.option("--out-summary", type=click.Path(), default=f"{RunConfig.artifacts_dir}/labels.json", show_default=True)
-def infer(corpus_path, cluster_path, assignment_path, out_labels, out_summary):
+@click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/labels.json", show_default=True, help="labels.bin goes beside it")
+def infer(corpus_path, cluster_path, assignment_path, out):
     """Propagate labels through the sum constraints (radius schedule)."""
+    if Path(out).name == "labels.bin":  # the summary would overwrite the labels
+        raise click.BadParameter("names the summary, labels.json; labels.bin goes beside it", param_hint="'--out'")
     corpus = ds.load_corpus(corpus_path)
     model = clu.ClusterModel.load(cluster_path)
     state = inf.init_labels(model, asg.DigitAssignment.load(assignment_path))
     state = inf.run_inference(state, corpus, model, radii=RunConfig.radius_schedule)
-    inf.save_labels(state.labels, state.counts(), _out_path(out_labels), _out_path(out_summary))
-    click.echo(f"labels -> {out_labels}; {state.counts()}")
+    inf.save_labels((state.labels, state.counts()), _out_path(out))
+    click.echo(f"labels -> {out} and labels.bin beside it; {state.counts()}")
 
 
 @main.command()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError
-from .tensorfile import load_tensors, save_tensors
+from .tensorfile import load_tensors, save_int64, save_tensors
 
 
 @dataclass
@@ -34,6 +34,7 @@ class ClusterModel:
         return self.assignment.shape[0]
 
     def save(self, path, meta=None):
+        """The model as `path` plus its flat cluster_assignment.bin beside it."""
         m = dict(meta or {})
         m.update(k=self.k, seed=self.seed, inertia_history=self.inertia_history)
         save_tensors(
@@ -45,6 +46,7 @@ class ClusterModel:
             },
             meta=m,
         )
+        save_int64(path.with_name("cluster_assignment.bin"), self.assignment)
 
     @classmethod
     def load(cls, path):

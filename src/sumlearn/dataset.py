@@ -40,7 +40,7 @@ class ImageStore:
     point. The caller's own array keeps its flags.
     """
 
-    def __init__(self, images, true_labels, split="train"):
+    def __init__(self, images, true_labels):
         images = np.asarray(images)
         if images.dtype != np.uint8:
             images = images.astype(np.float64, copy=False)
@@ -53,7 +53,6 @@ class ImageStore:
             )
         self.images = images.view()
         self.images.setflags(write=False)
-        self.split = split
         self._true_labels = true_labels
         self._true_labels.setflags(write=False)
 
@@ -68,19 +67,14 @@ class ImageStore:
         """Ground-truth digits. Evaluation/data-generation use only."""
         return self._true_labels
 
-    def subset(self, indices, split=None):
-        return ImageStore(
-            self.images[indices],
-            self._true_labels[indices],
-            split=self.split if split is None else split,
-        )
+    def subset(self, indices):
+        return ImageStore(self.images[indices], self._true_labels[indices])
 
 
-def decode(pixels, out=None):
-    """`pixels` (rows of a store's `images`) as float64 intensities, written
-    into `out` when given: uint8 pixels are divided by 255, float64 ones by
-    1, which is exact."""
-    return np.divide(pixels, 255.0 if pixels.dtype == np.uint8 else 1.0, out=out, dtype=np.float64)
+def decode(pixels):
+    """`pixels` (rows of a store's `images`) as float64 intensities: uint8
+    pixels are divided by 255, float64 ones by 1, which is exact."""
+    return np.divide(pixels, 255.0 if pixels.dtype == np.uint8 else 1.0, dtype=np.float64)
 
 
 def _open_maybe_gz(path):
@@ -98,7 +92,7 @@ def _read_be32(f, path):
     return struct.unpack(">I", data)[0]
 
 
-def load_idx(images_path, labels_path, split="train"):
+def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair into an ImageStore.
 
     The store keeps the file's uint8 pixels, which `decode` maps to [0,1];
@@ -126,7 +120,7 @@ def load_idx(images_path, labels_path, split="train"):
 
     if n_images != n_labels:
         raise ConsistencyError(f"{n_images} images but {n_labels} labels")
-    return ImageStore(raw.reshape(n_images, rows * cols), labels.astype(np.int64), split=split)
+    return ImageStore(raw.reshape(n_images, rows * cols), labels.astype(np.int64))
 
 
 @dataclass
@@ -252,7 +246,7 @@ def generate_synthetic(n_images, n_clusters, separation, dim, seed=0):
     labels = np.tile(np.arange(n_clusters), n_images // n_clusters + 1)[:n_images]
     labels = labels[rng.permutation(n_images)]
     points = centroids[labels] + rng.standard_normal((n_images, dim))
-    return ImageStore(points, labels, split="synthetic")
+    return ImageStore(points, labels)
 
 
 def normalize_unit(store):
@@ -265,7 +259,7 @@ def normalize_unit(store):
         return store
     images -= lo
     images /= hi - lo
-    return ImageStore(images, store.evaluation_labels(), split=store.split)
+    return ImageStore(images, store.evaluation_labels())
 
 
 def save_corpus(corpus, path):
@@ -316,18 +310,11 @@ def load_corpus(path):
     )
 
 
-def save_store(store, path, meta=None):
-    m = dict(meta or {})
-    m["split"] = store.split
-    save_tensors(
-        path,
-        {"images": store.images, "true_labels": store.evaluation_labels()},
-        meta=m,
-    )
+def save_store(store, path):
+    save_tensors(path, {"images": store.images, "true_labels": store.evaluation_labels()})
 
 
 def load_store(path):
-    meta, tensors = load_tensors(path)
-    return ImageStore(
-        tensors["images"], tensors["true_labels"], split=meta.get("split", "train")
-    )
+    """save_store's store; the "split" meta field of older files is ignored."""
+    _, tensors = load_tensors(path)
+    return ImageStore(tensors["images"], tensors["true_labels"])

@@ -23,13 +23,14 @@ resolutions and the pairs they touch instead of examples times passes.
 """
 
 import heapq
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clustering import distance_percentiles
 from .dataset import check_image_ids, grid_cells
-from .tensorfile import save_int64, save_json
+from .tensorfile import json_int, load_int64, save_int64, save_json
 
 PROV_CLUSTER = 0  # the cluster's digit, untrusted; every other tag is trusted
 PROV_RADIUS = 1
@@ -205,7 +206,24 @@ def run_inference(state, corpus, model, radii=RADII):
     return state
 
 
-def save_labels(labels, summary, bin_path, json_path):
-    """Flat int64 label file plus a JSON summary (LabelState.counts())."""
-    save_int64(bin_path, labels)
-    save_json(json_path, summary)
+def save_labels(value, path, meta=None):
+    """`value`, (labels, LabelState.counts()), as the JSON summary `path`
+    with `meta` merged in, and labels.bin, a flat int64 file, beside it."""
+    labels, summary = value
+    save_int64(path.with_name("labels.bin"), labels)
+    save_json(path, {**summary, **(meta or {})})
+
+
+def load_labels(path):
+    """save_labels' (labels, summary) from the summary `path` and the
+    labels.bin beside it; a file that does not fit is a ValueError."""
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    if "inference_radii" not in summary:  # the report reads it; STAGE_FORMAT keys out older files
+        raise ValueError("labels.json has no inference_radii")
+    json_int(summary, "inconsistent_examples")  # the report reads it
+    labels = load_int64(path.with_name("labels.bin"))
+    # a truncated labels.bin keeps its key; resume only one label per image
+    n_images = sum(json_int(summary, name) for name in PROVENANCES)
+    if labels.shape[0] != n_images:
+        raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
+    return labels, summary

@@ -10,8 +10,7 @@ The embedding hash does not involve w or h, so a sweep over grid shapes
 trains the autoencoder once; the reported total covers the four pipeline
 steps, with embedding timed separately. The CLI's stage subcommands call
 the same functions (`load_stores`, `write_corpus`, `embed_store`,
-`fit_clusters`, `save_cluster`, `train_classifier`) without a key, so they
-never resume.
+`fit_clusters`, `train_classifier`) without a key, so they never resume.
 """
 
 import csv
@@ -32,7 +31,7 @@ from . import clustering as clu
 from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
-from .tensorfile import json_int, load_int64, peek_meta, save_int64, save_json
+from .tensorfile import peek_meta, save_json
 
 SWEEP_COLUMNS = [
     "w", "h", "factor", "seed", "purity", "label_acc_pre", "label_acc_post",
@@ -107,6 +106,9 @@ class RunConfig:
             raise ValueError(f"synthetic_separation must be > 0, got {self.synthetic_separation}")
         if self.synthetic_dim < 1:
             raise ValueError(f"synthetic_dim must be >= 1, got {self.synthetic_dim}")
+        if self.backend == "pca" and self.embed_dim > self.synthetic_dim:
+            raise ValueError(f"embed_dim must be <= synthetic_dim {self.synthetic_dim} for PCA, "
+                             f"got {self.embed_dim}")
         grid = self.w * self.h
         if min(self.synthetic_images, self.synthetic_test_images) < grid:
             raise ValueError(
@@ -257,7 +259,7 @@ def find_idx_files(data_dir):
 def idx_store(data_dir, split):
     """The "train" or "test" (t10k) IDX pair under data_dir as an ImageStore."""
     paths = find_idx_files(data_dir)
-    return ds.load_idx(paths[f"{split}_images"], paths[f"{split}_labels"], split=split)
+    return ds.load_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
 
 
 def load_stores(config):
@@ -274,19 +276,15 @@ def load_stores(config):
         seed=config.seed,
     )
     full = ds.normalize_unit(full)  # pixel-like inputs for the CNN
-    return (
-        full.subset(np.arange(n_train), split="train"),
-        full.subset(np.arange(n_train, len(full)), split="test"),
-    )
+    return full.subset(np.arange(n_train)), full.subset(np.arange(n_train, len(full)))
 
 
 def write_corpus(config, store, out_dir):
-    """Build the training corpus and write corpus.txt and corpus.json."""
+    """Build the training corpus and write corpus.txt."""
     corpus = ds.build_corpus(
         store, config.w, config.h, config.oversample_factor, seed=config.seed
     )
     ds.save_corpus(corpus, out_dir / "corpus.txt")
-    save_json(out_dir / "corpus.json", {"config_key": config.corpus_key(), "examples": len(corpus)})
     return corpus
 
 
@@ -343,12 +341,6 @@ def embed_store(config, store, path, key=None):
     )
 
 
-def save_cluster(model, path, meta=None):
-    """The model as `path` plus its flat cluster_assignment.bin beside it."""
-    model.save(path, meta=meta)
-    save_int64(path.with_name("cluster_assignment.bin"), model.assignment)
-
-
 def fit_clusters(config, matrix):
     """k-means over the embedding with the config's settings."""
     return clu.kmeans(
@@ -367,24 +359,6 @@ def train_classifier(config, store, labels):
 
 
 # -- the run ----------------------------------------------------------------
-
-def _save_labels(value, path, meta):
-    labels, summary = value
-    inf.save_labels(labels, {**summary, **meta}, path.with_name("labels.bin"), path)
-
-
-def _load_labels(path):
-    summary = json.loads(path.read_text(encoding="utf-8"))
-    if "inference_radii" not in summary:  # the report reads it; STAGE_FORMAT keys out older files
-        raise ValueError("labels.json has no inference_radii")
-    json_int(summary, "inconsistent_examples")  # the report reads it
-    labels = load_int64(path.with_name("labels.bin"))
-    # a truncated labels.bin keeps its key; resume only one label per image
-    n_images = sum(json_int(summary, name) for name in inf.PROVENANCES)
-    if labels.shape[0] != n_images:
-        raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
-    return labels, summary
-
 
 def _evaluate(store, test_store, test_corpus, model, assignment, initial_labels, labels, summary, cnn):
     """The report's metrics: the one stage that reads ground truth."""
@@ -448,7 +422,7 @@ def run_pipeline(config, stores=None):
         with timed("cluster"):
             model = cached(
                 artifacts_dir / "cluster.tf", config.cluster_key(), clu.ClusterModel.load,
-                lambda: fit_clusters(config, embedding), save_cluster,
+                lambda: fit_clusters(config, embedding), clu.ClusterModel.save,
             )
         with timed("assign"):
             assignment = cached(
@@ -465,7 +439,7 @@ def run_pipeline(config, stores=None):
                 return done.labels, done.counts()
 
             labels, label_summary = cached(
-                artifacts_dir / "labels.json", config.infer_key(), _load_labels, propagate, _save_labels
+                artifacts_dir / "labels.json", config.infer_key(), inf.load_labels, propagate, inf.save_labels
             )
         with timed("train"):
             cnn = cached(

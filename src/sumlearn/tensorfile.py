@@ -4,10 +4,14 @@ Layout: one UTF-8 JSON line (format tag, free-form meta dict, ordered tensor
 descriptors), then the raw C-order bytes of each tensor back to back. Dtypes
 are stored with explicit byte order so files are portable. Headerless
 vectors (labels.bin, cluster_assignment.bin) are flat little-endian int64
-files, written by save_int64 and read by load_int64. Every JSON
-artifact and report is written by save_json. Every artifact is written
-through atomic_write, so a reader finds the previous file or the whole
-new one, never a partial write.
+files, written by save_int64 and read by load_int64. load_tensors and
+peek_meta read the header through one parser. It raises ValueError for a
+header that is not a JSON object of this format with a meta dict and a
+list of tensor entries, or whose entry names a dtype numpy does not know
+or a shape that is not a list of ints, so a resume recomputes such a file.
+Every JSON artifact and report is written by save_json. Every artifact is
+written through atomic_write, so a reader finds the previous file or the
+whole new one, never a partial write.
 """
 
 import json
@@ -78,15 +82,29 @@ def json_int(obj, key):
     return value
 
 
+def _read_header(f, path):
+    """The header of the tensor file open as `f`, each tensor's dtype parsed;
+    a malformed one is a ValueError."""
+    header = json.loads(f.readline().decode("utf-8"))
+    if not (isinstance(header, dict) and header.get("format") == FORMAT and isinstance(header.get("meta"), dict)):
+        raise ValueError(f"not a tensor file: {path}")
+    try:
+        for entry in header["tensors"]:
+            if not (isinstance(entry["shape"], list) and all(type(n) is int for n in entry["shape"])):
+                raise ValueError(f"tensor {entry['name']!r} in {path} has a shape that is not a list of ints")
+            entry["dtype"] = np.dtype(entry["dtype"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed tensor header in {path}: {exc}") from None
+    return header
+
+
 def load_tensors(path):
     """Read a tensor file; returns (meta, {name: ndarray})."""
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        if header.get("format") != FORMAT:
-            raise ValueError(f"not a tensor file: {path}")
+        header = _read_header(f, path)
         tensors = {}
         for entry in header["tensors"]:
-            dtype = np.dtype(entry["dtype"])
+            dtype = entry["dtype"]
             shape = tuple(entry["shape"])
             nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
             buf = f.read(nbytes)
@@ -99,7 +117,4 @@ def load_tensors(path):
 def peek_meta(path):
     """Read only the header meta dict (cheap resume checks)."""
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-    if header.get("format") != FORMAT:
-        raise ValueError(f"not a tensor file: {path}")
-    return header["meta"]
+        return _read_header(f, path)["meta"]

@@ -20,7 +20,7 @@ from sumlearn.tensorfile import load_tensors, save_tensors
 from conftest import store_with_labels, uint8_store_pair
 
 
-def blob_store(n=60, side=14, n_classes=4, seed=0, split="train"):
+def blob_store(n=60, side=14, n_classes=4, seed=0):
     """Linearly separable images: class c lights up a distinct quadrant."""
     rng = np.random.default_rng(seed)
     labels = np.tile(np.arange(n_classes), n // n_classes + 1)[:n]
@@ -31,7 +31,7 @@ def blob_store(n=60, side=14, n_classes=4, seed=0, split="train"):
     for i, lab in enumerate(labels):
         r, c = corners[lab % 4]
         images[i, r : r + half, c : c + half] += 0.8
-    return ImageStore(images.reshape(n, side * side), labels, split=split)
+    return ImageStore(images.reshape(n, side * side), labels)
 
 
 class TestGradients:
@@ -617,14 +617,14 @@ class TestEval:
 
     def test_classification_and_addition_perfect_on_easy_data(self):
         params = self.trained_blob_cnn()
-        test_store = blob_store(n=80, seed=9, split="test")
+        test_store = blob_store(n=80, seed=9)
         assert eval_classification(params, test_store) == 1.0
         corpus = build_corpus(test_store, w=2, h=2, seed=0)
         assert eval_addition(params, corpus, test_store) == 1.0
 
     def test_evaluate_classifies_once(self, monkeypatch):
         params = self.trained_blob_cnn()
-        test_store = blob_store(n=80, seed=9, split="test")
+        test_store = blob_store(n=80, seed=9)
         corpus = build_corpus(test_store, w=2, h=2, seed=0)
         expected = {
             "cls_acc": eval_classification(params, test_store),
@@ -640,7 +640,7 @@ class TestEval:
 
     def test_untrained_net_near_chance(self, rng):
         labels = rng.integers(0, 10, 1000)
-        store = ImageStore(rng.random((1000, 196)), labels, split="test")
+        store = ImageStore(rng.random((1000, 196)), labels)
         params = CnnParams(seed=10, side=14)
         acc = eval_classification(params, store)
         assert 0.02 <= acc <= 0.25

@@ -63,7 +63,7 @@ class TestStageCommands:
         r = run_cli(
             "infer", "--corpus", f"{out}/corpus.txt", "--cluster", f"{out}/cluster.tf",
             "--assignment", f"{out}/assignment.json",
-            "--out-labels", f"{out}/labels.bin", "--out-summary", f"{out}/labels.json",
+            "--out", f"{out}/labels.json",
         )
         assert r.exit_code == 0, r.output
 
@@ -92,8 +92,7 @@ class TestStageCommands:
                 "infer", "--corpus", str(tmp_path / "corpus.txt"),
                 "--cluster", str(tmp_path / "cluster.tf"),
                 "--assignment", str(tmp_path / "assignment.json"),
-                "--out-labels", str(tmp_path / "labels.bin"),
-                "--out-summary", str(tmp_path / "labels.json"),
+                "--out", str(tmp_path / "labels.json"),
             )
         assert not (tmp_path / "labels.bin").exists()
 
@@ -105,8 +104,7 @@ class TestStageCommands:
             "infer", "--corpus", str(tmp_path / "corpus.txt"),
             "--cluster", str(tmp_path / "cluster.tf"),
             "--assignment", str(tmp_path / "assignment.json"),
-            "--out-labels", str(tmp_path / "labels.bin"),
-            "--out-summary", str(tmp_path / "labels.json"),
+            "--out", str(tmp_path / "labels.json"),
         ])
         assert r.exit_code != 0
         assert "cluster 2 has digit 12, not an int in 0..9" in str(r.exception)
@@ -142,7 +140,7 @@ class TestStageChainMatchesRun:
              "--batch-size", "50", "--out", f"{c}/assignment.json"),
             ("infer", "--corpus", f"{c}/corpus.txt", "--cluster", f"{c}/cluster.tf",
              "--assignment", f"{c}/assignment.json",
-             "--out-labels", f"{c}/labels.bin", "--out-summary", f"{c}/labels.json"),
+             "--out", f"{c}/labels.json"),
             ("train", "--store", f"{c}/store.tf", "--labels", f"{c}/labels.bin",
              "--epochs", "4", "--seed", "3", "--out", f"{c}/cnn.tf"),
             ("evaluate", "--cnn", f"{c}/cnn.tf", "--store", f"{c}/test_store.tf",
@@ -204,7 +202,7 @@ def chain(tmp_path_factory):
          "--batch-size", "30", "--out", f"{out}/assignment.json"),
         ("infer", "--corpus", f"{out}/corpus.txt", "--cluster", f"{out}/cluster.tf",
          "--assignment", f"{out}/assignment.json",
-         "--out-labels", f"{out}/labels.bin", "--out-summary", f"{out}/labels.json"),
+         "--out", f"{out}/labels.json"),
         ("train", "--store", f"{out}/store.tf", "--labels", f"{out}/labels.bin",
          "--epochs", "1", "--out", f"{out}/cnn.tf"),
     ]
@@ -226,8 +224,8 @@ class TestOutputDirectories:
             (["assign", "--corpus", "{c}/corpus.txt", "--cluster", "{c}/cluster.tf",
               "--batch-size", "30", "--out", "{o}/assignment.json"], ["assignment.json"]),
             (["infer", "--corpus", "{c}/corpus.txt", "--cluster", "{c}/cluster.tf",
-              "--assignment", "{c}/assignment.json", "--out-labels", "{o}/labels.bin",
-              "--out-summary", "{o}/summary/labels.json"], ["labels.bin", "summary/labels.json"]),
+              "--assignment", "{c}/assignment.json", "--out", "{o}/summary/labels.json"],
+             ["summary/labels.bin", "summary/labels.json"]),
             (["train", "--store", "{c}/store.tf", "--labels", "{c}/labels.bin", "--epochs", "1",
               "--out", "{o}/cnn.tf"], ["cnn.tf"]),
             (["evaluate", "--cnn", "{c}/cnn.tf", "--store", "{c}/test_store.tf", "--w", "2", "--h", "1",
@@ -394,9 +392,11 @@ class TestUsageErrors:
             ({"synthetic_clusters": 11}, "synthetic_clusters must be in 1..10, got 11"),
             ({"synthetic_separation": 0.0}, "synthetic_separation must be > 0, got 0.0"),
             ({"synthetic_dim": 0}, "synthetic_dim must be >= 1, got 0"),
+            ({"embed_dim": 900}, "embed_dim must be <= synthetic_dim 784 for PCA, got 900"),
         ],
         ids=["kmeans_k", "kmeans_max_iter", "kmeans_n_init", "embed_dim", "autoencoder_epochs",
-             "classifier_epochs", "synthetic_clusters", "synthetic_separation", "synthetic_dim"],
+             "classifier_epochs", "synthetic_clusters", "synthetic_separation", "synthetic_dim",
+             "embed_dim-above-pixels"],
     )
     def test_invalid_config_file_value_refused_before_writing(self, tmp_path, values, message):
         config = tmp_path / "config.json"
@@ -470,6 +470,26 @@ class TestUsageErrors:
         assert r.exit_code == 2, r.output
         assert "Invalid value for '--cnn'" in r.output
         assert f"{name}: no tensor 'W0'" in r.output
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_infer_refuses_out_named_labels_bin(self, chain, tmp_path):
+        r = run_cli("infer", "--corpus", str(chain / "corpus.txt"), "--cluster", str(chain / "cluster.tf"),
+                    "--assignment", str(chain / "assignment.json"), "--out", str(tmp_path / "labels.bin"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--out'" in r.output
+        assert not any(tmp_path.iterdir())
+
+    def test_evaluate_refuses_a_cnn_of_unknown_dtype(self, chain, tmp_path):
+        line, body = (chain / "cnn.tf").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["tensors"][0]["dtype"] = "<q9"
+        cnn = tmp_path / "cnn.tf"
+        cnn.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        r = run_cli("evaluate", "--cnn", str(cnn), "--store", str(chain / "test_store.tf"),
+                    "--out", str(tmp_path / "metrics.json"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--cnn'" in r.output
+        assert "data type '<q9' not understood" in r.output
         assert not (tmp_path / "metrics.json").exists()
 
     @pytest.mark.parametrize("option", ["--w-list", "--h-list"])

@@ -265,22 +265,20 @@ class TestSerialization:
             assert path.read_bytes() == expected.encode("utf-8")
 
     def test_store_roundtrip(self, tmp_path, rng):
-        store = ImageStore(rng.random((5, 6)), rng.integers(0, 10, 5), split="test")
+        store = ImageStore(rng.random((5, 6)), rng.integers(0, 10, 5))
         path = tmp_path / "store.tf"
         save_store(store, path)
         loaded = load_store(path)
-        assert loaded.split == "test"
         assert np.array_equal(loaded.images, store.images)
         assert np.array_equal(loaded.evaluation_labels(), store.evaluation_labels())
 
     def test_store_roundtrip_keeps_uint8(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(6, 2, 3), dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2, 3, 4, 5])
-        store = load_idx(img, lbl).subset([4, 1, 3], split="test")
+        store = load_idx(img, lbl).subset([4, 1, 3])
         path = tmp_path / "store.tf"
         save_store(store, path)
         loaded = load_store(path)
-        assert loaded.split == "test"
         assert loaded.images.dtype == np.uint8
         assert np.array_equal(loaded.images, images.reshape(6, 6)[[4, 1, 3]])
         assert np.array_equal(decode(loaded.images), decode(store.images))

@@ -227,7 +227,7 @@ class TestPersistence:
         state = make_state([3, 1, 4], trusted=[0])
         state.provenance[0] = PROV_INFERRED
         bin_path, json_path = tmp_path / "labels.bin", tmp_path / "labels.json"
-        save_labels(state.labels, state.counts(), bin_path, json_path)
+        save_labels((state.labels, state.counts()), json_path)
         assert np.array_equal(load_int64(bin_path), [3, 1, 4])
         assert bin_path.read_bytes() == np.array([3, 1, 4], dtype="<i8").tobytes()
         summary = json.loads(json_path.read_text())
@@ -239,7 +239,7 @@ class TestPersistence:
         # after every radius of 20 planted instances: "correct" is the
         # radius and inferred images, and labels.json keeps its keys
         keys = {"cluster", "radius", "inferred", "correct", "inconsistent_examples", "inference_radii"}
-        bin_path, json_path = tmp_path / "labels.bin", tmp_path / "labels.json"
+        json_path = tmp_path / "labels.json"
         for seed in range(20):
             _, corpus, model, digits = planted_clustering(seed, 600, reassigned=reassigned)
             state = init_labels(model, DigitAssignment(digits=digits, objective=0))
@@ -247,7 +247,7 @@ class TestPersistence:
                 counts = run_inference(state, corpus, model, radii=(radius,)).counts()
                 assert counts["correct"] == counts["radius"] + counts["inferred"]
                 assert counts["cluster"] + counts["correct"] == len(model)
-                save_labels(state.labels, counts, bin_path, json_path)
+                save_labels((state.labels, counts), json_path)
                 assert set(json.loads(json_path.read_text())) == keys
 
 

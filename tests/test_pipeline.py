@@ -141,6 +141,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
             RunConfig.from_json(obj)
 
+    def test_refuses_pca_code_wider_than_synthetic_images(self):
+        with pytest.raises(ValueError, match="embed_dim must be <= synthetic_dim 784 for PCA, got 900"):
+            RunConfig(synthetic=True, backend="pca", embed_dim=900).validate()
+        RunConfig(synthetic=True, backend="pca", embed_dim=784).validate()
+        RunConfig(synthetic=True, backend="autoencoder", embed_dim=900).validate()  # a wide code
+
     def test_embed_key_independent_of_grid_shape(self):
         a = RunConfig(w=1, h=2, synthetic=True)
         b = RunConfig(w=8, h=4, synthetic=True)
@@ -164,6 +170,7 @@ class TestRunPipeline:
         for name in ("corpus.txt", "embedding.tf", "cluster.tf", "assignment.json",
                      "labels.bin", "labels.json", "cnn.tf"):
             assert (tmp_path / "artifacts" / name).exists()
+        assert not (tmp_path / "artifacts" / "corpus.json").exists()  # nothing would read it
 
     def test_total_time_is_sum_of_four_stages(self, tmp_path):
         report = run_pipeline(tiny_config(tmp_path))
@@ -309,7 +316,7 @@ class TestRunPipeline:
         "name, key, value, load",
         [
             ("assignment.json", "objective", [1], asg.DigitAssignment.load),
-            ("labels.json", "cluster", None, pl._load_labels),
+            ("labels.json", "cluster", None, inf.load_labels),
         ],
     )
     def test_mistyped_artifact_recomputed(self, tmp_path, name, key, value, load):
@@ -326,13 +333,40 @@ class TestRunPipeline:
         assert strip_timings(rerun) == strip_timings(cold)
         assert path.read_bytes() == whole
 
-    @pytest.mark.parametrize("name", ["assignment.json", "labels.json"])
+    @pytest.mark.parametrize("name", ["assignment.json", "labels.json", "embedding.tf", "cnn.tf"])
     def test_non_object_json_artifact_recomputed(self, tmp_path, name):
         cfg = tiny_config(tmp_path)
         cold = run_pipeline(cfg)
         path = tmp_path / "artifacts" / name
         whole = path.read_bytes()
         path.write_text("[1]")
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda header: header["tensors"][0].update(dtype="<q9"), "data type '<q9' not understood"),
+            (lambda header: header["tensors"][0].update(shape=[480, "10"]), "shape that is not a list of ints"),
+            (lambda header: header.update(tensors=5), "malformed tensor header"),
+            (lambda header: header.update(meta=[1]), "not a tensor file"),
+        ],
+        ids=["dtype", "shape", "tensors", "meta"],
+    )
+    def test_malformed_tensor_header_recomputed(self, tmp_path, edit, message):
+        # a hand-edited embedding.tf header that cannot be read
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        path = tmp_path / "artifacts" / "embedding.tf"
+        whole = path.read_bytes()
+        line, body = whole.split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=message):
+            tensorfile.peek_meta(path)
         rerun = run_pipeline(cfg)
         assert rerun.failure is None
         assert strip_timings(rerun) == strip_timings(cold)
@@ -367,7 +401,7 @@ class TestRunPipeline:
             path = artifacts / name
             with pytest.raises(OSError, match="disk full"):
                 if name == "labels.bin":
-                    inf.save_labels(np.zeros(480, dtype=np.int64), {}, path, artifacts / "other.json")
+                    inf.save_labels((np.zeros(480, dtype=np.int64), {}), artifacts / "other.json")
                 elif path.suffix == ".tf":
                     tensorfile.save_tensors(path, {"x": np.arange(1000.0)}, meta={"config_key": "other"})
                 else:
@@ -570,9 +604,10 @@ class TestSweep:
         ]
         calls, load_idx = [], ds.load_idx
 
-        def counting(images_path, labels_path, split="train"):
-            calls.append((Path(images_path).parent, split))
-            return load_idx(images_path, labels_path, split=split)
+        def counting(images_path, labels_path):
+            images_path = Path(images_path)
+            calls.append((images_path.parent, "test" if images_path.name.startswith("t10k") else "train"))
+            return load_idx(images_path, labels_path)
 
         monkeypatch.setattr(ds, "load_idx", counting)  # where the pipeline looks it up
         reports = sweep(configs, tmp_path / "sweep.csv")
@@ -687,13 +722,12 @@ class TestLabelFreedomAudit:
         nn.Network.inputs,
         nn.fit,
         pl.run_pipeline,
-        pl._load_labels,
-        pl._save_labels,
         pl.cached,
         pl.embed_store,
-        pl.save_cluster,
         pl.train_classifier,
         inf.save_labels,
+        inf.load_labels,
+        clu.ClusterModel.save,
         cli.embed.callback,
         cli.cluster.callback,
         cli.assign.callback,
