@@ -3,7 +3,18 @@
 Architecture for 28x28 single-channel input, valid convolutions:
 conv 32@3x3 -> pool 2x2 -> conv 64@3x3 -> conv 64@3x3 -> pool 2x2
 -> dense 100 -> dense 10, ReLU activations, He init, softmax output.
-Intermediate sizes: 28 -> 26 -> 13 -> 11 -> 9 -> 4, flattened 1024.
+The logits read only the top-left 26x26 pixels of a 28x28 image: the second
+pool floors conv3's 9x9 map to 4x4, so conv3's last row and column never
+reach the dense layers, nor does anything that feeds only them, back to the
+image's rows and columns 26-27. So the network is fed that used square
+(`CnnParams.used`, 4 * after_pool2 + 10 for any side) and computes
+26 -> 24 -> 12 -> 10 -> 8 -> 4, flattened 1024; neither pool floors. The
+logits are the bits the full image gives, except where BLAS takes its
+small-matrix path for the shorter product (seen for conv3 at sides 16-17 on
+chunks of 4-6 images). A training step's gradients are the same bits too,
+except conv dW, which sum over fewer output positions (the dropped ones add
+exact zeros) and so round in another order: they differ by at most about
+5e-7 (float32) or 1e-15 (float64) of their largest entry.
 
 Where a convolution is pooled, the layers run conv -> pool -> ReLU, so
 ReLU touches a quarter of the values. That is the same network as conv ->
@@ -21,19 +32,24 @@ from .dataset import grid_sums
 from .errors import ConsistencyError
 
 BATCH = 32  # images per training step, and per classification chunk
+MIN_SIDE = 14  # the smallest image side whose second pool is not empty
 
 
 class CnnParams(nn.Network):
     """The network's layers: He-initialized weights (fan-in scaling), zero
-    biases. Its tensor file's meta holds seed and side."""
+    biases. Its tensor file's meta holds seed and side. A side below
+    MIN_SIDE is refused with a ValueError."""
 
     def __init__(self, seed=0, dtype=np.float64, side=28):
+        if side < MIN_SIDE:
+            raise ValueError(f"the CNN needs images of side at least {MIN_SIDE}, got side {side}")
         self.seed = seed
         self.side = side
         self.input_shape = (1, side, side)
         rng = np.random.default_rng(seed)
         after_pool1 = (side - 2) // 2
         after_pool2 = (after_pool1 - 2 - 2) // 2
+        self.used = 4 * after_pool2 + 10  # the side of the square the logits read
         flat = after_pool2 * after_pool2 * 64
         self.layers = [
             nn.Conv2d(1, 32, (3, 3), rng, dtype=dtype),
@@ -49,6 +65,11 @@ class CnnParams(nn.Network):
             nn.ReLU(),
             nn.Dense(100, 10, rng, dtype=dtype),
         ]
+
+    def inputs(self, pixels):
+        """`Network.inputs` cut to its top-left used x used square, the only
+        pixels the logits read."""
+        return super().inputs(pixels)[:, :, : self.used, : self.used]
 
     def meta(self):
         return {"seed": self.seed, "side": self.side}

@@ -40,9 +40,13 @@ def _data_dir(data_dir, alternative):
 
 
 def _store(store_path, data_dir, split):
-    """A store file from generate-data, else the split's IDX files."""
+    """A store file from generate-data, else the split's IDX files. A store
+    file that cannot be read as one is a usage error."""
     if store_path:
-        return ds.load_store(store_path)
+        try:
+            return ds.load_store(store_path)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--store'") from exc
     return pl.idx_store(_data_dir(data_dir, "--store"), split)
 
 
@@ -283,7 +287,11 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
         labels = clf.check_labels(load_int64(labels_path), len(store))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--labels'") from exc
-    pl.train_classifier(config, store, labels).save(_out_path(out))
+    try:
+        cnn = pl.new_classifier(config, store)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--store'") from exc
+    pl.train_classifier(config, cnn, store, labels).save(_out_path(out))
     click.echo(f"cnn -> {out}")
 
 
@@ -306,6 +314,10 @@ def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):
         cnn = clf.CnnParams.load(cnn_path)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--cnn'") from exc
+    if test_store.dim != cnn.side**2:
+        raise click.BadParameter(
+            f"images of {test_store.dim} pixels; the CNN takes {cnn.side}x{cnn.side}", param_hint="'--store'"
+        )
     test_corpus = ds.build_corpus(test_store, w, h, 1, seed=seed)
     metrics = clf.evaluate(cnn, test_corpus, test_store)
     if out:

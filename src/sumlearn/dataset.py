@@ -315,6 +315,11 @@ def save_store(store, path):
 
 
 def load_store(path):
-    """save_store's store; the "split" meta field of older files is ignored."""
+    """save_store's store; the "split" meta field of older files is ignored.
+    A tensor file without `images` or `true_labels` is refused with a
+    ValueError naming the missing tensor."""
     _, tensors = load_tensors(path)
+    for name in ("images", "true_labels"):
+        if name not in tensors:
+            raise ValueError(f"{path}: no tensor {name!r}, so not a store")
     return ImageStore(tensors["images"], tensors["true_labels"])

@@ -10,7 +10,8 @@ The embedding hash does not involve w or h, so a sweep over grid shapes
 trains the autoencoder once; the reported total covers the four pipeline
 steps, with embedding timed separately. The CLI's stage subcommands call
 the same functions (`load_stores`, `write_corpus`, `embed_store`,
-`fit_clusters`, `train_classifier`) without a key, so they never resume.
+`fit_clusters`, `new_classifier`, `train_classifier`) without a key, so
+they never resume.
 """
 
 import csv
@@ -349,13 +350,19 @@ def fit_clusters(config, matrix):
     )
 
 
-def train_classifier(config, store, labels):
-    """A fresh float32 CNN trained on the store's square images."""
+def new_classifier(config, store):
+    """A fresh float32 CNN for the store's images. Images that are not
+    square, or are smaller than the CNN takes, are refused with a
+    ValueError."""
     side = round(store.dim**0.5)
     if side * side != store.dim:
         raise ValueError(f"classifier needs square images, store dim is {store.dim}")
-    params = clf.CnnParams(seed=config.seed, side=side, dtype=np.float32)
-    return clf.train_cnn(params, store, labels, config.classifier_epochs, seed=config.seed)
+    return clf.CnnParams(seed=config.seed, side=side, dtype=np.float32)
+
+
+def train_classifier(config, cnn, store, labels):
+    """`cnn`, fresh from `new_classifier`, trained on the store."""
+    return clf.train_cnn(cnn, store, labels, config.classifier_epochs, seed=config.seed)
 
 
 # -- the run ----------------------------------------------------------------
@@ -444,7 +451,7 @@ def run_pipeline(config, stores=None):
         with timed("train"):
             cnn = cached(
                 artifacts_dir / "cnn.tf", config.train_key(), clf.CnnParams.load,
-                lambda: train_classifier(config, store, labels), clf.CnnParams.save,
+                lambda: train_classifier(config, new_classifier(config, store), store, labels), clf.CnnParams.save,
             )
         with timed("evaluate"):
             metrics = _evaluate(store, test_store, test_corpus, model, assignment,

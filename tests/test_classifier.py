@@ -376,6 +376,84 @@ class TestInitCnn:
         for la, lb in zip(a.weighted_layers(), b.weighted_layers()):
             assert np.array_equal(la.W, lb.W)
 
+    @pytest.mark.parametrize("side", [13, 10, 9, 2])
+    def test_side_below_the_minimum_refused(self, side):
+        with pytest.raises(ValueError, match=f"side at least 14, got side {side}"):
+            CnnParams(seed=0, side=side)
+
+
+def uncropped_batch(params, pixels):
+    """A batch of whole images: the input before CnnParams.inputs cut it
+    to the used square."""
+    return decode(pixels).astype(params.dtype).reshape(-1, 1, params.side, params.side)
+
+
+class TestUsedSquare:
+    # the network is fed only the top-left square its logits depend on
+    @pytest.mark.parametrize("side, used", [(28, 26), (29, 26), (15, 14), (14, 14)])
+    def test_pixels_outside_the_used_square_change_nothing(self, side, used):
+        params = CnnParams(seed=30, side=side, dtype=np.float32)
+        assert params.used == used
+        pixels = np.random.default_rng(side).integers(0, 256, (40, side, side), dtype=np.uint8)
+        edited = pixels.copy()
+        edited[:, used:, :] = 255 - edited[:, used:, :]
+        edited[:, :used, used:] = 255 - edited[:, :used, used:]
+        assert np.count_nonzero(edited != pixels) == 40 * (side * side - used * used)
+        _, probs = classify(params, pixels.reshape(40, -1))
+        _, edited_probs = classify(params, edited.reshape(40, -1))
+        assert same_bits(edited_probs, probs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [28, 29])
+    def test_classify_equals_the_uncropped_forward(self, dtype, side):
+        params = CnnParams(seed=31, side=side, dtype=dtype)
+        pixels = np.random.default_rng(31).integers(0, 256, (2 * clf.BATCH + 9, side * side), dtype=np.uint8)
+        _, probs = classify(params, pixels)
+        for start in range(0, len(pixels), clf.BATCH):
+            chunk = pixels[start : start + clf.BATCH]
+            logits = nn.forward(params.layers, uncropped_batch(params, chunk), cache=False)
+            assert same_bits(probs[start : start + len(chunk)], nn.softmax(logits).astype(np.float64))
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("side", [28, 29, 15])
+    def test_step_gradients_match_the_uncropped_step(self, dtype, rtol, side):
+        cropped, whole = CnnParams(seed=32, side=side, dtype=dtype), CnnParams(seed=32, side=side, dtype=dtype)
+        rng = np.random.default_rng(32)
+        pixels = rng.integers(0, 256, (clf.BATCH, side * side), dtype=np.uint8)
+        labels = rng.integers(0, 10, clf.BATCH)
+        for params, x in ((cropped, cropped.inputs(pixels)), (whole, uncropped_batch(whole, pixels))):
+            _, grad = nn.softmax_cross_entropy(nn.forward(params.layers, x), labels)
+            nn.backward(params.layers, grad)
+        for a, b in zip(cropped.weighted_layers(), whole.weighted_layers()):
+            assert same_bits(a.db, b.db)
+            if isinstance(a, nn.Dense):
+                assert same_bits(a.dW, b.dW)
+            else:  # a sum over fewer output positions, rounded in another order
+                assert a.dW.dtype == b.dW.dtype
+                assert np.abs(a.dW - b.dW).max() <= rtol * np.abs(b.dW).max()
+
+    def test_cropped_shape_audit(self):
+        params = CnnParams(seed=0)
+        x = params.inputs(np.random.default_rng(0).random((2, 28 * 28)))
+        assert x.shape == (2, 1, 26, 26)
+        expected = [
+            (2, 32, 24, 24),
+            (2, 32, 12, 12),
+            (2, 32, 12, 12),
+            (2, 64, 10, 10),
+            (2, 64, 10, 10),
+            (2, 64, 8, 8),
+            (2, 64, 4, 4),
+            (2, 64, 4, 4),
+            (2, 1024),
+            (2, 100),
+            (2, 100),
+            (2, 10),
+        ]
+        for layer, shape in zip(params.layers, expected, strict=True):
+            x = layer.forward(x)
+            assert x.shape == shape
+
 
 def reference_train_cnn(params, store, labels, epochs, seed, lr=0.01, momentum=0.9, batch_size=32):
     """The CNN's own epoch loop and input path from before nn.fit and

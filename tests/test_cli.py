@@ -492,6 +492,76 @@ class TestUsageErrors:
         assert "data type '<q9' not understood" in r.output
         assert not (tmp_path / "metrics.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("embed", "cnn.tf"), ("train", "cnn.tf"), ("evaluate", "embedding.tf")],
+    )
+    def test_store_that_is_not_a_store_refused(self, chain, tmp_path, command, name):
+        args = {
+            "embed": ["--backend", "pca", "--dim", "4"],
+            "train": ["--labels", str(chain / "labels.bin"), "--epochs", "1"],
+            "evaluate": ["--cnn", str(chain / "cnn.tf"), "--w", "2", "--h", "1"],
+        }[command]
+        out = tmp_path / "result"
+        r = run_cli(command, "--store", str(chain / name), *args, "--out", str(out))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--store'" in r.output
+        assert f"{name}: no tensor 'images', so not a store" in r.output
+        assert not out.exists()
+
+    def test_truncated_store_refused(self, chain, tmp_path):
+        store = tmp_path / "store.tf"
+        store.write_bytes((chain / "store.tf").read_bytes()[:100])
+        r = run_cli("embed", "--store", str(store), "--backend", "pca", "--dim", "4",
+                    "--out", str(tmp_path / "embedding.tf"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--store'" in r.output
+        assert not (tmp_path / "embedding.tf").exists()
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [(100, "the CNN needs images of side at least 14, got side 10"),
+         (150, "classifier needs square images, store dim is 150")],
+        ids=["side-10", "not-square"],
+    )
+    def test_train_refuses_images_the_cnn_cannot_take(self, tmp_path, dim, message):
+        data = tmp_path / "data"
+        r = run_cli("generate-data", "--synthetic", "--n-images", "40", "--n-clusters", "4",
+                    "--dim", str(dim), "--out", str(data))
+        assert r.exit_code == 0, r.output
+        np.zeros(40, dtype="<i8").tofile(tmp_path / "labels.bin")
+        r = run_cli("train", "--store", str(data / "store.tf"), "--labels", str(tmp_path / "labels.bin"),
+                    "--epochs", "1", "--out", str(tmp_path / "cnn.tf"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--store'" in r.output
+        assert message in r.output
+        assert not (tmp_path / "cnn.tf").exists()
+
+    def test_evaluate_refuses_images_the_cnn_does_not_take(self, chain, tmp_path):
+        data = tmp_path / "data"
+        r = run_cli("generate-data", "--synthetic", "--n-images", "40", "--n-clusters", "4",
+                    "--dim", "100", "--out", str(data))
+        assert r.exit_code == 0, r.output
+        r = run_cli("evaluate", "--cnn", str(chain / "cnn.tf"), "--store", str(data / "test_store.tf"),
+                    "--w", "2", "--h", "1", "--out", str(tmp_path / "metrics.json"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--store'" in r.output
+        assert "images of 100 pixels; the CNN takes 14x14" in r.output
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_evaluate_refuses_a_cnn_for_images_below_the_minimum_side(self, chain, tmp_path):
+        line, body = (chain / "cnn.tf").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["meta"]["side"] = 10
+        cnn = tmp_path / "cnn.tf"
+        cnn.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        r = run_cli("evaluate", "--cnn", str(cnn), "--store", str(chain / "test_store.tf"),
+                    "--out", str(tmp_path / "metrics.json"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--cnn'" in r.output
+        assert "side at least 14, got side 10" in r.output
+        assert not (tmp_path / "metrics.json").exists()
+
     @pytest.mark.parametrize("option", ["--w-list", "--h-list"])
     def test_sweep_list_not_integers(self, tmp_path, option):
         r = run_cli("sweep", option, "1,x", "--synthetic", "--csv", str(tmp_path / "sweep.csv"))

@@ -17,6 +17,7 @@ from sumlearn.dataset import (
     save_store,
 )
 from sumlearn.errors import ConsistencyError, IdxFormatError, InsufficientDataError
+from sumlearn.tensorfile import save_tensors
 
 from conftest import store_with_labels, write_idx_pair
 
@@ -271,6 +272,15 @@ class TestSerialization:
         loaded = load_store(path)
         assert np.array_equal(loaded.images, store.images)
         assert np.array_equal(loaded.evaluation_labels(), store.evaluation_labels())
+
+    @pytest.mark.parametrize("missing", ["images", "true_labels"])
+    def test_load_store_refuses_a_file_without_a_store_tensor(self, tmp_path, rng, missing):
+        tensors = {"images": rng.random((5, 6)), "true_labels": rng.integers(0, 10, 5)}
+        del tensors[missing]
+        path = tmp_path / "store.tf"
+        save_tensors(path, tensors)
+        with pytest.raises(ValueError, match=f"no tensor '{missing}'"):
+            load_store(path)
 
     def test_store_roundtrip_keeps_uint8(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(6, 2, 3), dtype=np.uint8)

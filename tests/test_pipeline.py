@@ -460,6 +460,11 @@ class TestRunPipeline:
         run_pipeline(tiny_config(tmp_path, w=1, h=2))
         assert calls["n"] == 1  # second run resumed the embedding artifact
 
+    def test_images_below_the_cnn_minimum_fail_at_train(self, tmp_path):
+        report = run_pipeline(tiny_config(tmp_path, synthetic_dim=100))  # 10x10 images
+        assert report.failure["stage"] == "train"
+        assert "the CNN needs images of side at least 14, got side 10" in report.failure["error"]
+
     def test_failure_marker_and_partial_report(self, tmp_path):
         cfg = tiny_config(tmp_path, synthetic_dim=10)  # not a square image
         report = run_pipeline(cfg)
@@ -720,10 +725,12 @@ class TestLabelFreedomAudit:
         clf.train_cnn,
         clf.classify,
         nn.Network.inputs,
+        clf.CnnParams.inputs,
         nn.fit,
         pl.run_pipeline,
         pl.cached,
         pl.embed_store,
+        pl.new_classifier,
         pl.train_classifier,
         inf.save_labels,
         inf.load_labels,
