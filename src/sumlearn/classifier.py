@@ -23,6 +23,14 @@ rectified max. Backward agrees too: a window whose max is positive routes
 its gradient to the same first-maximal element either way, and any other
 window passes exact zeros. The weighted layers keep their order, so saved
 weights (W0..b4) are unchanged.
+
+The first pool is conv1's own (`nn.Conv2d(..., pool=True)`): conv1 builds
+its im2col rows window-major, so the pool is a max over four contiguous
+blocks of its GEMM output and the layer list is conv1+pool, ReLU, conv2,
+ReLU, conv3, pool, ReLU, Flatten, dense, ReLU, dense. The logits are the
+bits of an unpooled conv1 followed by MaxPool2x2. Of a training step's
+gradients only conv1's dW and db change, summed in another order: by at
+most about 6e-7 (float32) or 1.2e-15 (float64) of their largest entry.
 """
 
 import numpy as np
@@ -37,23 +45,23 @@ MIN_SIDE = 14  # the smallest image side whose second pool is not empty
 
 class CnnParams(nn.Network):
     """The network's layers: He-initialized weights (fan-in scaling), zero
-    biases. Its tensor file's meta holds seed and side. A side below
-    MIN_SIDE is refused with a ValueError."""
+    biases; with draw=False the weights are left unset. Its tensor file's
+    meta holds seed and side. A side below MIN_SIDE is refused with a
+    ValueError."""
 
-    def __init__(self, seed=0, dtype=np.float64, side=28):
+    def __init__(self, seed=0, dtype=np.float64, side=28, draw=True):
         if side < MIN_SIDE:
             raise ValueError(f"the CNN needs images of side at least {MIN_SIDE}, got side {side}")
         self.seed = seed
         self.side = side
         self.input_shape = (1, side, side)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         after_pool1 = (side - 2) // 2
         after_pool2 = (after_pool1 - 2 - 2) // 2
         self.used = 4 * after_pool2 + 10  # the side of the square the logits read
         flat = after_pool2 * after_pool2 * 64
         self.layers = [
-            nn.Conv2d(1, 32, (3, 3), rng, dtype=dtype),
-            nn.MaxPool2x2(),
+            nn.Conv2d(1, 32, (3, 3), rng, dtype=dtype, pool=True),
             nn.ReLU(),
             nn.Conv2d(32, 64, (3, 3), rng, dtype=dtype),
             nn.ReLU(),
@@ -76,7 +84,7 @@ class CnnParams(nn.Network):
 
     @classmethod
     def from_meta(cls, meta, dtype):
-        return cls(seed=meta["seed"], dtype=dtype, side=meta.get("side", 28))
+        return cls(seed=meta["seed"], dtype=dtype, side=meta.get("side", 28), draw=False)
 
 
 def check_labels(labels, n_images):

@@ -25,17 +25,17 @@ class AutoencoderParams(nn.Network):
     """Symmetric dense autoencoder: encoder widths mirrored by the decoder.
 
     Hidden layers are ReLU; the code layer and the reconstruction layer
-    are linear. Its tensor file's meta holds widths, seed, epochs and
-    loss_history.
+    are linear. With draw=False the weights are left unset. Its tensor
+    file's meta holds widths, seed, epochs and loss_history.
     """
 
-    def __init__(self, widths=ENCODER_WIDTHS, seed=0, dtype=np.float64):
+    def __init__(self, widths=ENCODER_WIDTHS, seed=0, dtype=np.float64, draw=True):
         self.widths = tuple(int(w) for w in widths)
         self.input_shape = (self.widths[0],)
         self.seed = seed
         self.epochs_trained = 0
         self.loss_history = []
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         enc = list(self.widths)
         dec = enc[::-1]
         self.encoder = self._stack(enc, rng, dtype)
@@ -65,7 +65,7 @@ class AutoencoderParams(nn.Network):
 
     @classmethod
     def from_meta(cls, meta, dtype):
-        params = cls(widths=meta["widths"], seed=meta["seed"], dtype=dtype)
+        params = cls(widths=meta["widths"], seed=meta["seed"], dtype=dtype, draw=False)
         params.epochs_trained = meta.get("epochs", 0)
         params.loss_history = list(meta.get("loss_history", []))
         return params

@@ -28,6 +28,10 @@ product gives a (kh*kw, B*Ho*Wo, C) array, one contiguous slab per offset,
 and each slab is added into its shifted window of the input gradient in
 (p, q) order, the order of the im2col columns.
 
+A Conv2d built with `pool=True` also applies MaxPool2x2 to its output (see
+Conv2d). Both pools take the max, the first-max index and the routing from
+the same helpers, so they share one tie rule.
+
 `Network` is what the autoencoder and the CNN have in common: the weighted
 layers, the weights' dtype, one tensor file per network (`save`/`load`,
 tensors W0, b0, W1, ... and the meta that rebuilds the layers), and
@@ -54,7 +58,8 @@ def weight_tensors(layers):
 class Network:
     """Base of the autoencoder and the CNN. A subclass sets `layers` and
     `input_shape` (one input's shape) and defines `meta()`, its tensor file's
-    meta, and `from_meta(meta, dtype)`, which rebuilds the layers from it."""
+    meta, and `from_meta(meta, dtype)`, which rebuilds the layers from it
+    with `draw=False`: their weights unset, for `load` to fill."""
 
     def weighted_layers(self):
         return [layer for layer in self.layers if layer.params()]
@@ -102,6 +107,10 @@ def _describe(tensor):
 
 
 def he_normal(rng, fan_in, shape, dtype):
+    """He-normal weights drawn from `rng`; with rng None, an unset array
+    (a network that `Network.load` fills draws nothing)."""
+    if rng is None:
+        return np.empty(shape, dtype=dtype)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
 
@@ -141,15 +150,24 @@ class ReLU:
 class Conv2d:
     """Valid (no-padding) stride-1 convolution on (B, C, H, W) input.
 
-    im2col rows are ordered (kh, kw, C). With several channels they are one
-    copy of a sliding-window view whose (kw, C) runs are contiguous when the
-    input is channels-last in memory; a single channel copies one slice per
-    window offset instead, since its runs would be only kw values long.
-    W keeps its (F, C, kh, kw) shape; `_wmat` reorders it to match the
-    columns.
+    Each im2col row is ordered (kh, kw, C). The matrix is one copy of a
+    sliding-window view whose (kw, C) runs are contiguous when the input is
+    channels-last in memory. W keeps its (F, C, kh, kw) shape; `_wmat` reorders it to match
+    the columns.
+
+    With `pool=True` the output is MaxPool2x2 of the convolution, with the
+    same bits. The im2col rows are then window-major: the row of conv
+    output (2i + r, 2j + s) of image b is ordered (r, s, b, i, j), so the
+    product is four contiguous (B*(Ho//2)*(Wo//2), F) blocks, one per window
+    position, and the pool is an elementwise max over them. Backward routes
+    the pooled gradient into the four blocks before dW = cols.T @ g; db sums
+    the pooled gradient (the same nonzero terms, 4x fewer rows), so dW and
+    db round in another order than the unpooled pair's. The input gradient
+    puts the routed gradient back in spatial order and is the unpooled
+    pair's, bit for bit.
     """
 
-    def __init__(self, in_channels, filters, kernel, rng, dtype=np.float64):
+    def __init__(self, in_channels, filters, kernel, rng, dtype=np.float64, pool=False):
         kh, kw = kernel
         fan_in = in_channels * kh * kw
         self.W = he_normal(rng, fan_in, (filters, in_channels, kh, kw), dtype)
@@ -157,6 +175,7 @@ class Conv2d:
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         self.kernel = (kh, kw)
+        self.pool = pool
 
     def _wmat(self):
         # (kh*kw*C, F) matrix for the im2col product
@@ -167,32 +186,44 @@ class Conv2d:
         xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
         b_, h, w, c = xl.shape
         ho, wo = h - kh + 1, w - kw + 1
-        self._cols = None
-        if c > 1:
-            windows = sliding_window_view(xl, (kh, kw), axis=(1, 2))  # (B, Ho, Wo, C, kh, kw)
-            cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-        else:
-            cols = np.empty((b_, ho, wo, kh, kw, c), dtype=x.dtype)
+        self._cols = self._index = None
+        if self.pool:
+            ho, wo = ho // 2, wo // 2
+            cols = np.empty((2, 2, b_, ho, wo, kh, kw, c), dtype=x.dtype)
             for p in range(kh):
                 for q in range(kw):
-                    cols[:, :, :, p, q, :] = xl[:, p : p + ho, q : q + wo, :]
-        cols = cols.reshape(b_ * ho * wo, -1)
+                    shifted = xl[:, p : p + 2 * ho, q : q + 2 * wo].reshape(b_, ho, 2, wo, 2, c)
+                    cols[:, :, :, :, :, p, q] = shifted.transpose(2, 4, 0, 1, 3, 5)
+        else:
+            windows = sliding_window_view(xl, (kh, kw), axis=(1, 2))  # (B, Ho, Wo, C, kh, kw)
+            cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+        cols = cols.reshape(-1, kh * kw * c)
         self._xshape = xl.shape
         out = cols @ self._wmat()
         self._cols = cols if cache else None
         out += self.b
+        if self.pool:
+            out, self._index = _max4(out.reshape(4, -1, out.shape[1]), cache)
         return out.reshape(b_, ho, wo, -1).transpose(0, 3, 1, 2)
 
     def backward(self, grad, input_grad=True):
         kh, kw = self.kernel
         f, c = self.W.shape[:2]
-        b_, ho, wo = grad.shape[0], grad.shape[2], grad.shape[3]
         g = grad.transpose(0, 2, 3, 1).reshape(-1, f)  # (B*Ho*Wo, F)
+        self.db[...] = g.sum(axis=0)
+        if self.pool:
+            g = _route(g, self._index, np.empty((4, *g.shape), dtype=g.dtype)).reshape(-1, f)
         self.dW[...] = (self._cols.T @ g).reshape(kh, kw, c, f).transpose(3, 2, 0, 1)
         self._cols = None  # spent; freed before the input-gradient slabs are built
-        self.db[...] = g.sum(axis=0)
         if not input_grad:
             return None
+        b_, h, w, _ = self._xshape
+        ho, wo = h - kh + 1, w - kw + 1
+        if self.pool:  # the conv output's gradient, in spatial order
+            full = np.zeros((b_, ho, wo, f), dtype=g.dtype)
+            for dest, block in zip(_quadrants(full), g.reshape(4, b_, ho // 2, wo // 2, f)):
+                dest[...] = block
+            g = full.reshape(-1, f)
         wk = self.W.transpose(2, 3, 0, 1).reshape(kh * kw, f, c)
         slabs = np.matmul(g, wk).reshape(kh, kw, b_, ho, wo, c)  # per kernel offset
         dx = np.zeros(self._xshape, dtype=grad.dtype)  # (B, H, W, C)
@@ -203,6 +234,35 @@ class Conv2d:
 
     def params(self):
         return [(self.W, self.dW), (self.b, self.db)]
+
+
+def _quadrants(a):
+    """The four (B, H//2, W//2, C) views a[:, p::2, q::2] of a (B, H, W, C)
+    array, floored to even sizes, in window order (0,0), (0,1), (1,0), (1,1)."""
+    ho, wo = a.shape[1] // 2, a.shape[2] // 2
+    return [a[:, p : 2 * ho : 2, q : 2 * wo : 2] for p in (0, 1) for q in (0, 1)]
+
+
+def _max4(quads, cache):
+    """Elementwise max of a 2x2 window's four values, given in window
+    order, and (if `cache`, else None) the uint8 index 0-3 of the first
+    maximal one: the one tie rule of every 2x2 pool."""
+    q0, q1, q2, q3 = quads
+    top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
+    index = None
+    if cache:
+        first = (q1 > q0).view(np.uint8)  # 0 or 1: first max of the top pair
+        second = (q3 > q2).view(np.uint8) + np.uint8(2)  # 2 or 3: bottom pair
+        index = first + (bottom > top).view(np.uint8) * (second - first)
+    return np.maximum(top, bottom, out=top), index
+
+
+def _route(grad, index, dests):
+    """Each window's gradient into `dests[k]` for its first max k (an
+    `_max4` index), zeros into the other three; returns `dests`."""
+    for k, dest in enumerate(dests):
+        np.multiply(grad, index == k, out=dest)
+    return dests
 
 
 class MaxPool2x2:
@@ -216,26 +276,12 @@ class MaxPool2x2:
     def forward(self, x, cache=True):
         xl = x.transpose(0, 2, 3, 1)  # (B, H, W, C)
         self._xshape = xl.shape
-        ho, wo = xl.shape[1] // 2, xl.shape[2] // 2
-        q0, q1, q2, q3 = (
-            xl[:, p : 2 * ho : 2, q : 2 * wo : 2, :] for p in (0, 1) for q in (0, 1)
-        )
-        top, bottom = np.maximum(q0, q1), np.maximum(q2, q3)
-        self._index = None
-        if cache:
-            first = (q1 > q0).view(np.uint8)  # 0 or 1: first max of the top pair
-            second = (q3 > q2).view(np.uint8) + np.uint8(2)  # 2 or 3: bottom pair
-            self._index = first + (bottom > top).view(np.uint8) * (second - first)
-        out = np.maximum(top, bottom, out=top)
+        out, self._index = _max4(_quadrants(xl), cache)
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad):
-        g = grad.transpose(0, 2, 3, 1)  # (B, Ho, Wo, C)
-        ho, wo = g.shape[1:3]
         dx = np.zeros(self._xshape, dtype=grad.dtype)  # (B, H, W, C)
-        for k in range(4):
-            p, q = divmod(k, 2)
-            np.multiply(g, self._index == k, out=dx[:, p : 2 * ho : 2, q : 2 * wo : 2, :])
+        _route(grad.transpose(0, 2, 3, 1), self._index, _quadrants(dx))
         return dx.transpose(0, 3, 1, 2)
 
     def params(self):

@@ -271,11 +271,67 @@ def awkward_maps(layout):
     return channels_last_view(x) if layout == "channels_last" else x
 
 
+def pooled_and_unpooled(channels, filters, kernel, dtype, seed):
+    """A pooled Conv2d and an unpooled one with the same weights, plus the
+    MaxPool2x2 that follows the unpooled one."""
+    rng = np.random.default_rng(seed)
+    pooled = nn.Conv2d(channels, filters, kernel, rng, dtype=dtype, pool=True)
+    pooled.b[...] = rng.normal(size=filters)
+    plain = nn.Conv2d(channels, filters, kernel, None, dtype=dtype)
+    plain.W[...], plain.b[...] = pooled.W, pooled.b
+    return pooled, [plain, nn.MaxPool2x2()]
+
+
+class TestPooledConv:
+    # "awkward": a 1x1 identity conv, so the maps the pool sees are
+    # awkward_maps' values (a GEMM's exact zeros are +0, so its -0 entries
+    # reach the pool as +0); "random": a 3x3 conv of odd-sized maps
+    @pytest.mark.parametrize("case", ["awkward", "random"])
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_equals_conv_then_pool(self, case, layout, dtype, rtol):
+        if case == "awkward":
+            pooled, pair = pooled_and_unpooled(4, 4, (1, 1), dtype, seed=23)
+            pooled.W[...] = pair[0].W[...] = np.eye(4)[:, :, None, None]
+            pooled.b[...] = pair[0].b[...] = 0.0
+            x = awkward_maps(layout).astype(dtype)
+            assert np.array_equal(pair[0].forward(x), x)
+        else:
+            pooled, pair = pooled_and_unpooled(3, 5, (3, 3), dtype, seed=24)
+            x = np.random.default_rng(24).normal(size=(3, 3, 10, 11)).astype(dtype)
+            if layout == "channels_last":
+                x = channels_last_view(x)
+        expected = nn.forward(pair, x)
+        assert same_bits(pooled.forward(x, cache=False), expected)
+        out = pooled.forward(x)
+        assert same_bits(out, expected)
+        grad = np.random.default_rng(25).normal(size=out.shape).astype(dtype)
+        grad[0, 0, 0, 0] = 0.0
+        assert same_bits(pooled.backward(grad), full_backward(pair, grad))
+        conv = pair[0]
+        for ours, theirs in ((pooled.dW, conv.dW), (pooled.db, conv.db)):
+            assert ours.dtype == theirs.dtype
+            assert np.abs(ours - theirs).max() <= rtol * np.abs(theirs).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [28, 17])
+    def test_cnn_logits_equal_an_unpooled_conv1_and_pool(self, dtype, side):
+        params = CnnParams(seed=26, side=side, dtype=dtype)
+        conv1 = params.layers[0]
+        plain = nn.Conv2d(1, 32, conv1.kernel, None, dtype=dtype)
+        plain.W[...], plain.b[...] = conv1.W, np.random.default_rng(26).normal(size=32)
+        conv1.b[...] = plain.b
+        unpooled = [plain, nn.MaxPool2x2(), *params.layers[1:]]
+        pixels = np.random.default_rng(side).integers(0, 256, (clf.BATCH, side * side), dtype=np.uint8)
+        x = params.inputs(pixels)
+        assert same_bits(nn.forward(params.layers, x), nn.forward(unpooled, x))
+
+
 def former_cnn_order(params):
-    """CnnParams' weighted layers in the former conv -> ReLU -> pool order."""
+    """CnnParams' layers with conv3 in the former conv -> ReLU -> pool order."""
     conv1, conv2, conv3, dense1, dense2 = params.weighted_layers()
     return [
-        conv1, nn.ReLU(), nn.MaxPool2x2(),
+        conv1, nn.ReLU(),
         conv2, nn.ReLU(),
         conv3, nn.ReLU(), nn.MaxPool2x2(),
         nn.Flatten(), dense1, nn.ReLU(), dense2,
@@ -335,7 +391,6 @@ class TestInitCnn:
         params = CnnParams(seed=0)
         x = np.random.default_rng(0).random((2, 1, 28, 28))
         expected = [
-            (2, 32, 26, 26),
             (2, 32, 13, 13),
             (2, 32, 13, 13),
             (2, 64, 11, 11),
@@ -348,7 +403,7 @@ class TestInitCnn:
             (2, 100),
             (2, 10),
         ]
-        for layer, shape in zip(params.layers, expected):
+        for layer, shape in zip(params.layers, expected, strict=True):
             x = layer.forward(x)
             assert x.shape == shape
 
@@ -437,7 +492,6 @@ class TestUsedSquare:
         x = params.inputs(np.random.default_rng(0).random((2, 28 * 28)))
         assert x.shape == (2, 1, 26, 26)
         expected = [
-            (2, 32, 24, 24),
             (2, 32, 12, 12),
             (2, 32, 12, 12),
             (2, 64, 10, 10),
@@ -757,6 +811,31 @@ class TestPersistence:
         loaded = CnnParams.load(path)
         x = rng.random((4, 196))
         assert np.array_equal(classify(loaded, x)[1], classify(params, x)[1])
+
+    @pytest.mark.parametrize("network", ["cnn", "autoencoder"])
+    def test_load_draws_no_weights_and_round_trips_bit_for_bit(self, tmp_path, monkeypatch, network):
+        if network == "cnn":
+            params = CnnParams(seed=27, side=14, dtype=np.float32)
+        else:
+            params = AutoencoderParams(widths=(196, 20, 10), seed=27, dtype=np.float32)
+        rng = np.random.default_rng(27)
+        for layer in params.weighted_layers():
+            layer.b[...] = rng.normal(size=layer.b.shape)
+        path = tmp_path / "net.tf"
+        params.save(path)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load made a random generator")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", no_generator)
+            loaded = type(params).load(path)
+        saved, got = (nn.weight_tensors(p.weighted_layers()) for p in (params, loaded))
+        assert saved.keys() == got.keys()
+        for name in saved:
+            assert same_bits(got[name], saved[name]), name
+        assert loaded.meta() == params.meta()
+        assert not any(grad.any() for _, grad in nn.parameters(loaded.layers))
 
     @pytest.mark.parametrize("edit", ["autoencoder", "missing", "extra", "dtype"])
     def test_load_refuses_tensors_its_meta_does_not_describe(self, tmp_path, edit):
