@@ -9,7 +9,7 @@ which every step reads as whole arrays. `run_pipeline` and `sweep` drive
 the stages; each stage lives in its own module.
 """
 
-from .errors import ConsistencyError, DivergenceError, IdxFormatError, InsufficientDataError
+from .errors import ConsistencyError, DivergenceError, IdxFormatError, InputError, InsufficientDataError
 from .pipeline import RunConfig, RunReport, run_pipeline, sweep
 
 __version__ = "0.1.0"

@@ -375,8 +375,6 @@ def solve_corpus(corpus, model, batch_size=100):
     """
     if not len(corpus):
         raise ValueError("corpus is empty")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
     full = build_batch_system(corpus, model)
     independent = _independent_batches(full.coeffs, batch_size)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import nn
 from .dataset import grid_sums
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InputError
 
 BATCH = 32  # images per training step, and per classification chunk
 MIN_SIDE = 14  # the smallest image side whose second pool is not empty
@@ -46,12 +46,12 @@ MIN_SIDE = 14  # the smallest image side whose second pool is not empty
 class CnnParams(nn.Network):
     """The network's layers: He-initialized weights (fan-in scaling), zero
     biases; with draw=False the weights are left unset. Its tensor file's
-    meta holds seed and side. A side below MIN_SIDE is refused with a
-    ValueError."""
+    meta holds seed and side. A side below MIN_SIDE is refused with an
+    InputError naming the store, whose images are then too small."""
 
     def __init__(self, seed=0, dtype=np.float64, side=28, draw=True):
         if side < MIN_SIDE:
-            raise ValueError(f"the CNN needs images of side at least {MIN_SIDE}, got side {side}")
+            raise InputError("store", f"the CNN needs images of side at least {MIN_SIDE}, got side {side}")
         self.seed = seed
         self.side = side
         self.input_shape = (1, side, side)
@@ -88,14 +88,15 @@ class CnnParams(nn.Network):
 
 
 def check_labels(labels, n_images):
-    """`labels` as int64, refused with a ValueError unless there is one per
-    image and each is a digit 0..9; the first bad image is named."""
+    """`labels` as int64, refused with an InputError naming the labels
+    unless there is one per image and each is a digit 0..9; the first bad
+    image is named."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != n_images:
-        raise ValueError(f"{labels.shape[0]} labels for {n_images} images")
+        raise InputError("labels", f"{labels.shape[0]} labels for {n_images} images")
     bad = np.flatnonzero((labels < 0) | (labels > 9))
     if bad.size:
-        raise ValueError(f"image {bad[0]} has label {labels[bad[0]]}, outside 0..9")
+        raise InputError("labels", f"image {bad[0]} has label {labels[bad[0]]}, outside 0..9")
     return labels
 
 
@@ -137,7 +138,11 @@ def classify(params, images, chunk=BATCH):
 
 
 def evaluate(params, test_corpus, test_store):
-    """cls_acc and add_acc from a single classify pass over the test store."""
+    """cls_acc and add_acc from a single classify pass over the test store.
+    A store whose images are not the CNN's side x side is refused with an
+    InputError naming the store."""
+    if test_store.dim != params.side**2:
+        raise InputError("store", f"images of {test_store.dim} pixels; the CNN takes {params.side}x{params.side}")
     preds, _ = classify(params, test_store.images)
     return {
         "cls_acc": label_accuracy(preds, test_store),

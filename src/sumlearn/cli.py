@@ -1,6 +1,8 @@
 """Command-line interface: `run` and `sweep` drive the pipeline, and each
 stage subcommand is a thin wrapper that reads its inputs from files and
-calls the same stage code as `run`, without resuming."""
+calls the same stage code as `run`, without resuming. Flags take their
+ranges from `pipeline.BOUNDS`; a stage's `InputError` is a usage error on
+the flag that set the field or input it names."""
 
 import json
 import os
@@ -17,17 +19,14 @@ from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
 from . import pipeline as pl
-from .pipeline import RunConfig, run_pipeline, sweep
+from .errors import InputError
+from .pipeline import BOUNDS, RunConfig, run_pipeline, sweep
 from .tensorfile import load_int64, save_json
 
 DATA_DIR_ENV = "SUMLEARN_DATA_DIR"
 
-
-def _out_path(path):
-    """An output file's path, its parent directory created if missing."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+# the flag that sets each RunConfig field or input an InputError names
+_FLAGS = {"embed_dim": "--dim", "kmeans_k": "--k", **{name: f"--{name}" for name in ("w", "h", "store", "labels", "cnn")}}
 
 
 def _data_dir(data_dir, alternative):
@@ -39,20 +38,21 @@ def _data_dir(data_dir, alternative):
     return data_dir
 
 
+def _read(name, load, path):
+    """`load(path)`; a ValueError reading it is an InputError naming `name`."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise InputError(name, str(exc)) from exc
+
+
 def _store(store_path, data_dir, split):
-    """A store file from generate-data, else the split's IDX files. A store
-    file that cannot be read as one is a usage error."""
-    if store_path:
-        try:
-            return ds.load_store(store_path)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="'--store'") from exc
-    return pl.idx_store(_data_dir(data_dir, "--store"), split)
+    """A store file from generate-data, else the split's IDX files."""
+    return _read("store", ds.load_store, store_path) if store_path else pl.idx_store(_data_dir(data_dir, "--store"), split)
 
 
 def _validated(config):
-    """`config` if `RunConfig.validate` accepts it; a refusal is a usage
-    error, raised before anything is written."""
+    """`config` if `RunConfig.validate` accepts it, else a usage error."""
     try:
         config.validate()
     except ValueError as exc:
@@ -80,11 +80,24 @@ def _one_line_warnings():
         warnings.formatwarning = saved
 
 
+class _Command(click.Command):
+    """A subcommand whose InputError is a usage error on the flag `_FLAGS` names."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InputError as exc:
+            raise click.BadParameter(str(exc), ctx, param_hint=f"'{_FLAGS[exc.name]}'") from exc
+
+
 @click.group()
 @click.pass_context
 def main(ctx):
     """Weakly supervised digit classification from grid-sum supervision."""
     ctx.with_resource(_one_line_warnings())
+
+
+main.command_class = _Command  # so every subcommand refuses an InputError as a usage error
 
 
 def _config_options(fn):
@@ -97,8 +110,8 @@ def _config_options(fn):
         click.option("--seed", type=int, default=None, help=f"[default: {RunConfig.seed}]"),
         click.option("--batch-size", type=int, default=None, help=f"[default: {RunConfig.batch_size}]"),
         click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=None, help=f"[default: {RunConfig.backend}]"),
-        click.option("--autoencoder-epochs", type=click.IntRange(min=0), default=None, help=f"[default: {RunConfig.autoencoder_epochs}]"),
-        click.option("--classifier-epochs", type=click.IntRange(min=0), default=None, help=f"[default: {RunConfig.classifier_epochs}]"),
+        click.option("--autoencoder-epochs", type=click.IntRange(**BOUNDS["autoencoder_epochs"]), default=None, help=f"[default: {RunConfig.autoencoder_epochs}]"),
+        click.option("--classifier-epochs", type=click.IntRange(**BOUNDS["classifier_epochs"]), default=None, help=f"[default: {RunConfig.classifier_epochs}]"),
         click.option("--data", "data_dir", type=click.Path(), default=None, help=f"MNIST IDX dir (or ${DATA_DIR_ENV})"),
         click.option("--synthetic", is_flag=True, default=False, help="use generated Gaussian data"),
         click.option("--artifacts", "artifacts_dir", type=click.Path(), default=None, help=f"[default: {RunConfig.artifacts_dir}]"),
@@ -111,23 +124,20 @@ def _config_options(fn):
 
 
 def _build_config(config_file, **kwargs):
-    base = {}
-    if config_file:
-        with open(config_file, "r", encoding="utf-8") as f:
-            base = json.load(f)
-        if not isinstance(base, dict):
-            raise click.BadParameter(f"must hold a JSON object, got {type(base).__name__}", param_hint="'--config'")
-    rename = {"factor": "oversample_factor"}
-    for key, value in kwargs.items():
-        if value is None:
-            continue
-        if key == "synthetic" and not value:
-            continue  # absent flag should not clobber a config-file choice
-        base[rename.get(key, key)] = value
-    if not base.get("synthetic"):
-        base["data_dir"] = _data_dir(base.get("data_dir"), "--synthetic")
+    # a flag left off (None, or no --synthetic) keeps the config file's value
+    flags = {("oversample_factor" if key == "factor" else key): value
+             for key, value in kwargs.items() if value is not None and value is not False}
     try:
-        config = RunConfig.from_json(base)
+        base = {}
+        if config_file:
+            with open(config_file, "r", encoding="utf-8") as f:
+                base = json.load(f)
+        if not isinstance(base, dict):
+            raise ValueError(f"must hold a JSON object, got {type(base).__name__}")
+        values = {**base, **flags}
+        if not values.get("synthetic"):
+            values["data_dir"] = _data_dir(values.get("data_dir"), "--synthetic")
+        config = RunConfig.from_json(values)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--config'") from exc
     with warnings.catch_warnings():
@@ -158,14 +168,11 @@ def run(config_file, **kwargs):
 @_config_options
 def sweep_cmd(w_list, h_list, csv_path, config_file, **kwargs):
     """Run a grid of w x h configs into one CSV (shared encoder weights)."""
-    configs = [
-        _build_config(config_file, **{**kwargs, "w": w, "h": h})
-        for h in h_list
-        for w in w_list
-    ]
+    configs = [_build_config(config_file, **{**kwargs, "w": w, "h": h}) for h in h_list for w in w_list]
+    for config in configs:  # each point's report.json in a directory of its own
+        config.reports_dir = str(Path(config.reports_dir, f"w{config.w}-h{config.h}"))
     reports = sweep(configs, csv_path)
-    failed = sum(1 for r in reports if r.failure)
-    click.echo(f"{len(reports)} runs ({failed} failed) -> {csv_path}")
+    click.echo(f"{len(reports)} runs ({sum(1 for r in reports if r.failure)} failed) -> {csv_path}")
 
 
 @main.command("generate-data")
@@ -175,10 +182,10 @@ def sweep_cmd(w_list, h_list, csv_path, config_file, **kwargs):
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--synthetic", is_flag=True)
-@click.option("--n-images", type=click.IntRange(min=1), default=RunConfig.synthetic_images, show_default=True)
-@click.option("--n-clusters", type=click.IntRange(1, 10), default=RunConfig.synthetic_clusters, show_default=True)
-@click.option("--separation", type=click.FloatRange(min=0, min_open=True), default=RunConfig.synthetic_separation, show_default=True)
-@click.option("--dim", type=click.IntRange(min=1), default=RunConfig.synthetic_dim, show_default=True)
+@click.option("--n-images", type=click.IntRange(**BOUNDS["synthetic_images"]), default=RunConfig.synthetic_images, show_default=True)
+@click.option("--n-clusters", type=click.IntRange(**BOUNDS["synthetic_clusters"]), default=RunConfig.synthetic_clusters, show_default=True)
+@click.option("--separation", type=click.FloatRange(**BOUNDS["synthetic_separation"]), default=RunConfig.synthetic_separation, show_default=True)
+@click.option("--dim", type=click.IntRange(**BOUNDS["synthetic_dim"]), default=RunConfig.synthetic_dim, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=RunConfig.artifacts_dir, show_default=True)
 def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters, separation, dim, out_dir):
     """Bundle images into sum-supervised examples; write corpus.txt.
@@ -193,7 +200,6 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
         synthetic_separation=separation, synthetic_dim=dim,
     ))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     store, test_store = pl.load_stores(config)
     if synthetic:
         ds.save_store(store, out / "store.tf")
@@ -207,48 +213,42 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None, help="store.tf from generate-data --synthetic")
 @click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=RunConfig.backend, show_default=True)
-@click.option("--epochs", type=click.IntRange(min=0), default=RunConfig.autoencoder_epochs, show_default=True)
-@click.option("--dim", type=click.IntRange(min=1), default=RunConfig.embed_dim, show_default=True)
+@click.option("--epochs", type=click.IntRange(**BOUNDS["autoencoder_epochs"]), default=RunConfig.autoencoder_epochs, show_default=True)
+@click.option("--dim", type=click.IntRange(**BOUNDS["embed_dim"]), default=RunConfig.embed_dim, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/embedding.tf", show_default=True)
 def embed(data_dir, store_path, backend, epochs, dim, seed, out):
     """Learn the 10-d representation (autoencoder or PCA fallback)."""
     config = RunConfig(backend=backend, autoencoder_epochs=epochs, embed_dim=dim, seed=seed)
-    store = _store(store_path, data_dir, "train")
-    if backend == "pca" and dim > store.dim:
-        raise click.BadParameter(f"PCA needs at most the store's {store.dim} pixels, got {dim}", param_hint="'--dim'")
-    matrix = pl.embed_store(config, store, _out_path(out))
+    matrix = pl.embed_store(config, _store(store_path, data_dir, "train"), Path(out))
     click.echo(f"embedding {matrix.shape} -> {out}")
 
 
 @main.command()
 @click.option("--embedding", "embedding_path", type=click.Path(exists=True), required=True)
-@click.option("--k", type=click.IntRange(min=1), default=RunConfig.kmeans_k, show_default=True)
+@click.option("--k", type=click.IntRange(**BOUNDS["kmeans_k"]), default=RunConfig.kmeans_k, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
-@click.option("--max-iter", type=click.IntRange(min=1), default=RunConfig.kmeans_max_iter, show_default=True)
+@click.option("--max-iter", type=click.IntRange(**BOUNDS["kmeans_max_iter"]), default=RunConfig.kmeans_max_iter, show_default=True)
 @click.option("--tol", type=float, default=RunConfig.kmeans_tol, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cluster.tf", show_default=True)
 def cluster(embedding_path, k, seed, max_iter, tol, out):
     """k-means with k-means++ seeding over the embedding."""
     config = RunConfig(kmeans_k=k, seed=seed, kmeans_max_iter=max_iter, kmeans_tol=tol)
-    matrix = emb.load_embedding(embedding_path)
-    if k > len(matrix):
-        raise click.BadParameter(f"k={k} exceeds the embedding's {len(matrix)} rows", param_hint="'--k'")
-    model = pl.fit_clusters(config, matrix)
-    model.save(_out_path(out))
+    model = pl.fit_clusters(config, emb.load_embedding(embedding_path))
+    model.save(Path(out))
     click.echo(f"k={k} clusters, inertia {model.inertia_history[-1]:.4g} -> {out}")
 
 
 @main.command()
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--cluster", "cluster_path", type=click.Path(exists=True), required=True)
-@click.option("--batch-size", type=click.IntRange(min=1), default=RunConfig.batch_size, show_default=True)
+@click.option("--batch-size", type=click.IntRange(**BOUNDS["batch_size"]), default=RunConfig.batch_size, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/assignment.json", show_default=True)
 def assign(corpus_path, cluster_path, batch_size, out):
     """Solve the per-batch integer program and vote the winner."""
     corpus = ds.load_corpus(corpus_path)
     result = asg.solve_corpus(corpus, clu.ClusterModel.load(cluster_path), batch_size=batch_size)
-    result.save(_out_path(out))
+    result.save(out)
     click.echo(
         f"digits {list(map(int, result.digits))}, objective {result.objective}, "
         f"satisfied {result.satisfied_count}/{len(corpus)} -> {out}"
@@ -268,7 +268,7 @@ def infer(corpus_path, cluster_path, assignment_path, out):
     model = clu.ClusterModel.load(cluster_path)
     state = inf.init_labels(model, asg.DigitAssignment.load(assignment_path))
     state = inf.run_inference(state, corpus, model, radii=RunConfig.radius_schedule)
-    inf.save_labels((state.labels, state.counts()), _out_path(out))
+    inf.save_labels((state.labels, state.counts()), Path(out))
     click.echo(f"labels -> {out} and labels.bin beside it; {state.counts()}")
 
 
@@ -276,22 +276,15 @@ def infer(corpus_path, cluster_path, assignment_path, out):
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None)
 @click.option("--labels", "labels_path", type=click.Path(exists=True), required=True)
-@click.option("--epochs", type=click.IntRange(min=0), default=RunConfig.classifier_epochs, show_default=True)
+@click.option("--epochs", type=click.IntRange(**BOUNDS["classifier_epochs"]), default=RunConfig.classifier_epochs, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cnn.tf", show_default=True)
 def train(data_dir, store_path, labels_path, epochs, seed, out):
     """Train the CNN on the inferred labels."""
     config = RunConfig(classifier_epochs=epochs, seed=seed)
     store = _store(store_path, data_dir, "train")
-    try:
-        labels = clf.check_labels(load_int64(labels_path), len(store))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--labels'") from exc
-    try:
-        cnn = pl.new_classifier(config, store)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--store'") from exc
-    pl.train_classifier(config, cnn, store, labels).save(_out_path(out))
+    labels = _read("labels", load_int64, labels_path)
+    pl.train_classifier(config, pl.new_classifier(config, store), store, labels).save(Path(out))
     click.echo(f"cnn -> {out}")
 
 
@@ -299,29 +292,17 @@ def train(data_dir, store_path, labels_path, epochs, seed, out):
 @click.option("--cnn", "cnn_path", type=click.Path(exists=True), required=True)
 @click.option("--data", "data_dir", type=click.Path(), default=None, help="MNIST dir (uses t10k split)")
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None, help="test_store.tf from generate-data --synthetic")
-@click.option("--w", type=click.IntRange(min=1), default=RunConfig.w, show_default=True)
-@click.option("--h", type=click.IntRange(min=1), default=RunConfig.h, show_default=True)
+@click.option("--w", type=int, default=RunConfig.w, show_default=True)
+@click.option("--h", type=int, default=RunConfig.h, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="optional metrics JSON")
 def evaluate(cnn_path, data_dir, store_path, w, h, seed, out):
     """Classification and addition accuracy on the test split."""
-    try:
-        ds.check_grid_shape(w, h)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--w'") from exc
     test_store = _store(store_path, data_dir, "test")
-    try:
-        cnn = clf.CnnParams.load(cnn_path)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--cnn'") from exc
-    if test_store.dim != cnn.side**2:
-        raise click.BadParameter(
-            f"images of {test_store.dim} pixels; the CNN takes {cnn.side}x{cnn.side}", param_hint="'--store'"
-        )
-    test_corpus = ds.build_corpus(test_store, w, h, 1, seed=seed)
-    metrics = clf.evaluate(cnn, test_corpus, test_store)
+    cnn = _read("cnn", clf.CnnParams.load, cnn_path)
+    metrics = clf.evaluate(cnn, ds.build_corpus(test_store, w, h, 1, seed=seed), test_store)
     if out:
-        save_json(_out_path(out), metrics)
+        save_json(out, metrics)
     click.echo(json.dumps(metrics, sort_keys=True))
 
 

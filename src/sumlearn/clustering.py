@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, InputError
 from .tensorfile import load_tensors, save_int64, save_tensors
 
 
@@ -111,18 +111,15 @@ def kmeans(emb, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
 
     Restarts draw from one seeded generator, so the whole fit is
     deterministic in (emb, k, seed). The restart with the lowest final
-    within-cluster sum of squares wins (ties keep the earliest).
+    within-cluster sum of squares wins (ties keep the earliest). A k above
+    the number of points is an InputError naming kmeans_k.
     """
     points = np.asarray(emb, dtype=np.float64)
     n = points.shape[0]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
-        raise ValueError(f"k={k} exceeds number of points {n}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
+        raise InputError("kmeans_k", f"k={k} exceeds number of points {n}")
 
     # computed once for all restarts: point norms, one contiguous row per
     # dimension for the products and centroid sums, and the distance buffer

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, IdxFormatError, InsufficientDataError
+from .errors import ConsistencyError, IdxFormatError, InputError, InsufficientDataError
 from .tensorfile import atomic_write, load_tensors, save_tensors
 
 IMAGE_MAGIC = 2051  # 0x00000803
@@ -179,16 +179,17 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 
 def check_grid_shape(w, h):
-    """Refuse grid shapes whose sums int64 cannot hold exactly.
+    """Refuse, with an InputError naming w or h, grid shapes that are not
+    positive or whose sums int64 cannot hold exactly.
 
     The largest sum an h x w grid spells out is h * (10^w - 1), every digit
     a 9; it is computed in Python ints, so it cannot wrap itself.
     """
     w, h = int(w), int(h)
     if w < 1 or h < 1:
-        raise ValueError(f"grid shape must be positive, got w={w}, h={h}")
+        raise InputError("w" if w < 1 else "h", f"grid shape must be positive, got w={w}, h={h}")
     if h * (10**w - 1) > _INT64_MAX:
-        raise ValueError(f"w={w}, h={h}: sums up to {h * (10**w - 1)} overflow int64")
+        raise InputError("w", f"w={w}, h={h}: sums up to {h * (10**w - 1)} overflow int64")
 
 
 def grid_sums(grids, labels_per_image):
@@ -208,8 +209,6 @@ def build_corpus(store, w, h, oversample_factor=1, seed=0):
     Leftover ids (count mod w*h) are discarded.
     """
     check_grid_shape(w, h)
-    if oversample_factor < 1:
-        raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
     n = len(store)
     cell = w * h
     if cell > n:

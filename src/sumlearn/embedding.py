@@ -13,6 +13,7 @@ uint8 store is refused. A float64 store's covariance is a float64 sum.
 import numpy as np
 
 from . import nn
+from .errors import InputError
 from .tensorfile import load_tensors, save_tensors
 
 ENCODER_WIDTHS = (784, 500, 500, 2000, 10)
@@ -192,10 +193,11 @@ def pca_embed(store, dim=10):
     covariance of its rows centred on their mean.
 
     Both work in row blocks, so besides the store and the output they hold
-    one block, never a decoded or centred copy of the whole store.
+    one block, never a decoded or centred copy of the whole store. A `dim`
+    outside 1..store.dim is an InputError naming embed_dim.
     """
     if not 1 <= dim <= store.dim:
-        raise ValueError(f"dim must be in [1, {store.dim}], got {dim}")
+        raise InputError("embed_dim", f"dim must be in [1, {store.dim}], got {dim}")
     n = len(store)
     if store.images.dtype == np.uint8:
         sums, scatter = _exact_scatter(store.images)

@@ -32,7 +32,8 @@ from . import clustering as clu
 from . import dataset as ds
 from . import embedding as emb
 from . import inference as inf
-from .tensorfile import peek_meta, save_json
+from .errors import InputError
+from .tensorfile import atomic_write, peek_meta, save_json
 
 SWEEP_COLUMNS = [
     "w", "h", "factor", "seed", "purity", "label_acc_pre", "label_acc_post",
@@ -48,11 +49,22 @@ TOTAL_TIME_STAGES = ("cluster", "assign", "infer", "train")
 STAGE_FORMAT = 2
 
 
-# the least value of each numeric RunConfig field that has one
-_LEAST = {
-    "batch_size": 1, "oversample_factor": 1, "embed_dim": 1, "kmeans_k": 1,
-    "kmeans_max_iter": 1, "kmeans_n_init": 1, "autoencoder_epochs": 0, "classifier_epochs": 0,
+# Each numeric RunConfig field's range in click's keywords: `validate` refuses
+# a value outside it, and each CLI flag that sets the field is typed from it.
+# The grid shape is check_grid_shape's.
+BOUNDS = {
+    **dict.fromkeys(("autoencoder_epochs", "classifier_epochs"), {"min": 0}),
+    **dict.fromkeys(("oversample_factor", "batch_size", "embed_dim", "kmeans_k", "kmeans_max_iter", "kmeans_n_init",
+                     "synthetic_images", "synthetic_test_images", "synthetic_dim"), {"min": 1}),
+    "synthetic_clusters": {"min": 1, "max": 10}, "synthetic_separation": {"min": 0, "min_open": True},
 }
+
+
+def _outside(value, min, max=None, min_open=False):
+    """How `value` misses the range (">= 1", "> 0", "in 1..10"), or None."""
+    if max is not None:
+        return None if min <= value <= max else f"in {min}..{max}"
+    return None if (value > min if min_open else value >= min) else f"{'>' if min_open else '>='} {min}"
 
 
 @dataclass
@@ -89,9 +101,9 @@ class RunConfig:
                 "(w <= 10, h <= 6); proceeding anyway",
                 stacklevel=2,
             )
-        for name, least in _LEAST.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name, bound in BOUNDS.items():
+            if missed := _outside(getattr(self, name), **bound):
+                raise ValueError(f"{name} must be {missed}, got {getattr(self, name)}")
         outside = [r for r in self.radius_schedule if r not in inf.RADII]
         if outside:
             raise ValueError(f"radius_schedule values must be in 1..5, got {outside}")
@@ -101,12 +113,6 @@ class RunConfig:
             if self.data_dir is None:
                 raise ValueError("either pass data_dir or select synthetic mode")
             return
-        if not 1 <= self.synthetic_clusters <= 10:
-            raise ValueError(f"synthetic_clusters must be in 1..10, got {self.synthetic_clusters}")
-        if not self.synthetic_separation > 0:
-            raise ValueError(f"synthetic_separation must be > 0, got {self.synthetic_separation}")
-        if self.synthetic_dim < 1:
-            raise ValueError(f"synthetic_dim must be >= 1, got {self.synthetic_dim}")
         if self.backend == "pca" and self.embed_dim > self.synthetic_dim:
             raise ValueError(f"embed_dim must be <= synthetic_dim {self.synthetic_dim} for PCA, "
                              f"got {self.embed_dim}")
@@ -352,11 +358,11 @@ def fit_clusters(config, matrix):
 
 def new_classifier(config, store):
     """A fresh float32 CNN for the store's images. Images that are not
-    square, or are smaller than the CNN takes, are refused with a
-    ValueError."""
+    square, or are smaller than the CNN takes, are refused with an
+    InputError naming the store."""
     side = round(store.dim**0.5)
     if side * side != store.dim:
-        raise ValueError(f"classifier needs square images, store dim is {store.dim}")
+        raise InputError("store", f"classifier needs square images, store dim is {store.dim}")
     return clf.CnnParams(seed=config.seed, side=side, dtype=np.float32)
 
 
@@ -403,8 +409,6 @@ def run_pipeline(config, stores=None):
     """
     config.validate()
     artifacts_dir, reports_dir = Path(config.artifacts_dir), Path(config.reports_dir)
-    for directory in (artifacts_dir, reports_dir):
-        directory.mkdir(parents=True, exist_ok=True)
     stores = {} if stores is None else stores
     timings, metrics, failure, stage = {}, {}, None, None
 
@@ -485,6 +489,6 @@ def sweep(configs, csv_path):
                     failure=_failure("config", exc),
                 )
             )
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(csv_path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerows([SWEEP_COLUMNS] + [report.csv_row() for report in reports])
     return reports

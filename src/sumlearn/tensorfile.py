@@ -11,7 +11,7 @@ list of tensor entries, or whose entry names a dtype numpy does not know
 or a shape that is not a list of ints, so a resume recomputes such a file.
 Every JSON artifact and report is written by save_json. Every artifact is
 written through atomic_write, so a reader finds the previous file or the
-whole new one, never a partial write.
+whole new one, never a partial write; its directory is made if missing.
 """
 
 import json
@@ -25,9 +25,11 @@ FORMAT = "tensorfile/1"
 
 @contextmanager
 def atomic_write(path, mode="wb", **kwargs):
-    """Open a sibling temp file for writing; it replaces `path` only when
-    the block exits cleanly, and is removed whatever happens."""
+    """Open a sibling temp file for writing, making the directory if
+    missing; it replaces `path` only when the block exits cleanly, and is
+    removed whatever happens."""
     tmp = f"{os.fspath(path)}.tmp"
+    os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from sumlearn.assignment import DigitAssignment
 from sumlearn.cli import main
 from sumlearn.errors import ConsistencyError
+from sumlearn.pipeline import BOUNDS, RunConfig
 from sumlearn.tensorfile import load_tensors
 
 from conftest import identity_model
@@ -303,6 +305,14 @@ class TestRunCommand:
         assert message in r.output
         assert not (tmp_path / "a").exists()
 
+    def test_config_that_is_not_json_refused(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("{bad")
+        r = run_cli("run", "--config", str(config), "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--config': Expecting property name" in r.output
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_env_var_supplies_data_dir(self, tmp_path):
         # SUMLEARN_DATA_DIR is picked up when neither --data nor --synthetic
         # is given; the missing dir then fails at the data stage, proving
@@ -584,6 +594,68 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("w,h,factor,seed,purity")
+
+    def test_csv_parent_created(self, tmp_path):
+        csv_path = tmp_path / "missing" / "dir" / "sweep.csv"
+        r = run_cli(
+            "sweep", "--w-list", "1", "--h-list", "2", "--csv", str(csv_path),
+            "--synthetic", "--backend", "pca", "--classifier-epochs", "0",
+            "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"),
+            "--config", _write_config(tmp_path),
+        )
+        assert r.exit_code == 0, r.output
+        assert len(csv_path.read_text().strip().splitlines()) == 2
+
+    def test_each_point_keeps_its_report(self, tmp_path):
+        r = run_cli(
+            "sweep", "--w-list", "1,2", "--h-list", "2", "--csv", str(tmp_path / "sweep.csv"),
+            "--synthetic", "--backend", "pca", "--classifier-epochs", "0",
+            "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"),
+            "--config", _write_config(tmp_path),
+        )
+        assert r.exit_code == 0, r.output
+        assert sorted(p.relative_to(tmp_path / "r").as_posix() for p in (tmp_path / "r").rglob("*.json")) == [
+            "w1-h2/report.json", "w2-h2/report.json",
+        ]
+        for w in (1, 2):
+            report = json.loads((tmp_path / "r" / f"w{w}-h2" / "report.json").read_text())
+            assert (report["config"]["w"], report["config"]["h"], report["failure"]) == (w, 2, None)
+
+
+class TestBoundTable:
+    # every flag whose click type is a range: (command, parameter) -> the
+    # RunConfig field it sets
+    RANGED = {
+        ("run", "autoencoder_epochs"): "autoencoder_epochs",
+        ("run", "classifier_epochs"): "classifier_epochs",
+        ("sweep", "autoencoder_epochs"): "autoencoder_epochs",
+        ("sweep", "classifier_epochs"): "classifier_epochs",
+        ("generate-data", "n_images"): "synthetic_images",
+        ("generate-data", "n_clusters"): "synthetic_clusters",
+        ("generate-data", "separation"): "synthetic_separation",
+        ("generate-data", "dim"): "synthetic_dim",
+        ("embed", "epochs"): "autoencoder_epochs",
+        ("embed", "dim"): "embed_dim",
+        ("cluster", "k"): "kmeans_k",
+        ("cluster", "max_iter"): "kmeans_max_iter",
+        ("assign", "batch_size"): "batch_size",
+        ("train", "epochs"): "classifier_epochs",
+    }
+
+    def test_flag_ranges_come_from_the_bound_table(self):
+        ranged = {
+            (name, param.name): param.type
+            for name, command in main.commands.items()
+            for param in command.params
+            if isinstance(param.type, (click.IntRange, click.FloatRange))
+        }
+        assert set(ranged) == set(self.RANGED)
+        for key, kind in ranged.items():
+            field = self.RANGED[key]
+            bound = {"min": None, "max": None, "min_open": False, "max_open": False, **BOUNDS[field]}
+            assert {name: getattr(kind, name) for name in bound} == bound, key
+            number = click.FloatRange if RunConfig.__dataclass_fields__[field].type is float else click.IntRange
+            assert type(kind) is number, key
 
 
 def _write_config(tmp_path):

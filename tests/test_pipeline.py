@@ -16,7 +16,7 @@ from sumlearn import inference as inf
 from sumlearn import nn
 from sumlearn import pipeline as pl
 from sumlearn import tensorfile
-from sumlearn.errors import ConsistencyError
+from sumlearn.errors import ConsistencyError, InputError
 from sumlearn.classifier import label_accuracy
 from sumlearn.pipeline import SWEEP_COLUMNS, RunConfig, run_pipeline, sweep
 
@@ -513,6 +513,46 @@ class TestRunPipeline:
             assert report.metrics == {}
         saved = json.loads((tmp_path / "reports" / "report.json").read_text())
         assert saved["failure"] == report.failure
+
+
+class TestStageRefusals:
+    """A bound that depends on the data is refused by the stage that reads
+    the data, with an InputError naming the RunConfig field, before any file
+    is written; `run` records it as that stage's failure."""
+
+    def test_embed_store_refuses_pca_dim_above_pixels(self, tmp_path):
+        store = ds.generate_synthetic(40, 4, 80.0, 16, seed=0)
+        with pytest.raises(InputError, match="got 17") as refused:
+            pl.embed_store(RunConfig(backend="pca", embed_dim=17), store, tmp_path / "out" / "embedding.tf")
+        assert refused.value.name == "embed_dim"
+        assert not any(tmp_path.iterdir())
+        assert pl.embed_store(RunConfig(backend="pca", embed_dim=16), store, tmp_path / "embedding.tf").shape == (40, 16)
+
+    def test_fit_clusters_refuses_k_above_rows(self):
+        matrix = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(InputError, match="k=6 exceeds number of points 5") as refused:
+            pl.fit_clusters(RunConfig(kmeans_k=6), matrix)
+        assert refused.value.name == "kmeans_k"
+        assert pl.fit_clusters(RunConfig(kmeans_k=5), matrix).k == 5
+
+    @pytest.mark.parametrize(
+        "stage, overrides, error, absent",
+        [
+            ("embed", {"embed_dim": 785}, "InputError: dim must be in [1, 784], got 785", "embedding.tf"),
+            ("cluster", {"kmeans_k": 601}, "InputError: k=601 exceeds number of points 600", "cluster.tf"),
+        ],
+        ids=["embed_dim", "kmeans_k"],
+    )
+    def test_run_records_the_refusal_as_a_stage_failure(self, tmp_path, stage, overrides, error, absent):
+        cfg = RunConfig(
+            backend="pca", data_dir=str(TestMnistFormatPath.fake_mnist_dir(tmp_path)),
+            artifacts_dir=str(tmp_path / "artifacts"), reports_dir=str(tmp_path / "reports"), **overrides,
+        )
+        report = run_pipeline(cfg)
+        assert (report.failure["stage"], report.failure["error"]) == (stage, error)
+        saved = json.loads((tmp_path / "reports" / "report.json").read_text())
+        assert saved["failure"] == report.failure
+        assert not (tmp_path / "artifacts" / absent).exists()
 
 
 class TestMnistFormatPath:
