@@ -71,6 +71,10 @@ class DigitAssignment:
 
     @classmethod
     def from_json(cls, obj):
+        """The assignment `to_json` wrote. A missing key, or a value of the
+        wrong type, is refused with a ValueError naming it."""
+        if not isinstance(obj, dict) or "digits" not in obj:
+            raise ValueError("not an assignment: no key 'digits'")
         digits = obj["digits"]
         if not isinstance(digits, list):
             raise ValueError(f"digits must be a list, got {digits!r}")

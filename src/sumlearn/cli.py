@@ -6,8 +6,6 @@ the flag that set the field or input it names."""
 
 import json
 import os
-import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -26,7 +24,10 @@ from .tensorfile import load_int64, save_json
 DATA_DIR_ENV = "SUMLEARN_DATA_DIR"
 
 # the flag that sets each RunConfig field or input an InputError names
-_FLAGS = {"embed_dim": "--dim", "kmeans_k": "--k", **{name: f"--{name}" for name in ("w", "h", "store", "labels", "cnn")}}
+_FLAGS = {
+    "embed_dim": "--dim", "kmeans_k": "--k",
+    **{name: f"--{name}" for name in ("w", "h", "store", "labels", "cnn", "embedding", "cluster", "assignment", "corpus")},
+}
 
 
 def _data_dir(data_dir, alternative):
@@ -68,33 +69,21 @@ def _int_list(ctx, param, value):
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
 
 
-@contextmanager
-def _one_line_warnings():
-    """Print each warning as `Category: message`, without the source line
-    that issued it: the cause is an option on the command line."""
-    saved = warnings.formatwarning
-    warnings.formatwarning = lambda message, category, *_, **__: f"{category.__name__}: {message}\n"
-    try:
-        yield
-    finally:
-        warnings.formatwarning = saved
-
-
 class _Command(click.Command):
-    """A subcommand whose InputError is a usage error on the flag `_FLAGS` names."""
+    """A subcommand whose InputError is a usage error on the flag `_FLAGS`
+    names; a store read from IDX files is the one `--data` names."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except InputError as exc:
-            raise click.BadParameter(str(exc), ctx, param_hint=f"'{_FLAGS[exc.name]}'") from exc
+            flag = "--data" if exc.name == "store" and not ctx.params.get("store_path") else _FLAGS[exc.name]
+            raise click.BadParameter(str(exc), ctx, param_hint=f"'{flag}'") from exc
 
 
 @click.group()
-@click.pass_context
-def main(ctx):
+def main():
     """Weakly supervised digit classification from grid-sum supervision."""
-    ctx.with_resource(_one_line_warnings())
 
 
 main.command_class = _Command  # so every subcommand refuses an InputError as a usage error
@@ -140,9 +129,7 @@ def _build_config(config_file, **kwargs):
         config = RunConfig.from_json(values)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--config'") from exc
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # run_pipeline validates again and warns there
-        return _validated(config)
+    return _validated(config)
 
 
 @main.command()
@@ -228,13 +215,10 @@ def embed(data_dir, store_path, backend, epochs, dim, seed, out):
 @click.option("--embedding", "embedding_path", type=click.Path(exists=True), required=True)
 @click.option("--k", type=click.IntRange(**BOUNDS["kmeans_k"]), default=RunConfig.kmeans_k, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
-@click.option("--max-iter", type=click.IntRange(**BOUNDS["kmeans_max_iter"]), default=RunConfig.kmeans_max_iter, show_default=True)
-@click.option("--tol", type=float, default=RunConfig.kmeans_tol, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cluster.tf", show_default=True)
-def cluster(embedding_path, k, seed, max_iter, tol, out):
+def cluster(embedding_path, k, seed, out):
     """k-means with k-means++ seeding over the embedding."""
-    config = RunConfig(kmeans_k=k, seed=seed, kmeans_max_iter=max_iter, kmeans_tol=tol)
-    model = pl.fit_clusters(config, emb.load_embedding(embedding_path))
+    model = clu.kmeans(_read("embedding", emb.load_embedding, embedding_path), k, seed=seed)
     model.save(Path(out))
     click.echo(f"k={k} clusters, inertia {model.inertia_history[-1]:.4g} -> {out}")
 
@@ -246,8 +230,8 @@ def cluster(embedding_path, k, seed, max_iter, tol, out):
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/assignment.json", show_default=True)
 def assign(corpus_path, cluster_path, batch_size, out):
     """Solve the per-batch integer program and vote the winner."""
-    corpus = ds.load_corpus(corpus_path)
-    result = asg.solve_corpus(corpus, clu.ClusterModel.load(cluster_path), batch_size=batch_size)
+    corpus = _read("corpus", ds.load_corpus, corpus_path)
+    result = asg.solve_corpus(corpus, _read("cluster", clu.ClusterModel.load, cluster_path), batch_size=batch_size)
     result.save(out)
     click.echo(
         f"digits {list(map(int, result.digits))}, objective {result.objective}, "
@@ -264,10 +248,10 @@ def infer(corpus_path, cluster_path, assignment_path, out):
     """Propagate labels through the sum constraints (radius schedule)."""
     if Path(out).name == "labels.bin":  # the summary would overwrite the labels
         raise click.BadParameter("names the summary, labels.json; labels.bin goes beside it", param_hint="'--out'")
-    corpus = ds.load_corpus(corpus_path)
-    model = clu.ClusterModel.load(cluster_path)
-    state = inf.init_labels(model, asg.DigitAssignment.load(assignment_path))
-    state = inf.run_inference(state, corpus, model, radii=RunConfig.radius_schedule)
+    corpus = _read("corpus", ds.load_corpus, corpus_path)
+    model = _read("cluster", clu.ClusterModel.load, cluster_path)
+    state = inf.init_labels(model, _read("assignment", asg.DigitAssignment.load, assignment_path))
+    state = inf.run_inference(state, corpus, model)
     inf.save_labels((state.labels, state.counts()), Path(out))
     click.echo(f"labels -> {out} and labels.bin beside it; {state.counts()}")
 
@@ -281,10 +265,9 @@ def infer(corpus_path, cluster_path, assignment_path, out):
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cnn.tf", show_default=True)
 def train(data_dir, store_path, labels_path, epochs, seed, out):
     """Train the CNN on the inferred labels."""
-    config = RunConfig(classifier_epochs=epochs, seed=seed)
     store = _store(store_path, data_dir, "train")
     labels = _read("labels", load_int64, labels_path)
-    pl.train_classifier(config, pl.new_classifier(config, store), store, labels).save(Path(out))
+    clf.train_cnn(pl.new_classifier(store, seed), store, labels, epochs, seed=seed).save(Path(out))
     click.echo(f"cnn -> {out}")
 
 

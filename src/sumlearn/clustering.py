@@ -20,6 +20,12 @@ import numpy as np
 from .errors import ConsistencyError, InputError
 from .tensorfile import load_tensors, save_int64, save_tensors
 
+# kmeans' restarts and each restart's stopping rule: at most MAX_ITER Lloyd
+# iterations, ending early once no centroid moves by TOL or more
+N_INIT = 10
+MAX_ITER = 300
+TOL = 1e-4
+
 
 @dataclass
 class ClusterModel:
@@ -50,7 +56,14 @@ class ClusterModel:
 
     @classmethod
     def load(cls, path):
+        """The model `save` wrote. A file without one of its tensors or its
+        `k` is refused with a ValueError naming what is missing."""
         meta, tensors = load_tensors(path)
+        for name in ("centroids", "assignment", "distance"):
+            if name not in tensors:
+                raise ValueError(f"{path}: no tensor {name!r}, so not a cluster model")
+        if "k" not in meta:
+            raise ValueError(f"{path}: no meta key 'k', so not a cluster model")
         return cls(
             k=meta["k"],
             centroids=tensors["centroids"],
@@ -106,7 +119,7 @@ def _plus_plus_init(points, norms, k, rng):
     return centroids
 
 
-def kmeans(emb, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
+def kmeans(emb, k, seed=0, max_iter=MAX_ITER, tol=TOL, n_init=N_INIT):
     """Best of n_init restarts of Lloyd iterations from k-means++ seeds.
 
     Restarts draw from one seeded generator, so the whole fit is

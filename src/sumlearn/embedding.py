@@ -219,4 +219,9 @@ def save_embedding(matrix, path, meta=None):
 
 
 def load_embedding(path):
-    return load_tensors(path)[1]["embedding"]
+    """save_embedding's matrix. A tensor file without one is refused with a
+    ValueError naming the missing tensor."""
+    tensors = load_tensors(path)[1]
+    if "embedding" not in tensors:
+        raise ValueError(f"{path}: no tensor 'embedding', so not an embedding")
+    return tensors["embedding"]

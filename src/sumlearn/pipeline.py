@@ -10,8 +10,8 @@ The embedding hash does not involve w or h, so a sweep over grid shapes
 trains the autoencoder once; the reported total covers the four pipeline
 steps, with embedding timed separately. The CLI's stage subcommands call
 the same functions (`load_stores`, `write_corpus`, `embed_store`,
-`fit_clusters`, `new_classifier`, `train_classifier`) without a key, so
-they never resume.
+`new_classifier`, and the stage modules' `kmeans`, `solve_corpus`,
+`run_inference` and `train_cnn`) without a key, so they never resume.
 """
 
 import csv
@@ -19,7 +19,6 @@ import hashlib
 import json
 import time
 import traceback
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,7 +53,7 @@ STAGE_FORMAT = 2
 # The grid shape is check_grid_shape's.
 BOUNDS = {
     **dict.fromkeys(("autoencoder_epochs", "classifier_epochs"), {"min": 0}),
-    **dict.fromkeys(("oversample_factor", "batch_size", "embed_dim", "kmeans_k", "kmeans_max_iter", "kmeans_n_init",
+    **dict.fromkeys(("oversample_factor", "batch_size", "embed_dim", "kmeans_k",
                      "synthetic_images", "synthetic_test_images", "synthetic_dim"), {"min": 1}),
     "synthetic_clusters": {"min": 1, "max": 10}, "synthetic_separation": {"min": 0, "min_open": True},
 }
@@ -78,10 +77,6 @@ class RunConfig:
     autoencoder_epochs: int = 300
     embed_dim: int = 10
     kmeans_k: int = 10
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-4
-    kmeans_n_init: int = 10
-    radius_schedule: tuple = inf.RADII
     classifier_epochs: int = 10
     synthetic: bool = False
     synthetic_images: int = 1200
@@ -95,18 +90,9 @@ class RunConfig:
 
     def validate(self):
         ds.check_grid_shape(self.w, self.h)
-        if not (self.w <= 10 and self.h <= 6):
-            warnings.warn(
-                f"w={self.w}, h={self.h} is outside the tested envelope "
-                "(w <= 10, h <= 6); proceeding anyway",
-                stacklevel=2,
-            )
         for name, bound in BOUNDS.items():
             if missed := _outside(getattr(self, name), **bound):
                 raise ValueError(f"{name} must be {missed}, got {getattr(self, name)}")
-        outside = [r for r in self.radius_schedule if r not in inf.RADII]
-        if outside:
-            raise ValueError(f"radius_schedule values must be in 1..5, got {outside}")
         if self.backend not in ("autoencoder", "pca"):
             raise ValueError(f"unknown embedding backend {self.backend!r}")
         if not self.synthetic:
@@ -124,9 +110,7 @@ class RunConfig:
             )
 
     def to_json(self):
-        out = asdict(self)
-        out["radius_schedule"] = list(self.radius_schedule)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
@@ -137,12 +121,8 @@ class RunConfig:
         for key, value in obj.items():
             kind = fields[key].type
             if not _fits(value, kind):
-                expected = "list of ints" if kind is tuple else getattr(kind, "__name__", kind)
-                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-        kwargs = dict(obj)
-        if "radius_schedule" in kwargs:
-            kwargs["radius_schedule"] = tuple(kwargs["radius_schedule"])
-        return cls(**kwargs)
+                raise ValueError(f"config key {key!r} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+        return cls(**obj)
 
     # -- stage hash chain ---------------------------------------------------
 
@@ -181,9 +161,9 @@ class RunConfig:
         return _digest({
             "embed": self.embed_key(),
             "k": self.kmeans_k,
-            "max_iter": self.kmeans_max_iter,
-            "tol": self.kmeans_tol,
-            "n_init": self.kmeans_n_init,
+            "max_iter": clu.MAX_ITER,
+            "tol": clu.TOL,
+            "n_init": clu.N_INIT,
             "seed": self.seed,
         })
 
@@ -197,7 +177,7 @@ class RunConfig:
     def infer_key(self):
         return _digest({
             "assign": self.assign_key(),
-            "radii": list(self.radius_schedule),
+            "radii": list(inf.RADII),
         })
 
     def train_key(self):
@@ -210,9 +190,7 @@ class RunConfig:
 
 def _fits(value, kind):
     """Whether a JSON value fits a RunConfig field of type `kind`: a bool
-    is no int, an int is a float, and the radius tuple is a list of ints."""
-    if kind is tuple:
-        return isinstance(value, list) and all(_fits(v, int) for v in value)
+    is no int, and an int is a float."""
     if isinstance(value, bool) or kind is bool:
         return isinstance(value, bool) and kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
@@ -348,27 +326,14 @@ def embed_store(config, store, path, key=None):
     )
 
 
-def fit_clusters(config, matrix):
-    """k-means over the embedding with the config's settings."""
-    return clu.kmeans(
-        matrix, config.kmeans_k, seed=config.seed, max_iter=config.kmeans_max_iter,
-        tol=config.kmeans_tol, n_init=config.kmeans_n_init,
-    )
-
-
-def new_classifier(config, store):
+def new_classifier(store, seed):
     """A fresh float32 CNN for the store's images. Images that are not
     square, or are smaller than the CNN takes, are refused with an
     InputError naming the store."""
     side = round(store.dim**0.5)
     if side * side != store.dim:
         raise InputError("store", f"classifier needs square images, store dim is {store.dim}")
-    return clf.CnnParams(seed=config.seed, side=side, dtype=np.float32)
-
-
-def train_classifier(config, cnn, store, labels):
-    """`cnn`, fresh from `new_classifier`, trained on the store."""
-    return clf.train_cnn(cnn, store, labels, config.classifier_epochs, seed=config.seed)
+    return clf.CnnParams(seed=seed, side=side, dtype=np.float32)
 
 
 # -- the run ----------------------------------------------------------------
@@ -433,7 +398,7 @@ def run_pipeline(config, stores=None):
         with timed("cluster"):
             model = cached(
                 artifacts_dir / "cluster.tf", config.cluster_key(), clu.ClusterModel.load,
-                lambda: fit_clusters(config, embedding), clu.ClusterModel.save,
+                lambda: clu.kmeans(embedding, config.kmeans_k, seed=config.seed), clu.ClusterModel.save,
             )
         with timed("assign"):
             assignment = cached(
@@ -446,7 +411,7 @@ def run_pipeline(config, stores=None):
             initial_labels = state.labels.copy()
 
             def propagate():
-                done = inf.run_inference(state, corpus, model, radii=config.radius_schedule)
+                done = inf.run_inference(state, corpus, model)
                 return done.labels, done.counts()
 
             labels, label_summary = cached(
@@ -455,7 +420,9 @@ def run_pipeline(config, stores=None):
         with timed("train"):
             cnn = cached(
                 artifacts_dir / "cnn.tf", config.train_key(), clf.CnnParams.load,
-                lambda: train_classifier(config, new_classifier(config, store), store, labels), clf.CnnParams.save,
+                lambda: clf.train_cnn(new_classifier(store, config.seed), store, labels, config.classifier_epochs,
+                                      seed=config.seed),
+                clf.CnnParams.save,
             )
         with timed("evaluate"):
             metrics = _evaluate(store, test_store, test_corpus, model, assignment,

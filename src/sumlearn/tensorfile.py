@@ -76,8 +76,10 @@ def save_json(path, obj, indent=None):
 
 
 def json_int(obj, key):
-    """obj[key] from a loaded JSON artifact; a value that is not an int (a
-    bool is not) is refused with a ValueError naming `key`."""
+    """obj[key] from a loaded JSON artifact; a missing key, or a value that
+    is not an int (a bool is not), is refused with a ValueError naming `key`."""
+    if key not in obj:
+        raise ValueError(f"no key {key!r}")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an int, got {value!r}")

@@ -1,9 +1,7 @@
 import json
-import os
 import re
 import shlex
-import subprocess
-import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -17,7 +15,7 @@ from sumlearn.errors import ConsistencyError
 from sumlearn.pipeline import BOUNDS, RunConfig
 from sumlearn.tensorfile import load_tensors
 
-from conftest import identity_model
+from conftest import identity_model, write_idx_pair
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -102,14 +100,15 @@ class TestStageCommands:
         (tmp_path / "corpus.txt").write_text("1 2 5 0 1\n")
         identity_model([0, 1, 2]).save(tmp_path / "cluster.tf")
         DigitAssignment(digits=np.array([0, 1, 12]), objective=0).save(tmp_path / "assignment.json")
-        r = CliRunner().invoke(main, [
+        r = run_cli(
             "infer", "--corpus", str(tmp_path / "corpus.txt"),
             "--cluster", str(tmp_path / "cluster.tf"),
             "--assignment", str(tmp_path / "assignment.json"),
             "--out", str(tmp_path / "labels.json"),
-        ])
-        assert r.exit_code != 0
-        assert "cluster 2 has digit 12, not an int in 0..9" in str(r.exception)
+        )
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--assignment'" in r.output
+        assert "cluster 2 has digit 12, not an int in 0..9" in r.output
         assert not (tmp_path / "labels.bin").exists()
 
 
@@ -394,8 +393,11 @@ class TestUsageErrors:
         "values, message",
         [
             ({"kmeans_k": 0}, "kmeans_k must be >= 1, got 0"),
-            ({"kmeans_max_iter": 0}, "kmeans_max_iter must be >= 1, got 0"),
-            ({"kmeans_n_init": 0}, "kmeans_n_init must be >= 1, got 0"),
+            # k-means' stopping rule and the radius schedule are constants of the method
+            ({"kmeans_max_iter": 0}, "Invalid value for '--config': unknown config keys: kmeans_max_iter"),
+            ({"kmeans_n_init": 0}, "Invalid value for '--config': unknown config keys: kmeans_n_init"),
+            ({"kmeans_tol": 1e-3}, "Invalid value for '--config': unknown config keys: kmeans_tol"),
+            ({"radius_schedule": [1, 2]}, "Invalid value for '--config': unknown config keys: radius_schedule"),
             ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
             ({"autoencoder_epochs": -1}, "autoencoder_epochs must be >= 0, got -1"),
             ({"classifier_epochs": -1}, "classifier_epochs must be >= 0, got -1"),
@@ -404,8 +406,8 @@ class TestUsageErrors:
             ({"synthetic_dim": 0}, "synthetic_dim must be >= 1, got 0"),
             ({"embed_dim": 900}, "embed_dim must be <= synthetic_dim 784 for PCA, got 900"),
         ],
-        ids=["kmeans_k", "kmeans_max_iter", "kmeans_n_init", "embed_dim", "autoencoder_epochs",
-             "classifier_epochs", "synthetic_clusters", "synthetic_separation", "synthetic_dim",
+        ids=["kmeans_k", "kmeans_max_iter", "kmeans_n_init", "kmeans_tol", "radius_schedule", "embed_dim",
+             "autoencoder_epochs", "classifier_epochs", "synthetic_clusters", "synthetic_separation", "synthetic_dim",
              "embed_dim-above-pixels"],
     )
     def test_invalid_config_file_value_refused_before_writing(self, tmp_path, values, message):
@@ -423,7 +425,6 @@ class TestUsageErrors:
             (["embed", "--store", "{chain}/store.tf", "--dim", "0"], "--dim"),
             (["embed", "--store", "{chain}/store.tf", "--epochs", "-1"], "--epochs"),
             (["cluster", "--embedding", "{chain}/embedding.tf", "--k", "0"], "--k"),
-            (["cluster", "--embedding", "{chain}/embedding.tf", "--max-iter", "0"], "--max-iter"),
             (["assign", "--corpus", "{chain}/corpus.txt", "--cluster", "{chain}/cluster.tf",
               "--batch-size", "0"], "--batch-size"),
             (["train", "--store", "{chain}/store.tf", "--labels", "{chain}/labels.bin",
@@ -439,7 +440,7 @@ class TestUsageErrors:
             (["cluster", "--embedding", "{chain}/embedding.tf", "--k", "5000"], "--k"),
             (["evaluate", "--cnn", "{chain}/cnn.tf", "--store", "{chain}/test_store.tf", "--w", "20"], "--w"),
         ],
-        ids=["embed-dim", "embed-epochs", "cluster-k", "cluster-max-iter", "assign-batch-size",
+        ids=["embed-dim", "embed-epochs", "cluster-k", "assign-batch-size",
              "train-epochs", "evaluate-w", "generate-data-n-clusters", "generate-data-separation",
              "generate-data-dim", "generate-data-n-images", "run-classifier-epochs",
              "embed-dim-above-pixels", "cluster-k-above-rows", "evaluate-w-overflow"],
@@ -454,24 +455,55 @@ class TestUsageErrors:
         assert f"Invalid value for '{option}'" in r.output
         assert not any(tmp_path.iterdir())
 
-    def test_envelope_warning_is_one_line(self, tmp_path):
-        # a child process: in-process, pytest records the warning instead of printing it
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        r = subprocess.run(
-            [sys.executable, "-m", "sumlearn.cli", "generate-data", "--synthetic", "--w", "11", "--h", "1",
-             "--n-images", "40", "--n-clusters", "4", "--dim", "8", "--out", str(tmp_path / "a")],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert r.stderr.splitlines() == [
-            "UserWarning: w=11, h=1 is outside the tested envelope (w <= 10, h <= 6); proceeding anyway"
-        ]
+    @pytest.mark.parametrize(
+        "args, option, message",
+        [
+            (["cluster", "--embedding", "{chain}/store.tf"], "--embedding", "store.tf: no tensor 'embedding'"),
+            (["assign", "--corpus", "{chain}/corpus.txt", "--cluster", "{chain}/embedding.tf"], "--cluster",
+             "embedding.tf: no tensor 'centroids'"),
+            (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{chain}/cluster.tf",
+              "--assignment", "{chain}/corpus.txt"], "--assignment", "Extra data"),
+            (["infer", "--corpus", "{chain}/store.tf", "--cluster", "{chain}/cluster.tf",
+              "--assignment", "{chain}/assignment.json"], "--corpus", "codec can't decode"),
+        ],
+        ids=["embedding", "cluster", "assignment", "corpus"],
+    )
+    def test_stage_input_of_the_wrong_kind_refused(self, chain, tmp_path, args, option, message):
+        r = run_cli(*[arg.format(chain=chain) for arg in args], "--out", str(tmp_path / "a" / "result.json"))
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{option}'" in r.output
+        assert message in r.output
+        assert not any(tmp_path.iterdir())
 
-    def test_envelope_warning_once_per_config(self, tmp_path, recwarn):
-        run_cli("run", "--synthetic", "--w", "11", "--h", "1", "--backend", "pca",
-                "--classifier-epochs", "1", "--config", _write_config(tmp_path),
-                "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"))
-        assert len([w for w in recwarn.list if "envelope" in str(w.message)]) == 1
+    def test_evaluate_refuses_a_store_smaller_than_a_grid(self, chain, tmp_path):
+        r = run_cli("evaluate", "--cnn", str(chain / "cnn.tf"), "--store", str(chain / "test_store.tf"),
+                    "--w", "9", "--h", "50", "--out", str(tmp_path / "metrics.json"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--store': grid needs 450 images, store has 400" in r.output
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["generate-data", "evaluate"])
+    def test_idx_store_smaller_than_a_grid_refused_as_data(self, chain, tmp_path, command):
+        data = tmp_path / "mnist"
+        data.mkdir()
+        for split in ("train", "t10k"):
+            for path in write_idx_pair(data, np.zeros((3, 14, 14)), [0, 1, 2]):
+                path.rename(data / path.name.replace("images", f"{split}-images").replace("labels", f"{split}-labels"))
+        args = {"generate-data": [], "evaluate": ["--cnn", str(chain / "cnn.tf")]}[command]
+        r = run_cli(command, "--data", str(data), *args, "--out", str(tmp_path / "out"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--data': grid needs 4 images, store has 3" in r.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mnist"]
+
+    def test_no_warning_outside_the_paper_grid_shapes(self, tmp_path):
+        # w and h are refused only where the sums overflow int64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run_cli("run", "--synthetic", "--w", "11", "--h", "1", "--backend", "pca",
+                        "--classifier-epochs", "1", "--config", _write_config(tmp_path),
+                        "--artifacts", str(tmp_path / "a"), "--reports", str(tmp_path / "r"))
+        assert r.exit_code == 0, r.output
+        assert "Warning" not in r.output
 
     @pytest.mark.parametrize("name", ["cluster.tf", "embedding.tf"])
     def test_evaluate_refuses_a_file_that_is_not_a_cnn(self, chain, tmp_path, name):
@@ -637,7 +669,6 @@ class TestBoundTable:
         ("embed", "epochs"): "autoencoder_epochs",
         ("embed", "dim"): "embed_dim",
         ("cluster", "k"): "kmeans_k",
-        ("cluster", "max_iter"): "kmeans_max_iter",
         ("assign", "batch_size"): "batch_size",
         ("train", "epochs"): "classifier_epochs",
     }

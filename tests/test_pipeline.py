@@ -80,27 +80,10 @@ class TestLabelAccuracy:
 
 
 class TestRunConfig:
-    def test_warns_outside_envelope(self):
-        cfg = RunConfig(w=11, h=2, synthetic=True)
-        with pytest.warns(UserWarning, match="envelope"):
-            cfg.validate()
-
-    def test_accepts_paper_envelope_silently(self, recwarn):
-        RunConfig(w=10, h=6, synthetic=True).validate()
-        assert not [w for w in recwarn.list if issubclass(w.category, UserWarning)]
-
     def test_refuses_int64_overflow(self):
-        with pytest.warns(UserWarning, match="envelope"):
-            RunConfig(w=18, h=2, synthetic=True).validate()
+        RunConfig(w=18, h=2, synthetic=True).validate()
         with pytest.raises(ValueError, match="overflow int64"):
             RunConfig(w=19, h=2, synthetic=True).validate()
-
-    @pytest.mark.parametrize("schedule", [(1, 6), (0, 2), (2.5,)])
-    def test_refuses_out_of_range_radius(self, tmp_path, schedule):
-        cfg = tiny_config(tmp_path, radius_schedule=schedule)
-        with pytest.raises(ValueError, match="radius_schedule"):
-            run_pipeline(cfg)
-        assert not (tmp_path / "artifacts").exists()  # refused before any stage ran
 
     @pytest.mark.parametrize("field", ["synthetic_images", "synthetic_test_images"])
     def test_refuses_synthetic_store_smaller_than_a_grid(self, field):
@@ -118,7 +101,7 @@ class TestRunConfig:
             RunConfig().validate()
 
     def test_json_roundtrip(self):
-        cfg = RunConfig(w=3, h=2, radius_schedule=(1, 3, 5), synthetic=True)
+        cfg = RunConfig(w=3, h=2, synthetic_separation=12.5, synthetic=True)
         again = RunConfig.from_json(cfg.to_json())
         assert again == cfg
 
@@ -126,16 +109,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config keys: batchsize, seeed"):
             RunConfig.from_json({"seeed": 1, "w": 2, "batchsize": 7})
 
-    @pytest.mark.parametrize("key, value", [("kmeans_tol", 1), ("data_dir", None), ("synthetic", False)])
+    @pytest.mark.parametrize("key, value", [("synthetic_separation", 1), ("data_dir", None), ("synthetic", False)])
     def test_from_json_accepts_fitting_types(self, key, value):
         assert getattr(RunConfig.from_json({key: value}), key) == value
 
     @pytest.mark.parametrize(
         "obj, key",
-        [({"w": True}, "w"), ({"w": 2.0}, "w"), ({"kmeans_tol": "1e-4"}, "kmeans_tol"),
+        [({"w": True}, "w"), ({"w": 2.0}, "w"), ({"synthetic_separation": "60"}, "synthetic_separation"),
          ({"synthetic": 1}, "synthetic"), ({"backend": None}, "backend"),
-         ({"data_dir": 3}, "data_dir"), ({"radius_schedule": [1, 2.5]}, "radius_schedule"),
-         ({"radius_schedule": 3}, "radius_schedule")],
+         ({"data_dir": 3}, "data_dir"), ({"kmeans_k": [1, 2]}, "kmeans_k"),
+         ({"artifacts_dir": 3}, "artifacts_dir")],
     )
     def test_from_json_names_mistyped_key(self, obj, key):
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
@@ -422,9 +405,9 @@ class TestRunPipeline:
         assert strip_timings(warm) == strip_timings(cold)
 
     def test_inference_radii_reported(self, tmp_path):
-        report = run_pipeline(tiny_config(tmp_path, radius_schedule=(1, 3, 5)))
+        report = run_pipeline(tiny_config(tmp_path))
         radii = report.metrics["inference_radii"]
-        assert [r["radius"] for r in radii] == [1, 3, 5]
+        assert [r["radius"] for r in radii] == [1, 2, 3, 4, 5]
         assert sum(r["inferred"] for r in radii) == report.metrics["provenance_counts"]["inferred"]
         assert sum(r["trusted"] for r in radii) == report.metrics["provenance_counts"]["radius"]
         assert all(r["passes"] >= 1 for r in radii)
@@ -531,9 +514,9 @@ class TestStageRefusals:
     def test_fit_clusters_refuses_k_above_rows(self):
         matrix = np.arange(10.0).reshape(5, 2)
         with pytest.raises(InputError, match="k=6 exceeds number of points 5") as refused:
-            pl.fit_clusters(RunConfig(kmeans_k=6), matrix)
+            clu.kmeans(matrix, 6)
         assert refused.value.name == "kmeans_k"
-        assert pl.fit_clusters(RunConfig(kmeans_k=5), matrix).k == 5
+        assert clu.kmeans(matrix, 5).k == 5
 
     @pytest.mark.parametrize(
         "stage, overrides, error, absent",
@@ -771,7 +754,6 @@ class TestLabelFreedomAudit:
         pl.cached,
         pl.embed_store,
         pl.new_classifier,
-        pl.train_classifier,
         inf.save_labels,
         inf.load_labels,
         clu.ClusterModel.save,
