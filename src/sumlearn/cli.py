@@ -39,17 +39,20 @@ def _data_dir(data_dir, alternative):
     return data_dir
 
 
-def _read(name, load, path):
-    """`load(path)`; a ValueError reading it is an InputError naming `name`."""
+def _read(name, load, source):
+    """`load(source)`; a ValueError or OSError reading it (a file that does
+    not parse or is missing) is an InputError naming `name`."""
     try:
-        return load(path)
-    except ValueError as exc:
+        return load(source)
+    except (ValueError, OSError) as exc:
         raise InputError(name, str(exc)) from exc
 
 
 def _store(store_path, data_dir, split):
     """A store file from generate-data, else the split's IDX files."""
-    return _read("store", ds.load_store, store_path) if store_path else pl.idx_store(_data_dir(data_dir, "--store"), split)
+    if store_path:
+        return _read("store", ds.load_store, store_path)
+    return _read("store", lambda data: pl.idx_store(data, split), _data_dir(data_dir, "--store"))
 
 
 def _validated(config):
@@ -187,7 +190,7 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
         synthetic_separation=separation, synthetic_dim=dim,
     ))
     out = Path(out_dir)
-    store, test_store = pl.load_stores(config)
+    store, test_store = _read("store", pl.load_stores, config)
     if synthetic:
         ds.save_store(store, out / "store.tf")
         ds.save_store(test_store, out / "test_store.tf")

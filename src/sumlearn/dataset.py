@@ -85,11 +85,20 @@ def _open_maybe_gz(path):
     return open(path, "rb")
 
 
+def _read_exact(f, size, path, what):
+    """`size` bytes of `f`. Fewer, or a gzip stream cut short, raise an
+    IdxFormatError saying `what` is truncated."""
+    try:
+        data = f.read(size)
+    except EOFError:  # gzip raises this where a plain file returns short
+        data = b""
+    if len(data) != size:
+        raise IdxFormatError(f"truncated {what} in {path}")
+    return data
+
+
 def _read_be32(f, path):
-    data = f.read(4)
-    if len(data) != 4:
-        raise IdxFormatError(f"truncated IDX header in {path}")
-    return struct.unpack(">I", data)[0]
+    return struct.unpack(">I", _read_exact(f, 4, path, "IDX header"))[0]
 
 
 def load_idx(images_path, labels_path):
@@ -103,9 +112,7 @@ def load_idx(images_path, labels_path):
         if magic != LABEL_MAGIC:
             raise IdxFormatError(f"bad label magic {magic} in {labels_path}")
         n_labels = _read_be32(f, labels_path)
-        labels = np.frombuffer(f.read(n_labels), dtype=np.uint8)
-        if labels.shape[0] != n_labels:
-            raise IdxFormatError(f"truncated label data in {labels_path}")
+        labels = np.frombuffer(_read_exact(f, n_labels, labels_path, "label data"), dtype=np.uint8)
 
     with _open_maybe_gz(images_path) as f:
         magic = _read_be32(f, images_path)
@@ -114,9 +121,7 @@ def load_idx(images_path, labels_path):
         n_images = _read_be32(f, images_path)
         rows = _read_be32(f, images_path)
         cols = _read_be32(f, images_path)
-        raw = np.frombuffer(f.read(n_images * rows * cols), dtype=np.uint8)
-        if raw.shape[0] != n_images * rows * cols:
-            raise IdxFormatError(f"truncated image data in {images_path}")
+        raw = np.frombuffer(_read_exact(f, n_images * rows * cols, images_path, "image data"), dtype=np.uint8)
 
     if n_images != n_labels:
         raise ConsistencyError(f"{n_images} images but {n_labels} labels")

@@ -121,16 +121,16 @@ def _centred_blocks(store, centre):
         yield start, block
 
 
-def _pca_fit(store, mean, dim):
-    """Top-`dim` principal axes of a float64 store's rows centred on
-    `mean`. The covariance is summed over row blocks; one block is exactly
-    the product of the whole centred matrix."""
+def _scatter(store, mean):
+    """The (D, D) scatter matrix of a float64 store's rows centred on
+    `mean`, summed over row blocks; one block is exactly the product of the
+    whole centred matrix. The block buffer is freed when this returns."""
     blocks = _centred_blocks(store, mean)
     _, first = next(blocks)
     cov = first.T @ first
     for _, block in blocks:
         cov += block.T @ block
-    return _components(cov, len(store), dim)
+    return cov
 
 
 def _components(scatter, n, dim):
@@ -201,12 +201,12 @@ def pca_embed(store, dim=10):
     n = len(store)
     if store.images.dtype == np.uint8:
         sums, scatter = _exact_scatter(store.images)
-        centre, scale = sums / n, 255.0
-        components = _components(scatter.astype(np.float64), n, dim)
+        centre, scale, scatter = sums / n, 255.0, scatter.astype(np.float64)
     else:
         centre, scale = store.images.mean(axis=0), 1.0  # dividing by 1.0 is exact
-        components = _pca_fit(store, centre, dim)
-    components_t = components.T
+        scatter = _scatter(store, centre)
+    components_t = _components(scatter, n, dim).T
+    del scatter  # freed before the projection allocates its block buffer
     out = np.empty((n, dim))
     for start, block in _centred_blocks(store, centre):
         np.matmul(block, components_t, out=out[start : start + block.shape[0]])

@@ -230,11 +230,12 @@ _IDX_NAMES = {
 }
 
 
-def find_idx_files(data_dir):
-    """Locate the four MNIST IDX files (optionally .gz) in a directory."""
+def find_idx_files(data_dir, roles=tuple(_IDX_NAMES)):
+    """Locate MNIST IDX files (optionally .gz) in a directory: the four of
+    them, or only the `roles` named. A missing one is a FileNotFoundError."""
     found = {}
-    for role, stems in _IDX_NAMES.items():
-        candidates = (Path(data_dir) / (stem + gz) for stem in stems for gz in ("", ".gz"))
+    for role in roles:
+        candidates = (Path(data_dir) / (stem + gz) for stem in _IDX_NAMES[role] for gz in ("", ".gz"))
         found[role] = next((path for path in candidates if path.exists()), None)
         if found[role] is None:
             raise FileNotFoundError(f"no {role} IDX file under {data_dir}")
@@ -242,14 +243,16 @@ def find_idx_files(data_dir):
 
 
 def idx_store(data_dir, split):
-    """The "train" or "test" (t10k) IDX pair under data_dir as an ImageStore."""
-    paths = find_idx_files(data_dir)
-    return ds.load_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
+    """The "train" or "test" (t10k) IDX pair under data_dir as an ImageStore;
+    the other split's files are neither needed nor read."""
+    roles = (f"{split}_images", f"{split}_labels")
+    return ds.load_idx(*find_idx_files(data_dir, roles).values())
 
 
 def load_stores(config):
     """The train and test stores: the train and t10k IDX files under
-    data_dir, or one generated synthetic set, normalized, then split."""
+    data_dir, or one generated synthetic set, normalized, then split into
+    two row ranges that are views of one array."""
     if not config.synthetic:
         return idx_store(config.data_dir, "train"), idx_store(config.data_dir, "test")
     n_train = config.synthetic_images
@@ -261,7 +264,7 @@ def load_stores(config):
         seed=config.seed,
     )
     full = ds.normalize_unit(full)  # pixel-like inputs for the CNN
-    return full.subset(np.arange(n_train)), full.subset(np.arange(n_train, len(full)))
+    return full.subset(slice(0, n_train)), full.subset(slice(n_train, len(full)))
 
 
 def write_corpus(config, store, out_dir):

@@ -30,6 +30,15 @@ SYNTH = [
 ]
 
 
+def idx_dir(data, n, splits=("train", "t10k")):
+    """`data` holding MNIST-named IDX pairs of `n` blank 14x14 images."""
+    data.mkdir()
+    for split in splits:
+        for path in write_idx_pair(data, np.zeros((n, 14, 14)), np.arange(n) % 10):
+            path.rename(data / path.name.replace("images", f"{split}-images").replace("labels", f"{split}-labels"))
+    return data
+
+
 class TestStageCommands:
     def test_full_stage_chain(self, tmp_path):
         out = str(tmp_path)
@@ -110,6 +119,14 @@ class TestStageCommands:
         assert "Invalid value for '--assignment'" in r.output
         assert "cluster 2 has digit 12, not an int in 0..9" in r.output
         assert not (tmp_path / "labels.bin").exists()
+
+
+def test_evaluate_data_reads_only_the_t10k_pair(chain, tmp_path):
+    data = idx_dir(tmp_path / "mnist", 4, splits=("t10k",))
+    r = run_cli("evaluate", "--cnn", str(chain / "cnn.tf"), "--data", str(data), "--w", "2", "--h", "1",
+                "--out", str(tmp_path / "metrics.json"))
+    assert r.exit_code == 0, r.output
+    assert set(json.loads((tmp_path / "metrics.json").read_text())) == {"cls_acc", "add_acc"}
 
 
 class TestStageChainMatchesRun:
@@ -484,15 +501,35 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["generate-data", "evaluate"])
     def test_idx_store_smaller_than_a_grid_refused_as_data(self, chain, tmp_path, command):
-        data = tmp_path / "mnist"
-        data.mkdir()
-        for split in ("train", "t10k"):
-            for path in write_idx_pair(data, np.zeros((3, 14, 14)), [0, 1, 2]):
-                path.rename(data / path.name.replace("images", f"{split}-images").replace("labels", f"{split}-labels"))
+        data = idx_dir(tmp_path / "mnist", 3)
         args = {"generate-data": [], "evaluate": ["--cnn", str(chain / "cnn.tf")]}[command]
         r = run_cli(command, "--data", str(data), *args, "--out", str(tmp_path / "out"))
         assert r.exit_code == 2, r.output
         assert "Invalid value for '--data': grid needs 4 images, store has 3" in r.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mnist"]
+
+    @pytest.mark.parametrize("fault", ["empty", "truncated"])
+    @pytest.mark.parametrize("command", ["embed", "train", "evaluate", "generate-data"])
+    def test_unreadable_idx_data_refused(self, chain, tmp_path, command, fault):
+        role, prefix = ("test", "t10k") if command == "evaluate" else ("train", "train")  # the pair it reads
+        data = tmp_path / "mnist"
+        if fault == "empty":
+            data.mkdir()
+            message = f"no {role}_images IDX file under {data}"
+        else:
+            images = idx_dir(data, 8) / f"{prefix}-images-idx3-ubyte"
+            images.write_bytes(images.read_bytes()[:100])
+            message = f"truncated image data in {images}"
+        args = {
+            "embed": ["--backend", "pca", "--dim", "4"],
+            "train": ["--labels", str(chain / "labels.bin"), "--epochs", "1"],
+            "evaluate": ["--cnn", str(chain / "cnn.tf"), "--w", "2", "--h", "1"],
+            "generate-data": [],
+        }[command]
+        r = run_cli(command, "--data", str(data), *args, "--out", str(tmp_path / "out"))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--data'" in r.output
+        assert message in r.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mnist"]
 
     def test_no_warning_outside_the_paper_grid_shapes(self, tmp_path):

@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,16 @@ class TestLoadIdx:
         img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2, 3])
         img.write_bytes(img.read_bytes()[:-3])
         with pytest.raises(IdxFormatError):
+            load_idx(img, lbl)
+
+    @pytest.mark.parametrize("what", ["image data", "IDX header"])
+    def test_truncated_gzip_stream(self, tmp_path, rng, what):
+        # gzip raises EOFError where a plain file reads short
+        images = rng.integers(0, 256, size=(4, 2, 2), dtype=np.uint8)
+        img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2, 3])
+        raw = img.read_bytes()
+        img.write_bytes(gzip.compress(raw[:-3] if what == "image data" else raw[:10])[:-8])  # no trailer
+        with pytest.raises(IdxFormatError, match=f"truncated {what} in"):
             load_idx(img, lbl)
 
 

@@ -11,8 +11,9 @@ from sumlearn.embedding import (
     EXACT_ROWS,
     PCA_BLOCK,
     AutoencoderParams,
+    _components,
     _exact_scatter,
-    _pca_fit,
+    _scatter,
     encode,
     pca_embed,
     train_autoencoder,
@@ -221,7 +222,7 @@ class TestPca:
         store = ImageStore(images, np.zeros(30, dtype=int))
         x = decode(store.images)
         mean = x.mean(axis=0)
-        components = _pca_fit(store, mean, 3)
+        components = _components(_scatter(store, mean), len(store), 3)
         proj = (x - mean) @ components.T
         recon = proj @ components + mean
         assert np.abs(recon - x).max() < 1e-8
@@ -249,6 +250,25 @@ class TestPca:
         finally:
             tracemalloc.stop()
         assert peak - live < store.images.nbytes / 2
+
+    def test_no_centred_block_held_through_eigh(self, rng, monkeypatch):
+        n, d = 2000, 64  # one centred block (n * d * 8 bytes) dwarfs the (d, d) scatter
+        store = ImageStore(rng.random((n, d)), np.zeros(n, dtype=int))
+        eigh, held = np.linalg.eigh, []
+
+        def traced_eigh(a):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+        tracemalloc.start()
+        try:
+            live, _ = tracemalloc.get_traced_memory()
+            pca_embed(store, dim=10)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] - live < n * d * 8 / 2
 
     @pytest.mark.parametrize("case", ["ragged", "extremes"])
     def test_exact_scatter_equals_int64_reference(self, rng, case):

@@ -589,6 +589,34 @@ class TestMnistFormatPath:
         report_obj = json.loads((tmp_path / "reports" / "report.json").read_text())
         assert report_obj["metrics"]["purity"] == 1.0
 
+    def test_idx_store_reads_only_its_split(self, tmp_path):
+        data = self.fake_mnist_dir(tmp_path, n_train=20, n_test=20)
+        for path in data.glob("train-*"):
+            path.unlink()
+        assert len(pl.idx_store(data, "test")) == 20
+        for find in (lambda: pl.idx_store(data, "train"), lambda: pl.find_idx_files(data)):
+            with pytest.raises(FileNotFoundError, match="no train_images IDX file"):
+                find()
+
+
+class TestLoadStores:
+    def test_synthetic_split_is_two_views_of_one_array(self, tmp_path):
+        config = tiny_config(tmp_path)
+        store, test_store = pl.load_stores(config)
+        buffer = store.images.base  # disjoint rows of it, so the two views never overlap
+        assert buffer.nbytes == store.images.nbytes + test_store.images.nbytes
+        assert np.shares_memory(buffer, store.images) and np.shares_memory(buffer, test_store.images)
+        n = config.synthetic_images
+        full = ds.normalize_unit(ds.generate_synthetic(
+            n + config.synthetic_test_images, config.synthetic_clusters,
+            config.synthetic_separation, config.synthetic_dim, seed=config.seed,
+        ))
+        for got, rows in ((store, np.arange(n)), (test_store, np.arange(n, len(full)))):
+            want = full.subset(rows)
+            assert got.images.dtype == want.images.dtype and got.images.shape == want.images.shape
+            assert got.images.tobytes() == want.images.tobytes()
+            assert np.array_equal(got.evaluation_labels(), want.evaluation_labels())
+
 
 class TestSweep:
     def test_csv_header_and_rows(self, tmp_path):
@@ -723,6 +751,7 @@ class TestLabelFreedomAudit:
     TRAINING_PATH = [
         ds.decode,
         emb._exact_scatter,
+        emb._scatter,
         emb._components,
         emb.train_autoencoder,
         emb.encode,
