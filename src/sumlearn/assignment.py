@@ -370,8 +370,9 @@ def _independent_batches(coeffs, batch_size):
     return _rank_mod_p(stack) == active.sum(axis=1)
 
 
-def solve_corpus(corpus, model, batch_size=100):
-    """Solve contiguous batches independently, then vote corpus-wide.
+def solve_corpus(corpus, model, batch_size):
+    """Solve contiguous batches of `batch_size` examples independently,
+    then vote corpus-wide.
 
     The winner is the batch candidate satisfying the most examples over
     the whole corpus; ties break toward lower corpus L1 residual, then

@@ -39,7 +39,12 @@ from . import nn
 from .dataset import grid_sums
 from .errors import ConsistencyError, InputError
 
-BATCH = 32  # images per training step, and per classification chunk
+# SGD's learning rate and momentum, and the images per training step and per
+# classification chunk. Read at call time; no stage key hashes them, so a
+# change to one needs a pipeline.STAGE_FORMAT bump.
+LR = 0.01
+MOMENTUM = 0.9
+BATCH = 32
 MIN_SIDE = 14  # the smallest image side whose second pool is not empty
 
 
@@ -100,39 +105,40 @@ def check_labels(labels, n_images):
     return labels
 
 
-def train_cnn(params, store, labels, epochs, seed=0, lr=0.01, momentum=0.9, batch_size=BATCH):
-    """SGD (lr 0.01, momentum 0.9) on softmax cross entropy.
+def train_cnn(params, store, labels, epochs, seed=0):
+    """SGD (LR, MOMENTUM) on softmax cross entropy.
 
-    Mini-batches reshuffled each epoch from `seed`; epochs=0 leaves the
-    parameters untouched. `labels` must pass `check_labels`.
+    Mini-batches of BATCH images reshuffled each epoch from `seed`;
+    epochs=0 leaves the parameters untouched. `labels` must pass
+    `check_labels`.
     """
     labels = check_labels(labels, len(store))
     if epochs <= 0:
         return params
     nn.fit(  # the loss is looked up per call, so perfbench's tracer can wrap it
         params.layers, lambda idx: (params.inputs(store.images[idx]), labels[idx]), len(store),
-        nn.softmax_cross_entropy, epochs, np.random.default_rng(seed), lr, momentum, batch_size,
+        nn.softmax_cross_entropy, epochs, np.random.default_rng(seed), LR, MOMENTUM, BATCH,
     )
     return params
 
 
-def classify(params, images, chunk=BATCH):
+def classify(params, images):
     """Predicted digit and softmax probabilities per image of `images`,
     pixels as a store holds them.
 
-    Images run in chunks of the training batch. Each chunk is decoded and
-    cast on its own, and the forward pass keeps no backward cache, so
-    classify holds one chunk's input and activations at a time: never more
-    than a training step does. A row's arithmetic does not depend on how
-    many rows share its chunk, with one exception: BLAS may take a
-    small-matrix path for a chunk of 8 rows or fewer, so a last chunk of
-    1-8 images can differ in the last bits of `probs` from the same images
-    inside a larger chunk.
+    Images run in chunks of the training batch, BATCH. Each chunk is
+    decoded and cast on its own, and the forward pass keeps no backward
+    cache, so classify holds one chunk's input and activations at a time:
+    never more than a training step does. A row's arithmetic does not
+    depend on how many rows share its chunk, with one exception: BLAS may
+    take a small-matrix path for a chunk of 8 rows or fewer, so a last
+    chunk of 1-8 images can differ in the last bits of `probs` from the
+    same images inside a larger chunk.
     """
     images = np.asarray(images)
     probs = np.empty((len(images), 10), dtype=np.float64)
-    for start in range(0, len(images), chunk):
-        logits = nn.forward(params.layers, params.inputs(images[start : start + chunk]), cache=False)
+    for start in range(0, len(images), BATCH):
+        logits = nn.forward(params.layers, params.inputs(images[start : start + BATCH]), cache=False)
         probs[start : start + logits.shape[0]] = nn.softmax(logits)
     return probs.argmax(axis=1), probs
 

@@ -21,7 +21,8 @@ from .errors import ConsistencyError, InputError
 from .tensorfile import load_tensors, save_int64, save_tensors
 
 # kmeans' restarts and each restart's stopping rule: at most MAX_ITER Lloyd
-# iterations, ending early once no centroid moves by TOL or more
+# iterations, ending early once no centroid moves by TOL or more. Read at
+# call time; pipeline's cluster key hashes all three.
 N_INIT = 10
 MAX_ITER = 300
 TOL = 1e-4
@@ -56,19 +57,39 @@ class ClusterModel:
 
     @classmethod
     def load(cls, path):
-        """The model `save` wrote. A file without one of its tensors or its
-        `k` is refused with a ValueError naming what is missing."""
+        """The model `save` wrote. A file without one of its tensors or an
+        int `k`, or whose tensors do not fit together, is refused with a
+        ValueError naming what is wrong: centroids must be a 2-D matrix of
+        k rows, assignment and distance 1-D of one length, and each
+        assignment an integer in 0..k-1."""
         meta, tensors = load_tensors(path)
         for name in ("centroids", "assignment", "distance"):
             if name not in tensors:
                 raise ValueError(f"{path}: no tensor {name!r}, so not a cluster model")
-        if "k" not in meta:
-            raise ValueError(f"{path}: no meta key 'k', so not a cluster model")
+        k = meta.get("k")
+        if type(k) is not int:
+            raise ValueError(f"{path}: meta key 'k' is {k!r}, not an int, so not a cluster model")
+        centroids, assignment, distance = tensors["centroids"], tensors["assignment"], tensors["distance"]
+        if centroids.ndim != 2 or centroids.shape[0] != k:
+            raise ValueError(f"{path}: tensor 'centroids' has shape {centroids.shape}, not k={k} rows")
+        if assignment.ndim != 1 or distance.shape != assignment.shape:
+            raise ValueError(
+                f"{path}: tensors 'assignment' {assignment.shape} and 'distance' {distance.shape} "
+                "are not 1-D of one length"
+            )
+        if assignment.dtype.kind not in "iu":
+            raise ValueError(f"{path}: tensor 'assignment' holds {assignment.dtype}, not integers")
+        bad = np.flatnonzero((assignment < 0) | (assignment >= k))
+        if bad.size:
+            raise ValueError(
+                f"{path}: tensor 'assignment' puts image {bad[0]} in cluster {assignment[bad[0]]}, "
+                f"outside 0..{k - 1}"
+            )
         return cls(
-            k=meta["k"],
-            centroids=tensors["centroids"],
-            assignment=tensors["assignment"],
-            distance=tensors["distance"],
+            k=k,
+            centroids=centroids,
+            assignment=assignment,
+            distance=distance,
             inertia_history=list(meta.get("inertia_history", [])),
             seed=meta.get("seed", 0),
         )
@@ -119,8 +140,8 @@ def _plus_plus_init(points, norms, k, rng):
     return centroids
 
 
-def kmeans(emb, k, seed=0, max_iter=MAX_ITER, tol=TOL, n_init=N_INIT):
-    """Best of n_init restarts of Lloyd iterations from k-means++ seeds.
+def kmeans(emb, k, seed=0):
+    """Best of N_INIT restarts of Lloyd iterations from k-means++ seeds.
 
     Restarts draw from one seeded generator, so the whole fit is
     deterministic in (emb, k, seed). The restart with the lowest final
@@ -148,8 +169,8 @@ def kmeans(emb, k, seed=0, max_iter=MAX_ITER, tol=TOL, n_init=N_INIT):
     d2t = np.empty((k, n))
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_init):
-        model = _kmeans_single(points, norms, columns, d2t, k, rng, max_iter, tol)
+    for _ in range(N_INIT):
+        model = _kmeans_single(points, norms, columns, d2t, k, rng)
         if best is None or model.inertia_history[-1] < best.inertia_history[-1]:
             best = model
     best.seed = seed
@@ -172,17 +193,17 @@ def _nearest(columns, norms, centroids, d2t):
     return np.subtract(k, first, dtype=np.int64), own
 
 
-def _kmeans_single(points, norms, columns, d2t, k, rng, max_iter, tol):
-    """One k-means++ seeding plus Lloyd run.
+def _kmeans_single(points, norms, columns, d2t, k, rng):
+    """One k-means++ seeding plus at most MAX_ITER Lloyd iterations.
 
-    Stops when the largest centroid shift drops below tol. Empty clusters
+    Stops when the largest centroid shift drops below TOL. Empty clusters
     are reseeded to the point currently farthest from its own centroid.
     `columns` is points.T made contiguous and `d2t` a (k, N) scratch buffer.
     """
     centroids = _plus_plus_init(points, norms, k, rng)
     inertia_history = []
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         assign, own = _nearest(columns, norms, centroids, d2t)
         counts = np.bincount(assign, minlength=k)
 
@@ -196,7 +217,7 @@ def _kmeans_single(points, norms, columns, d2t, k, rng, max_iter, tol):
         np.divide(sums, counts[:, None], out=new_centroids, where=counts[:, None] > 0)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
 
     # final assignment against the final centroids so the nearest-centroid

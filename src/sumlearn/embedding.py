@@ -16,7 +16,13 @@ from . import nn
 from .errors import InputError
 from .tensorfile import load_tensors, save_tensors
 
+# The autoencoder's widths and SGD settings (learning rate, momentum,
+# images per step) and the PCA block. Read at call time; no stage key
+# hashes them, so a change to one needs a pipeline.STAGE_FORMAT bump.
 ENCODER_WIDTHS = (784, 500, 500, 2000, 10)
+LR = 1e-3
+MOMENTUM = 0.9
+BATCH = 256
 PCA_BLOCK = 4096  # rows per PCA block: the chunk `encode` uses
 EXACT_ROWS = 1024  # rows per float32 Gram block: 1024 * 128^2 = 2^24 stays exact
 EXACT_MAX_ROWS = 1 << 24  # images the int64 scatter n G - S S^T holds without overflow
@@ -72,10 +78,10 @@ class AutoencoderParams(nn.Network):
         return params
 
 
-def train_autoencoder(params, store, epochs, seed=0, lr=1e-3, momentum=0.9, batch_size=256):
-    """Minimize mean-squared reconstruction error with mini-batch SGD
-    (lr 1e-3, momentum 0.9), in the dtype of `params`; each epoch's mean
-    loss is appended to `loss_history`.
+def train_autoencoder(params, store, epochs, seed=0):
+    """Minimize mean-squared reconstruction error with SGD (LR, MOMENTUM)
+    on mini-batches of BATCH images, in the dtype of `params`; each
+    epoch's mean loss is appended to `loss_history`.
 
     The per-epoch shuffles derive from `seed`, on a stream advanced past
     the draws that `AutoencoderParams(seed=seed)` makes; epochs=0 leaves
@@ -91,7 +97,7 @@ def train_autoencoder(params, store, epochs, seed=0, lr=1e-3, momentum=0.9, batc
         return x, x
 
     params.loss_history += nn.fit(
-        params.layers, batch, len(store), nn.mse, epochs, rng, lr, momentum, batch_size
+        params.layers, batch, len(store), nn.mse, epochs, rng, LR, MOMENTUM, BATCH
     )
     params.epochs_trained += epochs
     return params
@@ -181,7 +187,7 @@ def _exact_scatter(pixels):
     return sums, n * gram.astype(np.int64) - np.outer(shifted, shifted)
 
 
-def pca_embed(store, dim=10):
+def pca_embed(store, dim):
     """Projection onto the top principal components of the centered data.
 
     A uint8 store (every IDX store) takes its components from the exact
@@ -219,9 +225,12 @@ def save_embedding(matrix, path, meta=None):
 
 
 def load_embedding(path):
-    """save_embedding's matrix. A tensor file without one is refused with a
-    ValueError naming the missing tensor."""
-    tensors = load_tensors(path)[1]
-    if "embedding" not in tensors:
+    """save_embedding's matrix. A tensor file without one, or whose
+    `embedding` is not a 2-D matrix, is refused with a ValueError naming
+    the tensor."""
+    matrix = load_tensors(path)[1].get("embedding")
+    if matrix is None:
         raise ValueError(f"{path}: no tensor 'embedding', so not an embedding")
-    return tensors["embedding"]
+    if matrix.ndim != 2:
+        raise ValueError(f"{path}: tensor 'embedding' has shape {matrix.shape}, not a 2-D matrix")
+    return matrix

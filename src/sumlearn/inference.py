@@ -38,7 +38,9 @@ PROV_INFERRED = 2
 
 PROVENANCES = ("cluster", "radius", "inferred")  # indexed by tag
 
-RADII = (1, 2, 3, 4, 5)  # radius r trusts each cluster's (20 r)-percentile
+# radius r trusts each cluster's (20 r)-percentile; read at call time, and
+# pipeline's infer key hashes it
+RADII = (1, 2, 3, 4, 5)
 
 
 @dataclass
@@ -175,8 +177,8 @@ def infer_correct_labels(state, corpus, propagation=None):
     return propagation.run_pass(state)
 
 
-def run_inference(state, corpus, model, radii=RADII):
-    """Radius schedule around repeated propagation to fixpoint.
+def run_inference(state, corpus, model):
+    """The RADII schedule around repeated propagation to fixpoint.
 
     Images pulled in by a radius keep their current labels; inferred
     labels are never overwritten by later radii. Each radius appends to
@@ -186,7 +188,7 @@ def run_inference(state, corpus, model, radii=RADII):
     example.
     """
     propagation = _Propagation(corpus, state.labels.shape[0])
-    for radius in radii:
+    for radius in RADII:
         ids = images_within_radius(model, radius)
         fresh = ids[state.provenance[ids] == PROV_CLUSTER]
         state.provenance[fresh] = PROV_RADIUS

@@ -324,7 +324,7 @@ def parameters(layers):
 
 
 class SGDMomentum:
-    def __init__(self, layers, lr, momentum=0.9):
+    def __init__(self, layers, lr, momentum):
         self.lr = lr
         self.momentum = momentum
         self._params = parameters(layers)

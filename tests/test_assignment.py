@@ -697,7 +697,7 @@ class TestSolveCorpus:
     def test_empty_corpus_rejected(self):
         model = identity_model([0], k=1)
         with pytest.raises(ValueError):
-            solve_corpus(corpus_from_grids([]), model)
+            solve_corpus(corpus_from_grids([]), model, batch_size=100)
 
     def test_json_roundtrip(self, tmp_path):
         assignment = DigitAssignment(

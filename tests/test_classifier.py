@@ -371,13 +371,14 @@ class TestPoolBeforeRelu:
 
 
 class TestUint8Store:
-    def test_train_and_classify_bitwise_equal_to_its_decode(self):
+    def test_train_and_classify_bitwise_equal_to_its_decode(self, monkeypatch):
+        monkeypatch.setattr(clf, "BATCH", 256)
         u8, f64 = uint8_store_pair(2 * PCA_BLOCK + 7, 14 * 14, seed=4)
         labels = u8.evaluation_labels()
         trained = []
         for store in (u8, f64):
             params = CnnParams(seed=4, side=14, dtype=np.float32)
-            train_cnn(params, store, labels, epochs=1, seed=4, batch_size=256)
+            train_cnn(params, store, labels, epochs=1, seed=4)
             trained.append((nn.weight_tensors(params.weighted_layers()), classify(params, store.images)))
         (weights, (preds, probs)), (weights_f, (preds_f, probs_f)) = trained
         assert weights.keys() == weights_f.keys()
@@ -573,11 +574,12 @@ class TestTrainCnn:
         assert wins >= 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_reference_loop(self, dtype):
+    def test_matches_reference_loop(self, dtype, monkeypatch):
+        monkeypatch.setattr(clf, "BATCH", 16)
         store = blob_store(n=45, seed=3)  # batches of 16: the last one has 13 images
         labels = store.evaluation_labels()
         ours, reference = CnnParams(seed=3, side=14, dtype=dtype), CnnParams(seed=3, side=14, dtype=dtype)
-        train_cnn(ours, store, labels, epochs=2, seed=3, batch_size=16)
+        train_cnn(ours, store, labels, epochs=2, seed=3)
         reference_train_cnn(reference, store, labels, epochs=2, seed=3, batch_size=16)
         a, b = (nn.weight_tensors(p.weighted_layers()) for p in (ours, reference))
         for name in a:
@@ -599,14 +601,13 @@ class TestTrainCnn:
         with pytest.raises(ValueError):
             train_cnn(CnnParams(seed=0, side=14), store, [1, 2], epochs=1)
 
-    def test_divergence(self):
+    def test_divergence(self, monkeypatch):
+        monkeypatch.setattr(clf, "LR", 1e18)
         store = blob_store(n=16)
         params = CnnParams(seed=0, side=14, dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
-                train_cnn(
-                    params, store, store.evaluation_labels(), epochs=10, lr=1e18
-                )
+                train_cnn(params, store, store.evaluation_labels(), epochs=10)
 
 
 class TestClassify:
@@ -722,18 +723,19 @@ class TestMemory:
 
 class TestChunking:
     @pytest.mark.parametrize("n", [400, 500, 1000])
-    def test_training_batch_chunks_match_chunks_of_128(self, n):
+    def test_training_batch_chunks_match_chunks_of_128(self, n, monkeypatch):
         params = CnnParams(seed=15, dtype=np.float32)
         pixels = np.random.default_rng(n).integers(0, 256, (n, 28 * 28), dtype=np.uint8)
         preds, probs = classify(params, pixels)
-        preds_128, probs_128 = classify(params, pixels, chunk=128)
+        monkeypatch.setattr(clf, "BATCH", 128)
+        preds_128, probs_128 = classify(params, pixels)
         assert np.array_equal(preds, preds_128)
         # BLAS may round a chunk of <= 8 rows differently: such a last
         # chunk, under either chunking, is compared within rounding. A few
         # float32 ulps in the logits move a probability by up to about 3e-6
         # relative (seen at three seeds on 1,000 images), hence 1e-5.
         short = np.zeros(n, dtype=bool)
-        for chunk in (clf.BATCH, 128):
+        for chunk in (32, 128):
             if n % chunk <= 8:
                 short[n - n % chunk :] = True
         assert same_bits(probs[~short], probs_128[~short])

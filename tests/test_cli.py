@@ -13,7 +13,7 @@ from sumlearn.assignment import DigitAssignment
 from sumlearn.cli import main
 from sumlearn.errors import ConsistencyError
 from sumlearn.pipeline import BOUNDS, RunConfig
-from sumlearn.tensorfile import load_tensors
+from sumlearn.tensorfile import load_tensors, save_tensors
 
 from conftest import identity_model, write_idx_pair
 
@@ -491,6 +491,34 @@ class TestUsageErrors:
         assert f"Invalid value for '{option}'" in r.output
         assert message in r.output
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args, name, tensor, edit, message",
+        [
+            (["assign", "--corpus", "{chain}/corpus.txt", "--cluster", "{bad}"], "cluster.tf", "assignment",
+             lambda a: np.r_[7, a[1:]], "puts image 0 in cluster 7, outside 0..3"),
+            (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{bad}", "--assignment",
+              "{chain}/assignment.json"], "cluster.tf", "assignment",
+             lambda a: np.r_[7, a[1:]], "puts image 0 in cluster 7, outside 0..3"),
+            (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{bad}", "--assignment",
+              "{chain}/assignment.json"], "cluster.tf", "distance", lambda d: d[:-1],
+             "tensors 'assignment' (480,) and 'distance' (479,) are not 1-D of one length"),
+            (["cluster", "--embedding", "{bad}", "--k", "2"], "embedding.tf", "embedding", np.ravel,
+             "tensor 'embedding' has shape (3840,), not a 2-D matrix"),
+        ],
+        ids=["assign-cluster-above-k", "infer-cluster-above-k", "infer-short-distance", "cluster-1d-embedding"],
+    )
+    def test_stage_input_whose_tensors_do_not_fit_refused(self, chain, tmp_path, args, name, tensor, edit, message):
+        meta, tensors = load_tensors(chain / name)
+        tensors[tensor] = edit(tensors[tensor])
+        bad = tmp_path / "in" / name
+        save_tensors(bad, tensors, meta=meta)
+        option = args[args.index("{bad}") - 1]
+        r = run_cli(*[arg.format(chain=chain, bad=bad) for arg in args], "--out", str(tmp_path / "a" / "result"))
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{option}'" in r.output
+        assert message in r.output
+        assert not (tmp_path / "a").exists()
 
     def test_evaluate_refuses_a_store_smaller_than_a_grid(self, chain, tmp_path):
         r = run_cli("evaluate", "--cnn", str(chain / "cnn.tf"), "--store", str(chain / "test_store.tf"),

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from sumlearn.clustering import (
 )
 from sumlearn.dataset import generate_synthetic
 from sumlearn.errors import ConsistencyError
-from sumlearn.tensorfile import load_int64, save_int64
+from sumlearn.tensorfile import load_int64, load_tensors, save_int64, save_tensors
 
 from conftest import identity_model
 
@@ -38,9 +39,11 @@ class TestKmeans:
         assert np.array_equal(model.assignment, d2.argmin(1))
         assert np.allclose(model.distance, np.sqrt(d2.min(1)))
 
-    def test_lloyd_monotone(self, rng):
+    def test_lloyd_monotone(self, rng, monkeypatch):
+        monkeypatch.setattr(clu, "TOL", 0.0)
+        monkeypatch.setattr(clu, "MAX_ITER", 40)
         points = rng.random((200, 5))
-        model = kmeans(points, k=6, seed=3, tol=0.0, max_iter=40)
+        model = kmeans(points, k=6, seed=3)
         hist = np.array(model.inertia_history)
         assert (np.diff(hist) <= 1e-9).all()
 
@@ -144,6 +147,13 @@ def _ref_kmeans_single(points, k, rng, max_iter, tol):
     )
 
 
+def set_constants(monkeypatch, kw):
+    """Sets the clustering constant each of a case's `kw` names (tol: TOL)
+    for the test, as the references take them as arguments."""
+    for name, value in kw.items():
+        monkeypatch.setattr(clu, name.upper(), value)
+
+
 def _ref_kmeans(points, k, seed=0, max_iter=300, tol=1e-4, n_init=10):
     rng = np.random.default_rng(seed)
     best = None
@@ -190,9 +200,10 @@ class TestKmeansMatchesReference:
     ]
 
     @pytest.mark.parametrize("name,points,k,seed,kw", CASES, ids=[c[0] for c in CASES])
-    def test_bitwise_equal(self, name, points, k, seed, kw):
+    def test_bitwise_equal(self, monkeypatch, name, points, k, seed, kw):
         points = points()
-        _assert_bitwise_equal(kmeans(points, k=k, seed=seed, **kw), _ref_kmeans(points, k, seed, **kw))
+        set_constants(monkeypatch, kw)
+        _assert_bitwise_equal(kmeans(points, k=k, seed=seed), _ref_kmeans(points, k, seed, **kw))
 
     def test_empty_cluster_reseed_runs(self, monkeypatch):
         calls = []
@@ -294,9 +305,10 @@ class TestKmeansMatchesNkLayout:
     ]
 
     @pytest.mark.parametrize("name,points,k,seed,kw", CASES, ids=[c[0] for c in CASES])
-    def test_bitwise_equal(self, name, points, k, seed, kw):
+    def test_bitwise_equal(self, monkeypatch, name, points, k, seed, kw):
         points = points()
-        _assert_bitwise_equal(kmeans(points, k=k, seed=seed, **kw), _nk_kmeans(points, k, seed, **kw))
+        set_constants(monkeypatch, kw)
+        _assert_bitwise_equal(kmeans(points, k=k, seed=seed), _nk_kmeans(points, k, seed, **kw))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_single_cluster_within_rounding(self, seed):
@@ -421,6 +433,34 @@ class TestPersistence:
         assert np.array_equal(loaded.assignment, model.assignment)
         assert np.array_equal(loaded.centroids, model.centroids)
         assert np.array_equal(loaded.distance, model.distance)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta, t: t["assignment"].__setitem__(0, 7), "puts image 0 in cluster 7, outside 0..2"),
+            (lambda meta, t: t["assignment"].__setitem__(5, -1), "puts image 5 in cluster -1, outside 0..2"),
+            (lambda meta, t: t.update(assignment=t["assignment"].astype(np.float64)),
+             "tensor 'assignment' holds float64, not integers"),
+            (lambda meta, t: t.update(distance=t["distance"][:-1]),
+             "tensors 'assignment' (30,) and 'distance' (29,) are not 1-D of one length"),
+            (lambda meta, t: t.update(assignment=t["assignment"].reshape(5, 6), distance=t["distance"].reshape(5, 6)),
+             "tensors 'assignment' (5, 6) and 'distance' (5, 6) are not 1-D of one length"),
+            (lambda meta, t: t.update(centroids=t["centroids"][:2]), "tensor 'centroids' has shape (2, 4), not k=3 rows"),
+            (lambda meta, t: t.update(centroids=t["centroids"].ravel()), "tensor 'centroids' has shape (12,), not k=3 rows"),
+            (lambda meta, t: meta.update(k="3"), "meta key 'k' is '3', not an int"),
+            (lambda meta, t: meta.pop("k"), "meta key 'k' is None, not an int"),
+        ],
+        ids=["assignment-above-k", "assignment-negative", "assignment-float", "distance-short", "assignment-2d",
+             "centroids-rows", "centroids-1d", "k-str", "k-missing"],
+    )
+    def test_model_whose_tensors_do_not_fit_refused(self, tmp_path, rng, edit, message):
+        path = tmp_path / "cluster.tf"
+        kmeans(rng.random((30, 4)), k=3, seed=0).save(path)
+        meta, tensors = load_tensors(path)
+        edit(meta, tensors)
+        save_tensors(path, tensors, meta=meta)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClusterModel.load(path)
 
     def test_assignment_flat_file(self, tmp_path):
         path = tmp_path / "assign.bin"

@@ -1,9 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sumlearn import nn
+from sumlearn import embedding, nn
 from sumlearn.clustering import kmeans, purity
 from sumlearn.dataset import ImageStore, decode, generate_synthetic, load_idx
 from sumlearn.embedding import (
@@ -15,7 +16,9 @@ from sumlearn.embedding import (
     _exact_scatter,
     _scatter,
     encode,
+    load_embedding,
     pca_embed,
+    save_embedding,
     train_autoencoder,
 )
 from sumlearn.errors import DivergenceError
@@ -118,12 +121,12 @@ class TestTrainAutoencoder:
         assert reconstruction_loss(many, store) <= reconstruction_loss(one, store)
         assert many.loss_history[-1] <= many.loss_history[0]
 
-    def test_overfits_single_image(self):
+    def test_overfits_single_image(self, monkeypatch):
+        monkeypatch.setattr(embedding, "LR", 0.02)
+        monkeypatch.setattr(embedding, "BATCH", 1)
         rng = np.random.default_rng(9)
         store = ImageStore(rng.random((1, 8)), [0])
-        params = train_autoencoder(
-            toy_params(2, np.float64), store, epochs=3000, seed=2, lr=0.02, batch_size=1
-        )
+        params = train_autoencoder(toy_params(2, np.float64), store, epochs=3000, seed=2)
         assert reconstruction_loss(params, store) < 1e-3
 
     def test_seed_determinism(self):
@@ -135,9 +138,10 @@ class TestTrainAutoencoder:
             assert np.array_equal(la.b, lb.b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_reference_loop(self, dtype):
+    def test_matches_reference_loop(self, dtype, monkeypatch):
+        monkeypatch.setattr(embedding, "BATCH", 8)
         store = toy_store(n=37)  # batches of 8: the last one has 5 images
-        ours = train_autoencoder(toy_params(6, dtype), store, epochs=2, seed=6, batch_size=8)
+        ours = train_autoencoder(toy_params(6, dtype), store, epochs=2, seed=6)
         reference = reference_train_autoencoder(toy_params(6, dtype), store, epochs=2, seed=6, batch_size=8)
         for la, lb in zip(ours.weighted_layers(), reference.weighted_layers()):
             for a, b in ((la.W, lb.W), (la.b, lb.b)):
@@ -145,11 +149,12 @@ class TestTrainAutoencoder:
         assert ours.loss_history == reference.loss_history
         assert ours.epochs_trained == reference.epochs_trained == 2
 
-    def test_divergence_names_epoch(self):
+    def test_divergence_names_epoch(self, monkeypatch):
+        monkeypatch.setattr(embedding, "LR", 1e12)  # overflow fast
         store = toy_store(n=32)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="epoch"):
-                train_autoencoder(toy_params(0), store, epochs=5, seed=0, lr=1e12)  # overflow fast
+                train_autoencoder(toy_params(0), store, epochs=5, seed=0)
 
 
 class TestEncode:
@@ -193,6 +198,15 @@ class TestParamsPersistence:
         train_autoencoder(toy_params(8), store, epochs=2, seed=8).save(tmp_path / "ae.tf")
         resumed = train_autoencoder(AutoencoderParams.load(tmp_path / "ae.tf"), store, epochs=1, seed=9)
         assert resumed.epochs_trained == len(resumed.loss_history) == 3
+
+    @pytest.mark.parametrize("shape", [(12,), (2, 3, 2)])
+    def test_embedding_that_is_not_a_matrix_refused(self, tmp_path, shape):
+        path = tmp_path / "embedding.tf"
+        save_embedding(np.zeros(shape), path)
+        with pytest.raises(ValueError, match=re.escape(f"tensor 'embedding' has shape {shape}, not a 2-D matrix")):
+            load_embedding(path)
+        save_embedding(np.ones((6, 2)), path)
+        assert np.array_equal(load_embedding(path), np.ones((6, 2)))
 
 
 def unblocked_pca(images, dim):

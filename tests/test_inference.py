@@ -196,7 +196,7 @@ class TestRunInference:
         assert infer_correct_labels(out, corpus) is False  # fixpoint
         assert not out.inconsistent_examples
 
-    def test_correct_set_monotone(self, rng):
+    def test_correct_set_monotone(self, rng, monkeypatch):
         n = 30
         truth = rng.integers(0, 10, n)
         model = identity_model(
@@ -207,7 +207,8 @@ class TestRunInference:
         state = make_state(truth.copy())
         sizes = []
         for radius in (1, 2, 3, 4, 5):
-            run_inference(state, corpus, model, radii=(radius,))
+            monkeypatch.setattr(inf, "RADII", (radius,))
+            run_inference(state, corpus, model)
             sizes.append(int(is_trusted(state).sum()))
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
@@ -235,7 +236,7 @@ class TestPersistence:
         assert summary["correct"] == 1
 
     @pytest.mark.parametrize("reassigned", [0.1, 0.3, 0.5])
-    def test_correct_counts_the_trusted_images(self, tmp_path, reassigned):
+    def test_correct_counts_the_trusted_images(self, tmp_path, monkeypatch, reassigned):
         # after every radius of 20 planted instances: "correct" is the
         # radius and inferred images, and labels.json keeps its keys
         keys = {"cluster", "radius", "inferred", "correct", "inconsistent_examples", "inference_radii"}
@@ -243,8 +244,9 @@ class TestPersistence:
         for seed in range(20):
             _, corpus, model, digits = planted_clustering(seed, 600, reassigned=reassigned)
             state = init_labels(model, DigitAssignment(digits=digits, objective=0))
-            for radius in inf.RADII:
-                counts = run_inference(state, corpus, model, radii=(radius,)).counts()
+            for radius in (1, 2, 3, 4, 5):
+                monkeypatch.setattr(inf, "RADII", (radius,))
+                counts = run_inference(state, corpus, model).counts()
                 assert counts["correct"] == counts["radius"] + counts["inferred"]
                 assert counts["cluster"] + counts["correct"] == len(model)
                 save_labels((state.labels, counts), json_path)
@@ -339,7 +341,8 @@ class TestMatchesSequentialReference:
         monkeypatch.setattr(
             inf, "infer_correct_labels", lambda *a, **kw: calls.append(1) or one_pass(*a, **kw)
         )
-        got = run_inference(make_state(np.copy(labels)), corpus, model, radii=radii)
+        monkeypatch.setattr(inf, "RADII", radii)
+        got = run_inference(make_state(np.copy(labels)), corpus, model)
         assert np.array_equal(got.labels, want.labels)
         assert np.array_equal(got.provenance, want.provenance)
         assert got.inconsistent_examples == want.inconsistent_examples

@@ -67,6 +67,22 @@ def artifacts_without_keys(artifacts):
     return out
 
 
+# The stage constants that no stage key hashes. Change a value here, bump
+# STAGE_FORMAT: an artifact made under the old value keeps its key
+# otherwise, and is resumed as if it were made under the new one.
+UNHASHED_STAGE_CONSTANTS = {
+    (clf, "LR"): 0.01, (clf, "MOMENTUM"): 0.9, (clf, "BATCH"): 32,
+    (emb, "LR"): 1e-3, (emb, "MOMENTUM"): 0.9, (emb, "BATCH"): 256,
+    (emb, "ENCODER_WIDTHS"): (784, 500, 500, 2000, 10), (emb, "PCA_BLOCK"): 4096,
+}
+
+
+def test_unhashed_stage_constants_pinned_to_the_stage_format():
+    assert pl.STAGE_FORMAT == 2
+    for (module, name), value in UNHASHED_STAGE_CONSTANTS.items():
+        assert getattr(module, name) == value, f"{module.__name__}.{name}"
+
+
 class TestLabelAccuracy:
     def test_exact(self):
         store = store_with_labels([1, 2, 3])
@@ -237,6 +253,23 @@ class TestRunPipeline:
         assert strip_timings(new) == strip_timings(old)
         assert artifacts_without_keys(artifacts) == before
 
+    @pytest.mark.parametrize(
+        "module, name, value, artifact, key",
+        [(clu, "MAX_ITER", 1, "cluster.tf", "cluster_key"), (inf, "RADII", (5,), "labels.json", "infer_key")],
+        ids=["kmeans-max-iter", "inference-radii"],
+    )
+    def test_hashed_constant_changes_the_stage_output_and_key(
+        self, tmp_path, monkeypatch, module, name, value, artifact, key
+    ):
+        cfg = tiny_config(tmp_path)
+        run_pipeline(cfg)
+        artifacts = tmp_path / "artifacts"
+        before, old_key = artifacts_without_keys(artifacts)[artifact], getattr(cfg, key)()
+        monkeypatch.setattr(module, name, value)
+        assert getattr(cfg, key)() != old_key
+        assert run_pipeline(cfg).failure is None
+        assert artifacts_without_keys(artifacts)[artifact] != before
+
     def test_truncated_labels_recomputed(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cold = run_pipeline(cfg)
@@ -290,6 +323,25 @@ class TestRunPipeline:
         edited = json.loads(whole)
         edited["digits"] = 5 if bad == "not a list" else [12] + edited["digits"][1:]
         path.write_text(json.dumps(edited))
+        rerun = run_pipeline(cfg)
+        assert rerun.failure is None
+        assert strip_timings(rerun) == strip_timings(cold)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("tensor", ["assignment", "distance"])
+    def test_cluster_model_whose_tensors_do_not_fit_recomputed(self, tmp_path, tensor):
+        # a hand-edited cluster.tf keeps its key, but an assignment outside
+        # 0..k-1 or a distance per image fewer would fail assign or infer
+        cfg = tiny_config(tmp_path)
+        cold = run_pipeline(cfg)
+        path = tmp_path / "artifacts" / "cluster.tf"
+        whole = path.read_bytes()
+        meta, tensors = tensorfile.load_tensors(path)
+        if tensor == "assignment":
+            tensors["assignment"][0] = meta["k"]
+        else:
+            tensors["distance"] = tensors["distance"][:-1]
+        tensorfile.save_tensors(path, tensors, meta=meta)
         rerun = run_pipeline(cfg)
         assert rerun.failure is None
         assert strip_timings(rerun) == strip_timings(cold)
