@@ -19,9 +19,10 @@ digits are the unique, hence lexicographically smallest, optimum. The rank
 is decided exactly by elimination modulo a prime that scales rows by the
 pivot instead of dividing; a rank deficiency there only sends the batch to
 the search. `solve_corpus` decides it for every batch of the corpus in one
-stacked elimination (the short last batch padded with zero rows, inactive
-columns zeroed) and hands each batch its answer; `solve_batch` takes the
-certificate only from its caller. The search's root multipliers are the
+stacked elimination over each batch's first 2k rows (the short last batch
+padded with zero rows, inactive columns zeroed) and a second over all the
+rows of the batches the first does not prove, and hands each batch its
+answer; `solve_batch` takes the certificate only from its caller. The search's root multipliers are the
 warm start's subgradient, and its integer bounds are exact only while
 they fit int64; `solve_batch` rejects larger systems.
 
@@ -357,7 +358,10 @@ def _independent_batches(coeffs, batch_size):
 
     The short last batch is padded with zero rows, which add no rank, and
     each batch's inactive columns are zeroed, so its rank is its active
-    columns' rank.
+    columns' rank. Each batch's first 2k rows are ranked first: since
+    rank(prefix) <= rank(batch) <= active, a prefix whose rank mod p is the
+    active count proves the batch independent. Only the batches it does not
+    prove are ranked on all their rows, so every answer is the all-rows one.
     """
     n, k = coeffs.shape
     rows = min(batch_size, n)
@@ -367,7 +371,12 @@ def _independent_batches(coeffs, batch_size):
     stack = stack.reshape(n_batches, rows, k)
     active = stack.sum(axis=1) > 0  # (n_batches, k)
     stack *= active[:, None, :]
-    return _rank_mod_p(stack) == active.sum(axis=1)
+    n_active = active.sum(axis=1)
+    independent = _rank_mod_p(stack[:, : 2 * k]) == n_active
+    if rows > 2 * k:
+        rest = np.flatnonzero(~independent)
+        independent[rest] = _rank_mod_p(stack[rest]) == n_active[rest]
+    return independent
 
 
 def solve_corpus(corpus, model, batch_size):

@@ -40,12 +40,23 @@ def _data_dir(data_dir, alternative):
 
 
 def _read(name, load, source):
-    """`load(source)`; a ValueError or OSError reading it (a file that does
-    not parse or is missing) is an InputError naming `name`."""
+    """`load(source)`, which reads an input or checks one against the inputs
+    read before it; a ValueError or OSError from it (a file that does not
+    parse, is missing or does not fit the others) is an InputError naming
+    `name`."""
     try:
         return load(source)
     except (ValueError, OSError) as exc:
         raise InputError(name, str(exc)) from exc
+
+
+def _clustered_corpus(corpus_path, cluster_path):
+    """--corpus and --cluster. A corpus that names an image the cluster
+    model does not have is an InputError naming corpus."""
+    corpus = _read("corpus", ds.load_corpus, corpus_path)
+    model = _read("cluster", clu.ClusterModel.load, cluster_path)
+    _read("corpus", lambda cells: ds.check_image_ids(*cells, len(model)), ds.grid_cells(corpus)[:2])
+    return corpus, model
 
 
 def _store(store_path, data_dir, split):
@@ -233,8 +244,8 @@ def cluster(embedding_path, k, seed, out):
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/assignment.json", show_default=True)
 def assign(corpus_path, cluster_path, batch_size, out):
     """Solve the per-batch integer program and vote the winner."""
-    corpus = _read("corpus", ds.load_corpus, corpus_path)
-    result = asg.solve_corpus(corpus, _read("cluster", clu.ClusterModel.load, cluster_path), batch_size=batch_size)
+    corpus, model = _clustered_corpus(corpus_path, cluster_path)
+    result = asg.solve_corpus(corpus, model, batch_size=batch_size)
     result.save(out)
     click.echo(
         f"digits {list(map(int, result.digits))}, objective {result.objective}, "
@@ -251,9 +262,8 @@ def infer(corpus_path, cluster_path, assignment_path, out):
     """Propagate labels through the sum constraints (radius schedule)."""
     if Path(out).name == "labels.bin":  # the summary would overwrite the labels
         raise click.BadParameter("names the summary, labels.json; labels.bin goes beside it", param_hint="'--out'")
-    corpus = _read("corpus", ds.load_corpus, corpus_path)
-    model = _read("cluster", clu.ClusterModel.load, cluster_path)
-    state = inf.init_labels(model, _read("assignment", asg.DigitAssignment.load, assignment_path))
+    corpus, model = _clustered_corpus(corpus_path, cluster_path)
+    state = _read("assignment", lambda path: inf.init_labels(model, asg.DigitAssignment.load(path)), assignment_path)
     state = inf.run_inference(state, corpus, model)
     inf.save_labels((state.labels, state.counts()), Path(out))
     click.echo(f"labels -> {out} and labels.bin beside it; {state.counts()}")

@@ -6,8 +6,10 @@ along the short axis: the min, then the first centroid that reaches it
 (argmin's tie rule). For k >= 2 the product is a matrix product with the
 same bits as the (N, k) one; for k = 1 it is a vector-matrix product, whose
 distances can differ from the (N, 1) product in the last bits. Seeding keeps
-the (N, 1) product for that reason. Embeddings with a non-finite or
-overflowing squared norm are refused.
+the (N, 1) product for that reason. The step goes through the points in
+column blocks of at most NEAREST_BLOCK, with the bits of one block over
+all of them. Embeddings with a non-finite or overflowing squared norm are
+refused.
 
 `distance_percentiles` gives the quantile of one cluster's member distances
 that the label inference step uses for its radius schedule.
@@ -26,6 +28,12 @@ from .tensorfile import load_tensors, save_int64, save_tensors
 N_INIT = 10
 MAX_ITER = 300
 TOL = 1e-4
+
+# most points per Lloyd distance block: k = 10 rows of 8,192 float64
+# distances (640 KB) stay in L2 between the product and its reductions,
+# where a (k, N) buffer over 60K points (4.8 MB) leaves it on every pass.
+# The blocks change no bit of the model, so no stage key hashes it
+NEAREST_BLOCK = 8192
 
 
 @dataclass
@@ -156,7 +164,12 @@ def kmeans(emb, k, seed=0):
         raise InputError("kmeans_k", f"k={k} exceeds number of points {n}")
 
     # computed once for all restarts: point norms, one contiguous row per
-    # dimension for the products and centroid sums, and the distance buffer
+    # dimension for the products and centroid sums, and the distance buffer.
+    # Its width splits the points into the fewest blocks of at most
+    # NEAREST_BLOCK, all that wide but the last, which is narrower by less
+    # than the number of blocks: never a 1-column tail, whose product numpy
+    # hands to gemv instead of gemm, with other bits. k = 1 keeps one block:
+    # its (1, N) product is a gemv, whose bits depend on where blocks start
     with np.errstate(over="ignore"):
         norms = (points**2).sum(axis=1)
         bad = np.flatnonzero(~np.isfinite(4.0 * norms))
@@ -166,7 +179,8 @@ def kmeans(emb, k, seed=0):
             "4 * ||x||^2 finite"
         )
     columns = np.ascontiguousarray(points.T)
-    d2t = np.empty((k, n))
+    blocks = 1 if k == 1 else -(-n // NEAREST_BLOCK)
+    d2t = np.empty((k, -(-n // blocks)))
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(N_INIT):
@@ -181,16 +195,29 @@ def _nearest(columns, norms, centroids, d2t):
     """Nearest centroid of every point, ties to the lowest index, and its
     squared distance.
 
-    The (k, N) distances reduce along axis 0: the min, then the largest
-    weight k - j among the centroids j that reach it, which names the first.
+    The points go through `d2t`, a (k, b) scratch buffer, in blocks of its
+    b columns. Each block's (k, b) distances reduce along axis 0: the min,
+    then the largest weight k - j among the centroids j that reach it,
+    which names the first. For k >= 2 a block of two or more columns goes
+    to the same gemm as the whole (k, N) product, each distance one dot
+    product over the dimensions, so its bits do not depend on where blocks
+    start.
     """
-    np.matmul(centroids, columns, out=d2t)
-    _sq_dists(d2t, norms, (centroids**2).sum(axis=1)[:, None])
-    own = d2t.min(axis=0)
-    k = d2t.shape[0]
+    k, block = d2t.shape
+    n = columns.shape[1]
+    centroid_norms = (centroids**2).sum(axis=1)[:, None]
     weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    first = ((d2t == own) * weights).max(axis=0)
-    return np.subtract(k, first, dtype=np.int64), own
+    assign = np.empty(n, dtype=np.int64)
+    own = np.empty(n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2 = d2t[:, : stop - start]
+        np.matmul(centroids, columns[:, start:stop], out=d2)
+        _sq_dists(d2, norms[start:stop], centroid_norms)
+        d2.min(axis=0, out=own[start:stop])
+        first = ((d2 == own[start:stop]) * weights).max(axis=0)
+        np.subtract(k, first, out=assign[start:stop], dtype=np.int64)
+    return assign, own
 
 
 def _kmeans_single(points, norms, columns, d2t, k, rng):
@@ -198,7 +225,7 @@ def _kmeans_single(points, norms, columns, d2t, k, rng):
 
     Stops when the largest centroid shift drops below TOL. Empty clusters
     are reseeded to the point currently farthest from its own centroid.
-    `columns` is points.T made contiguous and `d2t` a (k, N) scratch buffer.
+    `columns` is points.T made contiguous and `d2t` _nearest's scratch buffer.
     """
     centroids = _plus_plus_init(points, norms, k, rng)
     inertia_history = []

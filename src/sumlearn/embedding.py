@@ -166,25 +166,28 @@ def _exact_scatter(pixels):
     pixels shifted by -128. The scatter is n^2 255^2 times the covariance
     of the decoded pixels, as exact int64.
 
-    G is summed from float32 products of EXACT_ROWS-row blocks: a shifted
-    pixel is at most 128 in magnitude, so every partial sum of a block's
-    products is an integer of at most EXACT_ROWS 128^2 = 2^24, exact in
-    float32 whatever order BLAS adds in, and their float64 total is exact
-    too. The int64 scatter cannot overflow for n <= EXACT_MAX_ROWS."""
+    G and T are summed from EXACT_ROWS-row float32 blocks of the shifted
+    pixels: a shifted pixel is at most 128 in magnitude, so every partial
+    sum of a block's products is an integer of at most EXACT_ROWS 128^2 =
+    2^24, and of a block's column sums at most EXACT_ROWS 128 = 2^17, exact
+    in float32 whatever order BLAS or numpy adds in; their float64 totals
+    are exact too. The int64 scatter cannot overflow for n <=
+    EXACT_MAX_ROWS."""
     n, d = pixels.shape
     if n > EXACT_MAX_ROWS:
         raise ValueError(
             f"exact PCA scatter holds for at most {EXACT_MAX_ROWS} images, got {n}"
         )
     gram = np.zeros((d, d))
+    column_sums = np.zeros(d)
     buf = np.empty((min(n, EXACT_ROWS), d), dtype=np.float32)
     for start in range(0, n, EXACT_ROWS):
         block = buf[: min(EXACT_ROWS, n - start)]
         np.subtract(pixels[start : start + block.shape[0]], 128, out=block, dtype=np.float32)
         gram += block.T @ block
-    sums = pixels.sum(axis=0, dtype=np.int64)
-    shifted = sums - 128 * n
-    return sums, n * gram.astype(np.int64) - np.outer(shifted, shifted)
+        column_sums += block.sum(axis=0)
+    shifted = column_sums.astype(np.int64)
+    return shifted + 128 * n, n * gram.astype(np.int64) - np.outer(shifted, shifted)
 
 
 def pca_embed(store, dim):

@@ -8,18 +8,26 @@ can cascade, and passes repeat to a fixpoint before the radius grows.
 
 Propagation is event-driven. `run_inference` indexes the corpus once: each
 (example, distinct image) pair with the summed positional weight of the
-image's cells, sorted by image, so the examples holding an image are one
-slice. Per example it keeps the number of distinct untrusted images, their
-total weight, the sum of their ids (the sole one's id when one is left)
-and the trusted partial sum of weight * label; trusted labels never
-change, so the partial sum stays valid. A pass visits only the examples
-queued for it, in index order: after a radius step, every example with one
-untrusted image; after a resolution, each example whose count drops to 1,
-queued in the current pass if its index is above the resolving example's
-and in the next pass otherwise. That is the order in which a sequential
-pass over all examples would meet them, so labels, the inconsistent set and
-the number of passes are the same, while the work is proportional to the
-resolutions and the pairs they touch instead of examples times passes.
+image's cells, in example order for exact int64 per-example sums and by
+image, so the examples holding an image are one slice. Per example it
+keeps the number of distinct untrusted images, their total weight, the sum
+of their ids (the sole one's id when one is left) and the trusted partial
+sum of weight * label; trusted labels never change, so the partial sum
+stays valid. A pass visits only the examples queued for it, in index
+order: after a radius step, every example with one untrusted image; after
+a resolution, each example whose count drops to 1, queued in the current
+pass if its index is above the resolving example's and in the next pass
+otherwise. That is the order in which a sequential pass over all examples
+would meet them, so labels, the inconsistent set and the number of passes
+are the same, while the work is proportional to the resolutions and the
+pairs they touch instead of examples times passes.
+
+A pass first resolves, with array operations, its queued examples whose
+one untrusted image no other example holds. Such an example's counters
+change only when that image resolves, and resolving it changes no other
+example's counters, so doing it first commutes with the sequential loop
+that visits the rest. In a corpus of oversample factor 1 every image has
+one holder, and that loop has nothing left to visit.
 """
 
 import heapq
@@ -99,41 +107,76 @@ class _Propagation:
     """The corpus index, the per-example counters and the pass queue."""
 
     def __init__(self, corpus, n_images):
+        self.targets = corpus.sums
         self.sums = corpus.sums.tolist()
         ex_ids, img_ids, weights = grid_cells(corpus)
         check_image_ids(ex_ids, img_ids, n_images)
-        # one entry per (example, distinct image) pair, sorted by image
-        key = img_ids * len(self.sums) + ex_ids
-        order = np.argsort(key)
+        # one entry per (example, distinct image) pair, in example order;
+        # grid_cells lists the cells by example, so the stable sort has
+        # little to do
+        key = ex_ids * n_images + img_ids
+        order = np.argsort(key, kind="stable")
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         self.pair_ex, self.pair_img = ex_ids[order][starts], img_ids[order][starts]
         self.pair_weight = np.add.reduceat(weights[order], starts)
-        self.holders = self.pair_ex.tolist()
-        self.holder_weights = self.pair_weight.tolist()
-        self.start = np.searchsorted(self.pair_img, np.arange(n_images + 1)).tolist()
+        # every example holds an image, so each is one nonempty segment
+        self.example_starts = np.flatnonzero(np.diff(self.pair_ex, prepend=-1))
+        # the same pairs by image: the examples holding an image are a slice
+        by_image = np.argsort(self.pair_img * len(self.sums) + self.pair_ex)
+        self.holders = self.pair_ex[by_image].tolist()
+        self.holder_weights = self.pair_weight[by_image].tolist()
+        start = np.searchsorted(self.pair_img[by_image], np.arange(n_images + 1))
+        self.start = start.tolist()
+        self.single = np.diff(start) == 1  # images held by one example only
 
     def restart(self, state):
         """Count every example afresh from state; the next pass visits every
         example with exactly one untrusted image."""
-        n = len(self.sums)
         untrusted = state.provenance[self.pair_img] == PROV_CLUSTER
 
-        def per_example(mask, values):
-            out = np.zeros(n, dtype=np.int64)
-            np.add.at(out, self.pair_ex[mask], values[mask])
-            return out.tolist()
+        def per_example(values):
+            # exact int64 segment sums; float bincount weights would round
+            # past 2^53, which partial sums reach for w >= 16
+            return np.add.reduceat(values, self.example_starts)
 
-        count = np.bincount(self.pair_ex[untrusted], minlength=n)
+        count = np.bincount(self.pair_ex[untrusted], minlength=len(self.sums))
         self.count = count.tolist()
-        self.weight = per_example(untrusted, self.pair_weight)
-        self.id_sum = per_example(untrusted, self.pair_img)
-        self.partial = per_example(~untrusted, self.pair_weight * state.labels[self.pair_img])
+        self.weight = per_example(np.where(untrusted, self.pair_weight, 0)).tolist()
+        self.id_sum = per_example(np.where(untrusted, self.pair_img, 0)).tolist()
+        self.partial = per_example(np.where(untrusted, 0, self.pair_weight * state.labels[self.pair_img])).tolist()
         self.queue = np.flatnonzero(count == 1).tolist()
 
+    def resolve_single_holders(self, state):
+        """Resolve the queued examples whose one untrusted image no other
+        example holds, with array operations, and leave the rest queued;
+        returns whether anything resolved."""
+        queue = self.queue
+
+        def gather(values):
+            return np.fromiter(map(values.__getitem__, queue), np.int64, len(queue))
+
+        imgs = gather(self.id_sum)
+        bulk = (gather(self.count) == 1) & self.single[imgs]
+        if not bulk.any():
+            return False
+        examples, imgs, weights = np.array(queue)[bulk], imgs[bulk], gather(self.weight)[bulk]
+        digits, remainders = np.divmod(self.targets[examples] - gather(self.partial)[bulk], weights)
+        forced = (remainders == 0) & (digits >= 0) & (digits <= 9)  # as _forced_digit
+        state.inconsistent_examples.update(examples[~forced].tolist())
+        state.labels[imgs[forced]] = digits[forced]
+        state.provenance[imgs[forced]] = PROV_INFERRED
+        for e, w, digit in zip(examples[forced].tolist(), weights[forced].tolist(), digits[forced].tolist()):
+            self.count[e], self.weight[e], self.id_sum[e] = 0, 0, 0
+            self.partial[e] += w * digit
+        self.queue = [e for e, resolved in zip(queue, bulk.tolist()) if not resolved]
+        return bool(forced.any())
+
     def run_pass(self, state):
-        """Visit this pass's queue in index order; returns whether anything
+        """Resolve this pass's single-holder examples in bulk, then visit
+        the rest of its queue in index order; returns whether anything
         resolved."""
-        queue, later, changed = self.queue, [], False
+        changed = self.resolve_single_holders(state)
+        queue, later = self.queue, []
         count, weight, id_sum, partial = self.count, self.weight, self.id_sum, self.partial
         while queue:
             e = heapq.heappop(queue)

@@ -317,6 +317,40 @@ class TestStackedRankModP:
         # and column 2's rank must not make an independent batch fail
         assert _independent_batches(np.array([[1, 1], [1, -1]]), 2).tolist() == [True]
 
+    @staticmethod
+    def all_rows_certificate(coeffs, batch_size):
+        """The certificate ranked on every row of every batch."""
+        flags = []
+        for start in range(0, len(coeffs), batch_size):
+            batch = coeffs[start : start + batch_size]
+            active = batch.sum(axis=0) > 0
+            flags.append(int(_rank_mod_p(batch * active)) == active.sum())
+        return flags
+
+    def test_prefix_certificate_matches_all_rows(self, rng, monkeypatch):
+        # k = 10 and batches of 100 rows: the prefix is each batch's first 20
+        k, rows = 10, 100
+        full = rng.integers(0, 4, size=(rows, k))
+        late = full.copy()
+        late[: 2 * k, 5:] = 0  # columns 5.. appear only past the prefix
+        twins = full.copy()
+        twins[: 2 * k, 1] = twins[: 2 * k, 0]  # equal in the prefix only
+        dependent = full.copy()
+        dependent[:, 1] = dependent[:, 0]  # equal in every row
+        sparse = np.zeros((rows, k), dtype=np.int64)
+        sparse[rows - k :] = np.eye(k, dtype=np.int64)  # independent, prefix all zero
+        short = dependent[: k + 3]  # a last batch shorter than the prefix
+        coeffs = np.vstack([full, late, twins, dependent, sparse, short])
+        ranked = []
+        rank = asg._rank_mod_p
+        monkeypatch.setattr(asg, "_rank_mod_p", lambda a: ranked.append(a.shape) or rank(a))
+        got = _independent_batches(coeffs, rows)
+        assert got.tolist() == self.all_rows_certificate(coeffs, rows)
+        assert got.tolist() == [True, True, True, False, True, False]
+        # the prefix decides the first batch; the rest, which it cannot
+        # prove, are ranked on all their rows
+        assert ranked == [(6, 2 * k, k), (5, rows, k)]
+
     def test_solve_corpus_candidates_match_standalone(self, monkeypatch):
         # each batch solve_corpus solves with its stacked certificate gives
         # the candidate solve_batch finds alone. Cluster c is digit c. The

@@ -11,7 +11,6 @@ from click.testing import CliRunner
 
 from sumlearn.assignment import DigitAssignment
 from sumlearn.cli import main
-from sumlearn.errors import ConsistencyError
 from sumlearn.pipeline import BOUNDS, RunConfig
 from sumlearn.tensorfile import load_tensors, save_tensors
 
@@ -96,13 +95,15 @@ class TestStageCommands:
         (tmp_path / "corpus.txt").write_text("1 2 5 0 7\n")
         identity_model([0, 1, 2]).save(tmp_path / "cluster.tf")
         DigitAssignment(digits=np.arange(3), objective=0).save(tmp_path / "assignment.json")
-        with pytest.raises(ConsistencyError, match="example 0 references unclustered image ids"):
-            run_cli(
-                "infer", "--corpus", str(tmp_path / "corpus.txt"),
-                "--cluster", str(tmp_path / "cluster.tf"),
-                "--assignment", str(tmp_path / "assignment.json"),
-                "--out", str(tmp_path / "labels.json"),
-            )
+        r = run_cli(
+            "infer", "--corpus", str(tmp_path / "corpus.txt"),
+            "--cluster", str(tmp_path / "cluster.tf"),
+            "--assignment", str(tmp_path / "assignment.json"),
+            "--out", str(tmp_path / "labels.json"),
+        )
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--corpus'" in r.output
+        assert "example 0 references unclustered image ids" in r.output
         assert not (tmp_path / "labels.bin").exists()
 
     def test_infer_refuses_digit_out_of_range(self, tmp_path):
@@ -204,6 +205,21 @@ def test_readme_stage_chain_runs(tmp_path, monkeypatch):
         assert r.exit_code == 0, (command, r.output)
     metrics = json.loads(r.output.strip().splitlines()[-1])
     assert metrics["cls_acc"] >= 0.99  # held-out images, the README's bar
+
+
+@pytest.fixture(scope="module")
+def mismatched(chain, tmp_path_factory):
+    """A corpus.txt over 960 synthetic images and a k = 10 cluster.tf over
+    `chain`'s 480-image embedding: each loads, but neither fits `chain`'s
+    other inputs."""
+    base = tmp_path_factory.mktemp("mismatched")
+    for step in [
+        ("generate-data", "--w", "2", "--h", "1", "--out", str(base), *SYNTH, "--n-images", "960"),
+        ("cluster", "--embedding", str(chain / "embedding.tf"), "--k", "10", "--out", str(base / "cluster10.tf")),
+    ]:
+        r = run_cli(*step)
+        assert r.exit_code == 0, r.output
+    return base
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +535,28 @@ class TestUsageErrors:
         assert f"Invalid value for '{option}'" in r.output
         assert message in r.output
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize(
+        "args, option, message",
+        [
+            (["assign", "--corpus", "{big}/corpus.txt", "--cluster", "{chain}/cluster.tf"], "--corpus",
+             "example 0 references unclustered image ids"),
+            (["infer", "--corpus", "{big}/corpus.txt", "--cluster", "{chain}/cluster.tf",
+              "--assignment", "{chain}/assignment.json"], "--corpus", "example 0 references unclustered image ids"),
+            (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{big}/cluster10.tf",
+              "--assignment", "{chain}/assignment.json"], "--assignment", "assignment covers 4 clusters, model has 10"),
+        ],
+        ids=["assign-corpus-past-the-model", "infer-corpus-past-the-model", "infer-assignment-below-k"],
+    )
+    def test_stage_inputs_that_do_not_fit_each_other_refused(self, chain, mismatched, tmp_path, args, option, message):
+        # each input loads on its own: a corpus over 960 images against a
+        # 480-image model, or a k = 4 assignment against a k = 10 model
+        r = run_cli(*[arg.format(chain=chain, big=mismatched) for arg in args],
+                    "--out", str(tmp_path / "a" / "result.json"))
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{option}'" in r.output
+        assert message in r.output
+        assert not any(tmp_path.iterdir())
 
     def test_evaluate_refuses_a_store_smaller_than_a_grid(self, chain, tmp_path):
         r = run_cli("evaluate", "--cnn", str(chain / "cnn.tf"), "--store", str(chain / "test_store.tf"),

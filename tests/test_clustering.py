@@ -335,6 +335,36 @@ class TestKmeansMatchesNkLayout:
         assert own.tobytes() == d2.min(axis=1).tobytes()
 
 
+class TestNearestBlocks:
+    """k-means in NEAREST_BLOCK column blocks against one block over all
+    points: the same model, bit for bit, at the sizes where a block
+    boundary or a short tail appears."""
+
+    B = clu.NEAREST_BLOCK
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3])
+    def test_bitwise_equal_to_one_block(self, monkeypatch, n, k):
+        points = _planted(n, n=n)
+        monkeypatch.setattr(clu, "N_INIT", 2)
+        widths = []
+        nearest = clu._nearest
+
+        def spy(columns, norms, centroids, d2t):
+            widths.append(d2t.shape)
+            return nearest(columns, norms, centroids, d2t)
+
+        monkeypatch.setattr(clu, "_nearest", spy)
+        got = kmeans(points, k=k, seed=n)
+        # one buffer: for k = 1 one block over all points; for k >= 2 at
+        # most NEAREST_BLOCK columns, and a last block of more than one
+        (shape,) = set(widths)
+        last = (n - 1) % shape[1] + 1
+        assert shape == (1, n) if k == 1 else shape[0] == k and shape[1] <= self.B and last > 1
+        monkeypatch.setattr(clu, "NEAREST_BLOCK", n)
+        _assert_bitwise_equal(got, kmeans(points, k=k, seed=n))
+
+
 class TestWeightedDraw:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_generator_choice(self, seed):

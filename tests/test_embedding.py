@@ -299,7 +299,9 @@ class TestPca:
         sums = x.sum(axis=0)
         reference = len(x) * (x.T @ x) - np.outer(sums, sums)
         got_sums, scatter = _exact_scatter(pixels)
-        assert scatter.dtype == np.int64
+        # the column sums come from the float32 blocks: whole blocks of 0 or
+        # 255 reach the 2^17 bound on a block's column sum
+        assert scatter.dtype == got_sums.dtype == np.int64
         assert np.array_equal(got_sums, sums)
         assert np.array_equal(scatter, reference)
 

@@ -308,18 +308,21 @@ def reference_inference(state, corpus, model, radii):
     return passes
 
 
-def noisy_instance(seed, n, shape, replace, n_examples):
+def noisy_instance(seed, n, shape, replace, n_examples, partition=False):
     """A corpus of (h, w) grids over n images, with or without repeated ids
     inside a grid, a one-cluster model at random distances, and initial
-    labels wrong on 30% of the images."""
+    labels wrong on 30% of the images. With `partition` the grids split a
+    permutation of the images instead: each image is one cell of one
+    example, as in a corpus of oversample factor 1."""
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, 10, n)
-    grids = []
     h, w = shape
-    for _ in range(n_examples):
-        grid = rng.choice(n, size=(h, w), replace=replace)
-        grids.append((grid, int((truth[grid] * 10 ** np.arange(w - 1, -1, -1)).sum())))
-    corpus = corpus_from_grids(grids)
+    if partition:
+        grids = list(rng.permutation(n).reshape(-1, h, w))
+    else:
+        grids = [rng.choice(n, size=(h, w), replace=replace) for _ in range(n_examples)]
+    place = 10 ** np.arange(w - 1, -1, -1)
+    corpus = corpus_from_grids([(grid, int((truth[grid] * place).sum())) for grid in grids])
     distance = rng.random(n)
     labels = truth.copy()
     wrong = rng.random(n) < 0.3
@@ -384,3 +387,58 @@ class TestMatchesSequentialReference:
         assert got.radii == [
             {"radius": 1, "trusted": 1, "inferred": 2, "inconsistent_examples": 0, "passes": 3}
         ]
+
+    def test_factor_one_with_inconsistent_single_holders(self, monkeypatch):
+        # every image has one holder, so every resolution is a bulk one; a
+        # sum off by one makes its example inconsistent when the untrusted
+        # image is in the tens column
+        corpus, model, labels = noisy_instance(3, 600, (2, 2), False, None, partition=True)
+        assert np.unique(corpus.grids).size == corpus.grids.size
+        corpus.sums[::5] += 1
+        got = self.compare(monkeypatch, corpus, model, labels)
+        assert got.inconsistent_examples
+        assert (got.provenance == PROV_INFERRED).any()
+
+    def test_single_holder_queued_mid_pass(self, monkeypatch):
+        # example 0 resolves image 1, which example 1 shares; that leaves
+        # example 1 one untrusted image, 2, which only it holds. Example 1
+        # comes later, so the sequential loop resolves it in the same pass
+        corpus = corpus_from_grids([(np.array([[0], [1]]), 7), (np.array([[1], [2]]), 9)])
+        model = identity_model([0, 0, 0], k=1, distance=[0.0, 50.0, 50.0])
+        got = self.compare(monkeypatch, corpus, model, [3, 0, 0], radii=(1,))
+        assert got.labels.tolist() == [3, 4, 5]
+        assert got.radii == [
+            {"radius": 1, "trusted": 1, "inferred": 2, "inconsistent_examples": 0, "passes": 2}
+        ]
+
+    def test_sums_past_2_to_the_53(self, monkeypatch):
+        # w = 16, h = 2: sums and trusted partial sums pass 2^53, where a
+        # float64 sum would round. 85% of the images sit on the centroid
+        # with their true label, so radius 1 trusts them and leaves some
+        # examples one untrusted image
+        rng = np.random.default_rng(4)
+        n, h, w = 200, 2, 16
+        truth = rng.integers(0, 10, n)
+        place = 10 ** np.arange(w - 1, -1, -1)
+        grids = [rng.choice(n, size=(h, w), replace=False) for _ in range(400)]
+        corpus = corpus_from_grids([(grid, int((truth[grid] * place).sum())) for grid in grids])
+        on_centroid = rng.random(n) < 0.85
+        distance = np.where(on_centroid, 0.0, 1.0 + rng.random(n))
+        model = identity_model(np.zeros(n, dtype=int), k=1, distance=distance)
+        assert corpus.sums.max() > 2**53
+        got = self.compare(monkeypatch, corpus, model, np.where(on_centroid, truth, (truth + 1) % 10))
+        assert (got.provenance == PROV_INFERRED).sum() > 5
+
+    def test_queued_example_emptied_before_its_pass(self, monkeypatch):
+        # example 1 resolves image 1 and queues example 0 for pass 2; example
+        # 2 then resolves image 2, example 0's last untrusted image. Pass 2
+        # finds example 0 with none left, and its id sum 0 must not be read
+        # as image 0, which only example 3 holds
+        corpus = corpus_from_grids([
+            (np.array([[1], [2]]), 5), (np.array([[1], [3]]), 6),
+            (np.array([[2], [3]]), 7), (np.array([[0], [4]]), 6),
+        ])
+        model = identity_model([0] * 5, k=1, distance=[50.0, 50.0, 50.0, 0.0, 50.0])
+        got = self.compare(monkeypatch, corpus, model, [0, 0, 0, 4, 0], radii=(1,))
+        assert got.labels.tolist() == [0, 2, 3, 4, 0]
+        assert got.radii[0]["passes"] == 2
