@@ -22,9 +22,10 @@ the search. `solve_corpus` decides it for every batch of the corpus in one
 stacked elimination over each batch's first 2k rows (the short last batch
 padded with zero rows, inactive columns zeroed) and a second over all the
 rows of the batches the first does not prove, and hands each batch its
-answer; `solve_batch` takes the certificate only from its caller. The search's root multipliers are the
-warm start's subgradient, and its integer bounds are exact only while
-they fit int64; `solve_batch` rejects larger systems.
+answer; `solve_batch` takes the certificate only from its caller. The
+search's root multipliers are the warm start's subgradient, and its
+integer bounds are exact only while they fit int64; `solve_batch` rejects
+larger systems.
 
 Batch candidates then vote: the one satisfying the most examples
 corpus-wide wins.
