@@ -249,21 +249,23 @@ def generate_synthetic(n_images, n_clusters, separation, dim, seed=0):
 
     labels = np.tile(np.arange(n_clusters), n_images // n_clusters + 1)[:n_images]
     labels = labels[rng.permutation(n_images)]
-    points = centroids[labels] + rng.standard_normal((n_images, dim))
+    points = rng.standard_normal((n_images, dim))
+    points += centroids[labels]  # addition commutes: the bits of centroids + noise
     return ImageStore(points, labels)
 
 
 def normalize_unit(store):
-    """Min-max rescale all intensities into [0,1] (single global affine map,
-    so cluster geometry is preserved). Used to make synthetic Gaussian
-    stores pixel-like before the CNN."""
+    """The store as uint8 pixels: one global min-max map to [0,1], so
+    cluster geometry is preserved up to rounding, then rounded to the
+    nearest multiple of 1/255. A constant store maps to zeros. Makes a
+    synthetic Gaussian store pixel-like, as the CNN and PCA take it."""
     images = decode(store.images)
     lo, hi = images.min(), images.max()
-    if hi <= lo:
-        return store
-    images -= lo
-    images /= hi - lo
-    return ImageStore(images, store.evaluation_labels())
+    images -= lo  # a constant store is all zeros from here on
+    if hi > lo:
+        images /= hi - lo
+    images *= 255.0
+    return ImageStore(np.rint(images, out=images).astype(np.uint8), store.evaluation_labels())
 
 
 def save_corpus(corpus, path):

@@ -5,9 +5,10 @@ configuration) and a deterministic PCA projection used as a fast fallback
 for CI-scale runs. The encoder half of the trained autoencoder is the
 embedding map.
 
-PCA on a uint8 store (an IDX file's pixels) is exact up to `eigh`: its
-scatter matrix is computed in integers for up to 2^24 images, and a larger
-uint8 store is refused. A float64 store's covariance is a float64 sum.
+PCA takes uint8 pixels only (an IDX file's, or a synthetic store's after
+`dataset.normalize_unit`), so every PCA is exact up to `eigh`: its scatter
+matrix is computed in integers for up to 2^24 images, and a larger store
+is refused.
 """
 
 import numpy as np
@@ -113,32 +114,6 @@ def encode(params, store):
     return out
 
 
-def _centred_blocks(store, centre):
-    """(start, block) over the store's pixels minus `centre`, as float64,
-    PCA_BLOCK rows at a time. Every block is written into one reused
-    buffer, so a caller must be done with a block before asking for the
-    next."""
-    buf = np.empty((min(len(store), PCA_BLOCK), store.dim))
-    for start in range(0, len(store), PCA_BLOCK):
-        block = buf[: min(PCA_BLOCK, len(store) - start)]
-        # a copy and an in-place subtract beat one mixed uint8/float64 subtract
-        np.copyto(block, store.images[start : start + block.shape[0]])
-        block -= centre
-        yield start, block
-
-
-def _scatter(store, mean):
-    """The (D, D) scatter matrix of a float64 store's rows centred on
-    `mean`, summed over row blocks; one block is exactly the product of the
-    whole centred matrix. The block buffer is freed when this returns."""
-    blocks = _centred_blocks(store, mean)
-    _, first = next(blocks)
-    cov = first.T @ first
-    for _, block in blocks:
-        cov += block.T @ block
-    return cov
-
-
 def _components(scatter, n, dim):
     """Top-`dim` eigenvectors of the (D, D) scatter matrix of `n` rows, one
     per row; components past the data rank are zeroed so rank-deficient
@@ -191,35 +166,40 @@ def _exact_scatter(pixels):
 
 
 def pca_embed(store, dim):
-    """Projection onto the top principal components of the centered data.
+    """Projection of a uint8 store's decoded pixels onto their top
+    principal components.
 
-    A uint8 store (every IDX store) takes its components from the exact
-    integer scatter of `_exact_scatter`, accumulated from EXACT_ROWS-row
-    float32 blocks; it holds for at most EXACT_MAX_ROWS (2^24) images and
-    is refused above that. Its float64 copy, which `eigh` reads, is exact
-    up to about 740K images and correctly rounded beyond. The projection
-    is (raw - S/n) @ components^T / 255. A float64 store sums the
-    covariance of its rows centred on their mean.
+    The components come from the exact integer scatter of `_exact_scatter`,
+    accumulated from EXACT_ROWS-row float32 blocks; it holds for at most
+    EXACT_MAX_ROWS (2^24) images and is refused above that. Its float64
+    copy, which `eigh` reads, is exact up to about 740K images and
+    correctly rounded beyond. The projection is (raw - S/n) @
+    components^T / 255, PCA_BLOCK rows at a time, so besides the store and
+    the output it holds one block, never a decoded or centred copy of the
+    whole store.
 
-    Both work in row blocks, so besides the store and the output they hold
-    one block, never a decoded or centred copy of the whole store. A `dim`
-    outside 1..store.dim is an InputError naming embed_dim.
+    A store that is not uint8 is an InputError naming store, and a `dim`
+    outside 1..store.dim one naming embed_dim.
     """
+    if store.images.dtype != np.uint8:
+        raise InputError("store", f"PCA takes uint8 pixels, got {store.images.dtype} images")
     if not 1 <= dim <= store.dim:
         raise InputError("embed_dim", f"dim must be in [1, {store.dim}], got {dim}")
     n = len(store)
-    if store.images.dtype == np.uint8:
-        sums, scatter = _exact_scatter(store.images)
-        centre, scale, scatter = sums / n, 255.0, scatter.astype(np.float64)
-    else:
-        centre, scale = store.images.mean(axis=0), 1.0  # dividing by 1.0 is exact
-        scatter = _scatter(store, centre)
+    sums, scatter = _exact_scatter(store.images)
+    scatter = scatter.astype(np.float64)  # the int64 one is freed before eigh
     components_t = _components(scatter, n, dim).T
     del scatter  # freed before the projection allocates its block buffer
+    centre = sums / n
     out = np.empty((n, dim))
-    for start, block in _centred_blocks(store, centre):
-        np.matmul(block, components_t, out=out[start : start + block.shape[0]])
-    out /= scale
+    block = np.empty((min(n, PCA_BLOCK), store.dim))
+    for start in range(0, n, PCA_BLOCK):
+        rows = block[: min(PCA_BLOCK, n - start)]
+        # a copy and an in-place subtract beat one mixed uint8/float64 subtract
+        np.copyto(rows, store.images[start : start + rows.shape[0]])
+        rows -= centre
+        np.matmul(rows, components_t, out=out[start : start + rows.shape[0]])
+    out /= 255.0
     return out
 
 

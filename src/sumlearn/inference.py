@@ -79,20 +79,29 @@ def init_labels(model, assignment):
     )
 
 
-def images_within_radius(model, radius):
+def _distance_runs(model):
+    """Each cluster's member distances to its centroid, one array per
+    cluster (empty for an empty cluster). One stable argsort (a radix sort
+    for k < 65,536 on the narrowed assignment) makes each cluster's
+    distances one run, in index order."""
+    order = np.argsort(model.assignment.astype(np.min_scalar_type(model.k)), kind="stable")
+    counts = np.bincount(model.assignment, minlength=model.k)
+    return np.split(model.distance[order], np.cumsum(counts)[:-1])
+
+
+def images_within_radius(model, radius, runs=None):
     """Ids of images within the (radius*20)-percentile of their own
-    cluster's centroid-distance distribution. radius=5 covers everything."""
+    cluster's centroid-distance distribution. radius=5 covers everything.
+
+    `runs` is `_distance_runs(model)`, built here when not given; a caller
+    that asks for several radii builds it once."""
     if radius not in RADII:
         raise ValueError(f"radius must be in 1..5, got {radius}")
     q = radius * 20 / 100.0
-    # one stable argsort (a radix sort for k < 65,536 on the narrowed
-    # assignment) makes each cluster's distances one run, in index order
-    order = np.argsort(model.assignment.astype(np.min_scalar_type(model.k)), kind="stable")
-    counts = np.bincount(model.assignment, minlength=model.k)
-    runs = np.split(model.distance[order], np.cumsum(counts)[:-1])
-    thresholds = np.zeros(model.k)  # empty clusters have no member to compare
-    for c in np.flatnonzero(counts):
-        thresholds[c] = distance_percentiles(runs[c], q)
+    if runs is None:
+        runs = _distance_runs(model)
+    # empty clusters have no member to compare
+    thresholds = np.array([distance_percentiles(run, q) if run.size else 0.0 for run in runs])
     return np.flatnonzero(model.distance <= thresholds[model.assignment])
 
 
@@ -231,8 +240,9 @@ def run_inference(state, corpus, model):
     example.
     """
     propagation = _Propagation(corpus, state.labels.shape[0])
+    runs = _distance_runs(model)
     for radius in RADII:
-        ids = images_within_radius(model, radius)
+        ids = images_within_radius(model, radius, runs)
         fresh = ids[state.provenance[ids] == PROV_CLUSTER]
         state.provenance[fresh] = PROV_RADIUS
         inferred = int((state.provenance == PROV_INFERRED).sum())

@@ -136,6 +136,7 @@ class RunConfig:
                 "separation": self.synthetic_separation,
                 "dim": self.synthetic_dim,
                 "seed": self.seed,
+                "pixels": "uint8",  # normalize_unit's encoding; float stores are not resumed
             })
         return _digest({"synthetic": False, "data_dir": str(self.data_dir)})
 
@@ -251,8 +252,8 @@ def idx_store(data_dir, split):
 
 def load_stores(config):
     """The train and test stores: the train and t10k IDX files under
-    data_dir, or one generated synthetic set, normalized, then split into
-    two row ranges that are views of one array."""
+    data_dir, or one generated synthetic set, quantized to uint8 pixels,
+    then split into two row ranges that are views of one array."""
     if not config.synthetic:
         return idx_store(config.data_dir, "train"), idx_store(config.data_dir, "test")
     n_train = config.synthetic_images
@@ -263,7 +264,7 @@ def load_stores(config):
         config.synthetic_dim,
         seed=config.seed,
     )
-    full = ds.normalize_unit(full)  # pixel-like inputs for the CNN
+    full = ds.normalize_unit(full)  # uint8 pixels, as the CNN and PCA take them
     return full.subset(slice(0, n_train)), full.subset(slice(n_train, len(full)))
 
 

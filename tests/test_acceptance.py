@@ -21,7 +21,7 @@ import pytest
 from sumlearn import nn
 from sumlearn.assignment import BatchSystem, residuals, solve_batch, solve_corpus
 from sumlearn.clustering import ClusterModel, kmeans, purity
-from sumlearn.dataset import Corpus, build_corpus, generate_synthetic
+from sumlearn.dataset import Corpus, build_corpus, generate_synthetic, normalize_unit
 from sumlearn.embedding import AutoencoderParams, pca_embed
 from sumlearn.inference import (
     LabelState,
@@ -87,7 +87,7 @@ def test_c1_solver_exactness():
 def test_c2_synthetic_end_to_end_recovery():
     started = time.perf_counter()
     for seed in range(10):
-        store = generate_synthetic(800, 10, separation=100, dim=12, seed=seed)
+        store = normalize_unit(generate_synthetic(800, 10, separation=100, dim=12, seed=seed))
         corpus = build_corpus(store, w=2, h=2, seed=seed)
         truth = store.evaluation_labels()
         emb = pca_embed(store, dim=10)

@@ -130,6 +130,11 @@ def test_evaluate_data_reads_only_the_t10k_pair(chain, tmp_path):
     assert set(json.loads((tmp_path / "metrics.json").read_text())) == {"cls_acc", "add_acc"}
 
 
+def test_generate_data_writes_uint8_stores(chain):
+    for name in ("store.tf", "test_store.tf"):
+        assert load_tensors(chain / name)[1]["images"].dtype == np.uint8, name
+
+
 class TestStageChainMatchesRun:
     """The stage subcommands and `run` share each stage's code, so at equal
     settings they write the same artifacts and score the same held-out
@@ -653,6 +658,17 @@ class TestUsageErrors:
         assert "Invalid value for '--store'" in r.output
         assert f"{name}: no tensor 'images', so not a store" in r.output
         assert not out.exists()
+
+    def test_float_store_refused_by_pca(self, tmp_path):
+        store = tmp_path / "store.tf"
+        save_tensors(store, {"images": np.random.default_rng(0).random((40, 16)),
+                             "true_labels": np.zeros(40, dtype=np.int64)})
+        out = tmp_path / "out" / "embedding.tf"
+        r = run_cli("embed", "--store", str(store), "--backend", "pca", "--dim", "4", "--out", str(out))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--store'" in r.output
+        assert "PCA takes uint8 pixels, got float64 images" in r.output
+        assert not out.parent.exists()
 
     def test_truncated_store_refused(self, chain, tmp_path):
         store = tmp_path / "store.tf"

@@ -15,6 +15,7 @@ from sumlearn.dataset import (
     load_corpus,
     load_idx,
     load_store,
+    normalize_unit,
     save_corpus,
     save_store,
 )
@@ -197,6 +198,42 @@ class TestGenerateSynthetic:
             generate_synthetic(10, 11, 1.0, 4)
         with pytest.raises(ValueError):
             generate_synthetic(10, 2, 0.0, 4)
+
+    @pytest.mark.parametrize("n, clusters, dim", [(90, 3, 5), (1600, 10, 784)])
+    def test_noise_added_in_place_keeps_the_bits(self, n, clusters, dim):
+        store = generate_synthetic(n, clusters, separation=60.0, dim=dim, seed=7)
+        # the draws of generate_synthetic, summed as centroids[labels] + noise
+        rng = np.random.default_rng(7)
+        centroids = rng.normal(size=(clusters, dim))
+        diff = centroids[:, None, :] - centroids[None, :, :]
+        dist = np.sqrt((diff**2).sum(-1))
+        centroids *= 60.0 / dist[~np.eye(clusters, dtype=bool)].min()
+        labels = np.tile(np.arange(clusters), n // clusters + 1)[:n]
+        labels = labels[rng.permutation(n)]
+        points = centroids[labels] + rng.standard_normal((n, dim))
+        assert np.array_equal(store.evaluation_labels(), labels)
+        assert store.images.tobytes() == points.tobytes()
+
+
+class TestNormalizeUnit:
+    def test_uint8_from_min_to_max(self):
+        store = generate_synthetic(200, 4, separation=10, dim=6, seed=3)
+        pixels = normalize_unit(store).images
+        x = store.images
+        unit = (x - x.min()) / (x.max() - x.min())
+        assert pixels.dtype == np.uint8
+        assert pixels.min() == 0 and pixels.max() == 255
+        assert pixels[x == x.min()].tolist() == [0] and pixels[x == x.max()].tolist() == [255]
+        assert np.array_equal(pixels, np.rint(255 * unit))
+
+    def test_constant_store_maps_to_zeros(self):
+        pixels = normalize_unit(ImageStore(np.full((5, 3), 2.5), np.zeros(5))).images
+        assert pixels.dtype == np.uint8 and not pixels.any()
+
+    def test_same_seed_same_bytes(self):
+        a, b = (normalize_unit(generate_synthetic(300, 10, separation=60, dim=16, seed=11)) for _ in range(2))
+        assert a.images.dtype == np.uint8 and a.images.tobytes() == b.images.tobytes()
+        assert np.array_equal(a.evaluation_labels(), b.evaluation_labels())
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import pytest
 
 from sumlearn import embedding, nn
 from sumlearn.clustering import kmeans, purity
-from sumlearn.dataset import ImageStore, decode, generate_synthetic, load_idx
+from sumlearn.dataset import ImageStore, decode, generate_synthetic, load_idx, normalize_unit
 from sumlearn.embedding import (
     EXACT_MAX_ROWS,
     EXACT_ROWS,
@@ -14,14 +14,13 @@ from sumlearn.embedding import (
     AutoencoderParams,
     _components,
     _exact_scatter,
-    _scatter,
     encode,
     load_embedding,
     pca_embed,
     save_embedding,
     train_autoencoder,
 )
-from sumlearn.errors import DivergenceError
+from sumlearn.errors import DivergenceError, InputError
 
 from conftest import uint8_store_pair, write_idx_pair
 
@@ -210,7 +209,8 @@ class TestParamsPersistence:
 
 
 def unblocked_pca(images, dim):
-    """The whole-matrix float64 PCA: centre, covariance, eigh, project."""
+    """The whole-matrix float64 PCA of float images: centre, covariance,
+    eigh, project."""
     centred = images - images.mean(axis=0)
     eigvals, eigvecs = np.linalg.eigh(centred.T @ centred)
     order = np.argsort(eigvals)[::-1][:dim]
@@ -224,37 +224,52 @@ def unblocked_pca(images, dim):
     return centred @ components.T
 
 
+def unblocked_exact_pca(pixels, dim):
+    """The whole-matrix PCA of uint8 pixels: the int64 scatter, its
+    components, then one projection of the centred decode."""
+    x = pixels.astype(np.int64)
+    sums = x.sum(axis=0)
+    scatter = len(x) * (x.T @ x) - np.outer(sums, sums)
+    components = _components(scatter.astype(np.float64), len(x), dim)
+    return (pixels - sums / len(x)) @ components.T / 255.0
+
+
+def pixel_store(rng, n, d):
+    return ImageStore(rng.integers(0, 256, size=(n, d), dtype=np.uint8), np.zeros(n, dtype=int))
+
+
 class TestPca:
     def test_shape(self, rng):
-        store = ImageStore(rng.random((20, 12)), rng.integers(0, 10, 20))
-        assert pca_embed(store, dim=10).shape == (20, 10)
+        assert pca_embed(pixel_store(rng, 20, 12), dim=10).shape == (20, 10)
 
     def test_exact_on_low_rank_data(self, rng):
-        basis = rng.random((3, 10))
-        coeffs = rng.random((30, 3))
-        images = coeffs @ basis + rng.random(10)  # affine 3-d subspace
-        store = ImageStore(images, np.zeros(30, dtype=int))
-        x = decode(store.images)
-        mean = x.mean(axis=0)
-        components = _components(_scatter(store, mean), len(store), 3)
+        basis = rng.integers(0, 11, size=(3, 10))
+        coeffs = rng.integers(0, 6, size=(30, 3))
+        # an affine 3-d subspace; its largest pixel is 3 * 5 * 10 + 49 < 256
+        pixels = (coeffs @ basis + rng.integers(0, 50, 10)).astype(np.uint8)
+        x = decode(pixels)
+        sums, scatter = _exact_scatter(pixels)
+        mean = sums / len(x) / 255.0
+        components = _components(scatter.astype(np.float64), len(x), 3)
         proj = (x - mean) @ components.T
         recon = proj @ components + mean
         assert np.abs(recon - x).max() < 1e-8
 
     @pytest.mark.parametrize("n", [30, PCA_BLOCK])
     def test_one_block_bitwise_equal_to_unblocked(self, rng, n):
-        store = ImageStore(rng.random((n, 64)), np.zeros(n, dtype=int))
-        assert np.array_equal(pca_embed(store, dim=10), unblocked_pca(store.images, 10))
+        store = pixel_store(rng, n, 64)
+        assert np.array_equal(pca_embed(store, dim=10), unblocked_exact_pca(store.images, 10))
 
     def test_blocks_match_unblocked(self, rng):
         n = 2 * PCA_BLOCK + 808  # ragged last block
-        store = ImageStore(rng.random((n, 64)), np.zeros(n, dtype=int))
-        ref = unblocked_pca(store.images, 10)
+        store = pixel_store(rng, n, 64)
+        ref = unblocked_exact_pca(store.images, 10)
         assert np.abs(pca_embed(store, dim=10) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_no_centred_copy_of_the_store(self, rng):
         n = 4 * PCA_BLOCK + 808  # one block buffer plus the output stay under half
-        store = ImageStore(rng.random((n, 64)), np.zeros(n, dtype=int))
+        store = pixel_store(rng, n, 64)
+        float64_copy = n * 64 * 8
         tracemalloc.start()
         try:
             live, _ = tracemalloc.get_traced_memory()
@@ -263,11 +278,11 @@ class TestPca:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - live < store.images.nbytes / 2
+        assert peak - live < float64_copy / 2
 
     def test_no_centred_block_held_through_eigh(self, rng, monkeypatch):
         n, d = 2000, 64  # one centred block (n * d * 8 bytes) dwarfs the (d, d) scatter
-        store = ImageStore(rng.random((n, d)), np.zeros(n, dtype=int))
+        store = pixel_store(rng, n, d)
         eigh, held = np.linalg.eigh, []
 
         def traced_eigh(a):
@@ -321,8 +336,14 @@ class TestPca:
     def test_uint8_store_matches_its_decode(self):
         n = 2 * PCA_BLOCK + 7  # ragged in both block sizes
         u8, f64 = uint8_store_pair(n, 64, seed=3)
-        ref = pca_embed(f64, dim=10)
+        ref = unblocked_pca(f64.images, 10)
         assert np.abs(pca_embed(u8, dim=10) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_float_store_refused(self, rng):
+        store = ImageStore(rng.random((20, 12)), np.zeros(20, dtype=int))
+        with pytest.raises(InputError, match="uint8") as refused:
+            pca_embed(store, dim=2)
+        assert refused.value.name == "store"
 
     def test_idx_store_never_decoded_whole(self, tmp_path, rng):
         n = 5 * PCA_BLOCK + 808  # one decoded block stays under half the decode
@@ -340,18 +361,18 @@ class TestPca:
         assert peak - live < float64_copy / 2
 
     def test_rank_deficient_zero_pads(self, rng):
-        images = np.tile(rng.random(6), (15, 1)) * rng.random((15, 1))  # rank 1 + mean
-        store = ImageStore(images, np.zeros(15, dtype=int))
+        pixels = np.outer(rng.integers(1, 16, 15), rng.integers(0, 16, 6))  # rank 1 + mean
+        store = ImageStore(pixels.astype(np.uint8), np.zeros(15, dtype=int))
         emb = pca_embed(store, dim=5)
         assert np.abs(emb[:, 2:]).max() < 1e-9
 
     def test_downstream_purity_on_separated_gaussians(self):
-        store = generate_synthetic(300, 3, separation=100, dim=12, seed=0)
+        store = normalize_unit(generate_synthetic(300, 3, separation=100, dim=12, seed=0))
         emb = pca_embed(store, dim=5)
         model = kmeans(emb, k=3, seed=0)
         assert purity(model, store.evaluation_labels()) == 1.0
 
     def test_bad_dim(self, rng):
-        store = ImageStore(rng.random((5, 4)), np.zeros(5, dtype=int))
+        store = pixel_store(rng, 5, 4)
         with pytest.raises(ValueError):
             pca_embed(store, dim=5)

@@ -88,6 +88,20 @@ class TestImagesWithinRadius:
                     mask[members[model.distance[members] <= threshold]] = True
             assert np.array_equal(images_within_radius(model, radius), np.flatnonzero(mask))
 
+    def test_runs_built_once_match_per_call_grouping(self, monkeypatch):
+        # tied distances and one empty cluster, as in test_matches_per_cluster_loop
+        _, corpus, model, digits = planted_clustering(4, 2000)
+        model.distance = np.round(model.distance, 1)
+        model.k, model.centroids = 11, np.zeros((11, 2))
+        runs = inf._distance_runs(model)
+        assert runs[10].size == 0
+        for radius in (1, 2, 3, 4, 5):
+            assert np.array_equal(images_within_radius(model, radius, runs), images_within_radius(model, radius))
+        built = []
+        monkeypatch.setattr(inf, "_distance_runs", lambda m: built.append(m) or runs)
+        run_inference(init_labels(model, DigitAssignment(np.append(digits, 0), 0)), corpus, model)
+        assert built == [model]
+
     def test_bad_radius(self):
         model = identity_model([0])
         with pytest.raises(ValueError):

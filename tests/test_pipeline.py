@@ -556,7 +556,7 @@ class TestStageRefusals:
     is written; `run` records it as that stage's failure."""
 
     def test_embed_store_refuses_pca_dim_above_pixels(self, tmp_path):
-        store = ds.generate_synthetic(40, 4, 80.0, 16, seed=0)
+        store = ds.normalize_unit(ds.generate_synthetic(40, 4, 80.0, 16, seed=0))
         with pytest.raises(InputError, match="got 17") as refused:
             pl.embed_store(RunConfig(backend="pca", embed_dim=17), store, tmp_path / "out" / "embedding.tf")
         assert refused.value.name == "embed_dim"
@@ -655,6 +655,7 @@ class TestLoadStores:
     def test_synthetic_split_is_two_views_of_one_array(self, tmp_path):
         config = tiny_config(tmp_path)
         store, test_store = pl.load_stores(config)
+        assert store.images.dtype == np.uint8
         buffer = store.images.base  # disjoint rows of it, so the two views never overlap
         assert buffer.nbytes == store.images.nbytes + test_store.images.nbytes
         assert np.shares_memory(buffer, store.images) and np.shares_memory(buffer, test_store.images)
@@ -747,10 +748,10 @@ class TestInferenceImprovesAccuracy:
     @staticmethod
     def run_once(seed, w, h):
         from sumlearn.assignment import solve_corpus
-        from sumlearn.dataset import build_corpus, generate_synthetic
+        from sumlearn.dataset import build_corpus, generate_synthetic, normalize_unit
         from sumlearn.inference import init_labels, run_inference
 
-        store = generate_synthetic(1600, 10, separation=6.0, dim=12, seed=seed)
+        store = normalize_unit(generate_synthetic(1600, 10, separation=6.0, dim=12, seed=seed))
         corpus = build_corpus(store, w, h, seed=seed)
         matrix = emb.pca_embed(store, dim=10)
         model = clu.kmeans(matrix, k=10, seed=seed)
@@ -803,7 +804,6 @@ class TestLabelFreedomAudit:
     TRAINING_PATH = [
         ds.decode,
         emb._exact_scatter,
-        emb._scatter,
         emb._components,
         emb.train_autoencoder,
         emb.encode,
