@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import _INT64_MAX, check_image_ids, grid_cells
+from .errors import InputError
 from .tensorfile import json_int, save_json
 
 _DIGITS = np.arange(10, dtype=np.int64)
@@ -125,7 +126,7 @@ _PRIME = 2_147_483_647  # 2^31 - 1: a product of two residues stays below 2^62
 
 
 def _check_envelope(coeffs, targets):
-    """Raise ValueError unless the search's int64 arithmetic is exact.
+    """Raise InputError("corpus") unless the search's int64 arithmetic is exact.
 
     With multipliers |n_e| <= 256, every integer the search forms is a
     partial sum of n_e * 9 * A_ej or a Lagrangian value n . (A x - s) at
@@ -143,8 +144,8 @@ def _check_envelope(coeffs, targets):
     lo = abs(9 * np.minimum(a, 0).sum(axis=1) - s)
     worst = _DUAL_SCALE * max(9 * np.abs(a).sum(), np.maximum(hi, lo).sum())
     if worst > _INT64_MAX:
-        raise ValueError(
-            f"batch too large for exact int64 bounds: magnitudes reach {worst} > 2^63 - 1; "
+        raise InputError(
+            "corpus", f"batch too large for exact int64 bounds: magnitudes reach {worst} > 2^63 - 1; "
             "use fewer rows or a narrower grid"
         )
 
@@ -322,8 +323,8 @@ def solve_batch(system, initial_digits=None, independent=False):
     with its subgradient as the root multipliers. It fixes columns in
     descending mass order, children best-bound first.
 
-    Clusters absent from the batch get digit 0. Raises ValueError if the
-    system is too large for the search's exact int64 bounds.
+    Clusters absent from the batch get digit 0. Raises InputError("corpus")
+    if the system is too large for the search's exact int64 bounds.
     """
     coeffs, targets = system.coeffs, system.targets
     _check_envelope(coeffs, targets)
@@ -386,10 +387,10 @@ def solve_corpus(corpus, model, batch_size):
 
     The winner is the batch candidate satisfying the most examples over
     the whole corpus; ties break toward lower corpus L1 residual, then
-    lower batch index.
+    lower batch index. An empty corpus is an InputError naming it.
     """
     if not len(corpus):
-        raise ValueError("corpus is empty")
+        raise InputError("corpus", "corpus is empty")
 
     full = build_batch_system(corpus, model)
     independent = _independent_batches(full.coeffs, batch_size)

@@ -109,12 +109,14 @@ def train_cnn(params, store, labels, epochs, seed=0):
     """SGD (LR, MOMENTUM) on softmax cross entropy.
 
     Mini-batches of BATCH images reshuffled each epoch from `seed`;
-    epochs=0 leaves the parameters untouched. `labels` must pass
-    `check_labels`.
+    epochs=0 leaves the parameters untouched, and training on a store of
+    no images is an InputError naming it. `labels` must pass `check_labels`.
     """
     labels = check_labels(labels, len(store))
     if epochs <= 0:
         return params
+    if not len(store):
+        raise InputError("store", "the store holds no images to train on")
     nn.fit(  # the loss is looked up per call, so perfbench's tracer can wrap it
         params.layers, lambda idx: (params.inputs(store.images[idx]), labels[idx]), len(store),
         nn.softmax_cross_entropy, epochs, np.random.default_rng(seed), LR, MOMENTUM, BATCH,

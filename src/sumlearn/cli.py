@@ -1,7 +1,7 @@
 """Command-line interface: `run` and `sweep` drive the pipeline, and each
 stage subcommand is a thin wrapper that reads its inputs from files and
 calls the same stage code as `run`, without resuming. Flags take their
-ranges from `pipeline.BOUNDS`; a stage's `InputError` is a usage error on
+minimums from `pipeline.BOUNDS`; a stage's `InputError` is a usage error on
 the flag that set the field or input it names."""
 
 import json
@@ -113,8 +113,8 @@ def _config_options(fn):
         click.option("--seed", type=int, default=None, help=f"[default: {RunConfig.seed}]"),
         click.option("--batch-size", type=int, default=None, help=f"[default: {RunConfig.batch_size}]"),
         click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=None, help=f"[default: {RunConfig.backend}]"),
-        click.option("--autoencoder-epochs", type=click.IntRange(**BOUNDS["autoencoder_epochs"]), default=None, help=f"[default: {RunConfig.autoencoder_epochs}]"),
-        click.option("--classifier-epochs", type=click.IntRange(**BOUNDS["classifier_epochs"]), default=None, help=f"[default: {RunConfig.classifier_epochs}]"),
+        click.option("--autoencoder-epochs", type=click.IntRange(min=BOUNDS["autoencoder_epochs"]), default=None, help=f"[default: {RunConfig.autoencoder_epochs}]"),
+        click.option("--classifier-epochs", type=click.IntRange(min=BOUNDS["classifier_epochs"]), default=None, help=f"[default: {RunConfig.classifier_epochs}]"),
         click.option("--data", "data_dir", type=click.Path(), default=None, help=f"MNIST IDX dir (or ${DATA_DIR_ENV})"),
         click.option("--synthetic", is_flag=True, default=False, help="use generated Gaussian data"),
         click.option("--artifacts", "artifacts_dir", type=click.Path(), default=None, help=f"[default: {RunConfig.artifacts_dir}]"),
@@ -183,12 +183,10 @@ def sweep_cmd(w_list, h_list, csv_path, config_file, **kwargs):
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--synthetic", is_flag=True)
-@click.option("--n-images", type=click.IntRange(**BOUNDS["synthetic_images"]), default=RunConfig.synthetic_images, show_default=True)
-@click.option("--n-clusters", type=click.IntRange(**BOUNDS["synthetic_clusters"]), default=RunConfig.synthetic_clusters, show_default=True)
-@click.option("--separation", type=click.FloatRange(**BOUNDS["synthetic_separation"]), default=RunConfig.synthetic_separation, show_default=True)
-@click.option("--dim", type=click.IntRange(**BOUNDS["synthetic_dim"]), default=RunConfig.synthetic_dim, show_default=True)
+@click.option("--n-images", type=click.IntRange(min=BOUNDS["synthetic_images"]), default=RunConfig.synthetic_images, show_default=True)
+@click.option("--dim", type=click.IntRange(min=BOUNDS["synthetic_dim"]), default=RunConfig.synthetic_dim, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=RunConfig.artifacts_dir, show_default=True)
-def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters, separation, dim, out_dir):
+def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, dim, out_dir):
     """Bundle images into sum-supervised examples; write corpus.txt.
 
     With --synthetic, also write the generated train and held-out test
@@ -197,8 +195,7 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
     config = _validated(RunConfig(
         w=w, h=h, oversample_factor=factor, seed=seed,
         data_dir=None if synthetic else _data_dir(data_dir, "--synthetic"), synthetic=synthetic,
-        synthetic_images=n_images, synthetic_clusters=n_clusters,
-        synthetic_separation=separation, synthetic_dim=dim,
+        synthetic_images=n_images, synthetic_dim=dim,
     ))
     out = Path(out_dir)
     store, test_store = _read("store", pl.load_stores, config)
@@ -214,8 +211,8 @@ def generate_data(w, h, factor, seed, data_dir, synthetic, n_images, n_clusters,
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None, help="store.tf from generate-data --synthetic")
 @click.option("--backend", type=click.Choice(["autoencoder", "pca"]), default=RunConfig.backend, show_default=True)
-@click.option("--epochs", type=click.IntRange(**BOUNDS["autoencoder_epochs"]), default=RunConfig.autoencoder_epochs, show_default=True)
-@click.option("--dim", type=click.IntRange(**BOUNDS["embed_dim"]), default=RunConfig.embed_dim, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=BOUNDS["autoencoder_epochs"]), default=RunConfig.autoencoder_epochs, show_default=True)
+@click.option("--dim", type=click.IntRange(min=BOUNDS["embed_dim"]), default=RunConfig.embed_dim, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/embedding.tf", show_default=True)
 def embed(data_dir, store_path, backend, epochs, dim, seed, out):
@@ -227,7 +224,7 @@ def embed(data_dir, store_path, backend, epochs, dim, seed, out):
 
 @main.command()
 @click.option("--embedding", "embedding_path", type=click.Path(exists=True), required=True)
-@click.option("--k", type=click.IntRange(**BOUNDS["kmeans_k"]), default=RunConfig.kmeans_k, show_default=True)
+@click.option("--k", type=click.IntRange(min=BOUNDS["kmeans_k"]), default=RunConfig.kmeans_k, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cluster.tf", show_default=True)
 def cluster(embedding_path, k, seed, out):
@@ -240,7 +237,7 @@ def cluster(embedding_path, k, seed, out):
 @main.command()
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--cluster", "cluster_path", type=click.Path(exists=True), required=True)
-@click.option("--batch-size", type=click.IntRange(**BOUNDS["batch_size"]), default=RunConfig.batch_size, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=BOUNDS["batch_size"]), default=RunConfig.batch_size, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/assignment.json", show_default=True)
 def assign(corpus_path, cluster_path, batch_size, out):
     """Solve the per-batch integer program and vote the winner."""
@@ -273,7 +270,7 @@ def infer(corpus_path, cluster_path, assignment_path, out):
 @click.option("--data", "data_dir", type=click.Path(), default=None)
 @click.option("--store", "store_path", type=click.Path(exists=True), default=None)
 @click.option("--labels", "labels_path", type=click.Path(exists=True), required=True)
-@click.option("--epochs", type=click.IntRange(**BOUNDS["classifier_epochs"]), default=RunConfig.classifier_epochs, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=BOUNDS["classifier_epochs"]), default=RunConfig.classifier_epochs, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--out", type=click.Path(), default=f"{RunConfig.artifacts_dir}/cnn.tf", show_default=True)
 def train(data_dir, store_path, labels_path, epochs, seed, out):

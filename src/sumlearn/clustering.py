@@ -154,7 +154,8 @@ def kmeans(emb, k, seed=0):
     Restarts draw from one seeded generator, so the whole fit is
     deterministic in (emb, k, seed). The restart with the lowest final
     within-cluster sum of squares wins (ties keep the earliest). A k above
-    the number of points is an InputError naming kmeans_k.
+    the number of points is an InputError naming kmeans_k; so is a row
+    whose squared norm is not finite (a NaN), naming the embedding.
     """
     points = np.asarray(emb, dtype=np.float64)
     n = points.shape[0]
@@ -174,8 +175,8 @@ def kmeans(emb, k, seed=0):
         norms = (points**2).sum(axis=1)
         bad = np.flatnonzero(~np.isfinite(4.0 * norms))
     if bad.size:
-        raise ValueError(
-            f"embedding row {bad[0]} has squared norm {norms[bad[0]]}: k-means needs every "
+        raise InputError(
+            "embedding", f"embedding row {bad[0]} has squared norm {norms[bad[0]]}: k-means needs every "
             "4 * ||x||^2 finite"
         )
     columns = np.ascontiguousarray(points.T)

@@ -23,10 +23,7 @@ def run_cli(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env, catch_exceptions=False)
 
 
-SYNTH = [
-    "--synthetic", "--n-images", "480", "--n-clusters", "4",
-    "--separation", "80", "--dim", "196", "--seed", "0",
-]
+SYNTH = ["--synthetic", "--n-images", "480", "--dim", "196", "--seed", "0"]
 
 
 def idx_dir(data, n, splits=("train", "t10k")):
@@ -54,7 +51,7 @@ class TestStageCommands:
         assert r.exit_code == 0, r.output
 
         r = run_cli(
-            "cluster", "--embedding", f"{out}/embedding.tf", "--k", "4",
+            "cluster", "--embedding", f"{out}/embedding.tf", "--k", "10",
             "--out", f"{out}/cluster.tf",
         )
         assert r.exit_code == 0, r.output
@@ -141,8 +138,7 @@ class TestStageChainMatchesRun:
     test images."""
 
     SETTINGS = dict(w=2, h=2, seed=3, batch_size=50, backend="pca", classifier_epochs=4,
-                    synthetic=True, synthetic_images=480, synthetic_clusters=10,
-                    synthetic_separation=80.0, synthetic_dim=196)
+                    synthetic=True, synthetic_images=480, synthetic_dim=196)
 
     def test_same_artifacts_and_metrics(self, tmp_path):
         config = tmp_path / "config.json"
@@ -155,7 +151,7 @@ class TestStageChainMatchesRun:
         c = tmp_path / "stages"
         steps = [
             ("generate-data", "--synthetic", "--w", "2", "--h", "2", "--seed", "3",
-             "--n-images", "480", "--n-clusters", "10", "--separation", "80", "--dim", "196",
+             "--n-images", "480", "--dim", "196",
              "--out", f"{c}"),
             ("embed", "--store", f"{c}/store.tf", "--backend", "pca", "--seed", "3",
              "--out", f"{c}/embedding.tf"),
@@ -214,16 +210,35 @@ def test_readme_stage_chain_runs(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def mismatched(chain, tmp_path_factory):
-    """A corpus.txt over 960 synthetic images and a k = 10 cluster.tf over
+    """A corpus.txt over 960 synthetic images and a k = 12 cluster.tf over
     `chain`'s 480-image embedding: each loads, but neither fits `chain`'s
     other inputs."""
     base = tmp_path_factory.mktemp("mismatched")
     for step in [
         ("generate-data", "--w", "2", "--h", "1", "--out", str(base), *SYNTH, "--n-images", "960"),
-        ("cluster", "--embedding", str(chain / "embedding.tf"), "--k", "10", "--out", str(base / "cluster10.tf")),
+        ("cluster", "--embedding", str(chain / "embedding.tf"), "--k", "12", "--out", str(base / "cluster12.tf")),
     ]:
         r = run_cli(*step)
         assert r.exit_code == 0, r.output
+    return base
+
+
+@pytest.fixture(scope="module")
+def unusable(tmp_path_factory):
+    """Inputs that load but that their stage cannot use: an empty corpus, a
+    w = 18 corpus whose batch sums pass the solver's int64 envelope, an
+    embedding with a NaN row, and a store of no images with no labels."""
+    base = tmp_path_factory.mktemp("unusable")
+    (base / "empty.txt").write_text("")
+    r = run_cli("generate-data", "--synthetic", "--w", "18", "--h", "1", "--n-images", "200", "--dim", "196",
+                "--out", str(base / "w18"))
+    assert r.exit_code == 0, r.output
+    embedding = np.random.default_rng(0).random((40, 4))
+    embedding[3] = np.nan
+    save_tensors(base / "nan.tf", {"embedding": embedding})
+    save_tensors(base / "empty_store.tf", {"images": np.zeros((0, 196), dtype=np.uint8),
+                                           "true_labels": np.zeros(0, dtype=np.int64)})
+    (base / "empty_labels.bin").write_bytes(b"")
     return base
 
 
@@ -236,7 +251,7 @@ def chain(tmp_path_factory):
         ("generate-data", "--w", "2", "--h", "1", "--out", out, *SYNTH),
         ("embed", "--store", f"{out}/store.tf", "--backend", "pca", "--dim", "8",
          "--out", f"{out}/embedding.tf"),
-        ("cluster", "--embedding", f"{out}/embedding.tf", "--k", "4", "--out", f"{out}/cluster.tf"),
+        ("cluster", "--embedding", f"{out}/embedding.tf", "--k", "10", "--out", f"{out}/cluster.tf"),
         ("assign", "--corpus", f"{out}/corpus.txt", "--cluster", f"{out}/cluster.tf",
          "--batch-size", "30", "--out", f"{out}/assignment.json"),
         ("infer", "--corpus", f"{out}/corpus.txt", "--cluster", f"{out}/cluster.tf",
@@ -436,17 +451,19 @@ class TestUsageErrors:
             ({"kmeans_n_init": 0}, "Invalid value for '--config': unknown config keys: kmeans_n_init"),
             ({"kmeans_tol": 1e-3}, "Invalid value for '--config': unknown config keys: kmeans_tol"),
             ({"radius_schedule": [1, 2]}, "Invalid value for '--config': unknown config keys: radius_schedule"),
+            # so are the synthetic Gaussian's class count and separation
+            ({"synthetic_clusters": 11}, "Invalid value for '--config': unknown config keys: synthetic_clusters"),
+            ({"synthetic_separation": 0.0},
+             "Invalid value for '--config': unknown config keys: synthetic_separation"),
             ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
             ({"autoencoder_epochs": -1}, "autoencoder_epochs must be >= 0, got -1"),
             ({"classifier_epochs": -1}, "classifier_epochs must be >= 0, got -1"),
-            ({"synthetic_clusters": 11}, "synthetic_clusters must be in 1..10, got 11"),
-            ({"synthetic_separation": 0.0}, "synthetic_separation must be > 0, got 0.0"),
             ({"synthetic_dim": 0}, "synthetic_dim must be >= 1, got 0"),
             ({"embed_dim": 900}, "embed_dim must be <= synthetic_dim 784 for PCA, got 900"),
         ],
-        ids=["kmeans_k", "kmeans_max_iter", "kmeans_n_init", "kmeans_tol", "radius_schedule", "embed_dim",
-             "autoencoder_epochs", "classifier_epochs", "synthetic_clusters", "synthetic_separation", "synthetic_dim",
-             "embed_dim-above-pixels"],
+        ids=["kmeans_k", "kmeans_max_iter", "kmeans_n_init", "kmeans_tol", "radius_schedule",
+             "synthetic_clusters", "synthetic_separation", "embed_dim", "autoencoder_epochs",
+             "classifier_epochs", "synthetic_dim", "embed_dim-above-pixels"],
     )
     def test_invalid_config_file_value_refused_before_writing(self, tmp_path, values, message):
         config = tmp_path / "config.json"
@@ -468,8 +485,6 @@ class TestUsageErrors:
             (["train", "--store", "{chain}/store.tf", "--labels", "{chain}/labels.bin",
               "--epochs", "-1"], "--epochs"),
             (["evaluate", "--cnn", "{chain}/cnn.tf", "--store", "{chain}/test_store.tf", "--w", "0"], "--w"),
-            (["generate-data", "--synthetic", "--n-clusters", "11"], "--n-clusters"),
-            (["generate-data", "--synthetic", "--separation", "0"], "--separation"),
             (["generate-data", "--synthetic", "--dim", "0"], "--dim"),
             (["generate-data", "--synthetic", "--n-images", "0"], "--n-images"),
             (["run", "--synthetic", "--backend", "pca", "--classifier-epochs", "-1"], "--classifier-epochs"),
@@ -479,8 +494,7 @@ class TestUsageErrors:
             (["evaluate", "--cnn", "{chain}/cnn.tf", "--store", "{chain}/test_store.tf", "--w", "20"], "--w"),
         ],
         ids=["embed-dim", "embed-epochs", "cluster-k", "assign-batch-size",
-             "train-epochs", "evaluate-w", "generate-data-n-clusters", "generate-data-separation",
-             "generate-data-dim", "generate-data-n-images", "run-classifier-epochs",
+             "train-epochs", "evaluate-w", "generate-data-dim", "generate-data-n-images", "run-classifier-epochs",
              "embed-dim-above-pixels", "cluster-k-above-rows", "evaluate-w-overflow"],
     )
     def test_out_of_range_number_refused_before_writing(self, chain, tmp_path, args, option):
@@ -491,6 +505,14 @@ class TestUsageErrors:
         r = run_cli(*[arg.format(chain=chain) for arg in args], *out)
         assert r.exit_code == 2, r.output
         assert f"Invalid value for '{option}'" in r.output
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", ["--n-clusters", "--separation"])
+    def test_generate_data_gaussian_shape_flags_are_unknown(self, tmp_path, option):
+        # the synthetic Gaussian's class count and separation are constants
+        r = run_cli("generate-data", "--synthetic", option, "10", "--out", str(tmp_path / "a"))
+        assert r.exit_code == 2, r.output
+        assert "No such option" in r.output and option in r.output
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -517,10 +539,10 @@ class TestUsageErrors:
         "args, name, tensor, edit, message",
         [
             (["assign", "--corpus", "{chain}/corpus.txt", "--cluster", "{bad}"], "cluster.tf", "assignment",
-             lambda a: np.r_[7, a[1:]], "puts image 0 in cluster 7, outside 0..3"),
+             lambda a: np.r_[12, a[1:]], "puts image 0 in cluster 12, outside 0..9"),
             (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{bad}", "--assignment",
               "{chain}/assignment.json"], "cluster.tf", "assignment",
-             lambda a: np.r_[7, a[1:]], "puts image 0 in cluster 7, outside 0..3"),
+             lambda a: np.r_[12, a[1:]], "puts image 0 in cluster 12, outside 0..9"),
             (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{bad}", "--assignment",
               "{chain}/assignment.json"], "cluster.tf", "distance", lambda d: d[:-1],
              "tensors 'assignment' (480,) and 'distance' (479,) are not 1-D of one length"),
@@ -548,16 +570,39 @@ class TestUsageErrors:
              "example 0 references unclustered image ids"),
             (["infer", "--corpus", "{big}/corpus.txt", "--cluster", "{chain}/cluster.tf",
               "--assignment", "{chain}/assignment.json"], "--corpus", "example 0 references unclustered image ids"),
-            (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{big}/cluster10.tf",
-              "--assignment", "{chain}/assignment.json"], "--assignment", "assignment covers 4 clusters, model has 10"),
+            (["infer", "--corpus", "{chain}/corpus.txt", "--cluster", "{big}/cluster12.tf",
+              "--assignment", "{chain}/assignment.json"], "--assignment", "assignment covers 10 clusters, model has 12"),
         ],
         ids=["assign-corpus-past-the-model", "infer-corpus-past-the-model", "infer-assignment-below-k"],
     )
     def test_stage_inputs_that_do_not_fit_each_other_refused(self, chain, mismatched, tmp_path, args, option, message):
         # each input loads on its own: a corpus over 960 images against a
-        # 480-image model, or a k = 4 assignment against a k = 10 model
+        # 480-image model, or a k = 10 assignment against a k = 12 model
         r = run_cli(*[arg.format(chain=chain, big=mismatched) for arg in args],
                     "--out", str(tmp_path / "a" / "result.json"))
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{option}'" in r.output
+        assert message in r.output
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args, option, message",
+        [
+            (["assign", "--corpus", "{bad}/empty.txt", "--cluster", "{chain}/cluster.tf"], "--corpus",
+             "corpus is empty"),
+            (["assign", "--corpus", "{bad}/w18/corpus.txt", "--cluster", "{chain}/cluster.tf"], "--corpus",
+             "batch too large for exact int64 bounds"),
+            (["cluster", "--embedding", "{bad}/nan.tf", "--k", "2"], "--embedding",
+             "embedding row 3 has squared norm nan"),
+            (["train", "--store", "{bad}/empty_store.tf", "--labels", "{bad}/empty_labels.bin", "--epochs", "1"],
+             "--store", "the store holds no images to train on"),
+        ],
+        ids=["assign-empty-corpus", "assign-corpus-past-the-int64-envelope", "cluster-nan-embedding",
+             "train-empty-store"],
+    )
+    def test_stage_input_the_stage_cannot_use_refused(self, chain, unusable, tmp_path, args, option, message):
+        r = run_cli(*[arg.format(chain=chain, bad=unusable) for arg in args],
+                    "--out", str(tmp_path / "a" / "result"))
         assert r.exit_code == 2, r.output
         assert f"Invalid value for '{option}'" in r.output
         assert message in r.output
@@ -687,7 +732,7 @@ class TestUsageErrors:
     )
     def test_train_refuses_images_the_cnn_cannot_take(self, tmp_path, dim, message):
         data = tmp_path / "data"
-        r = run_cli("generate-data", "--synthetic", "--n-images", "40", "--n-clusters", "4",
+        r = run_cli("generate-data", "--synthetic", "--n-images", "40",
                     "--dim", str(dim), "--out", str(data))
         assert r.exit_code == 0, r.output
         np.zeros(40, dtype="<i8").tofile(tmp_path / "labels.bin")
@@ -700,7 +745,7 @@ class TestUsageErrors:
 
     def test_evaluate_refuses_images_the_cnn_does_not_take(self, chain, tmp_path):
         data = tmp_path / "data"
-        r = run_cli("generate-data", "--synthetic", "--n-images", "40", "--n-clusters", "4",
+        r = run_cli("generate-data", "--synthetic", "--n-images", "40",
                     "--dim", "100", "--out", str(data))
         assert r.exit_code == 0, r.output
         r = run_cli("evaluate", "--cnn", str(chain / "cnn.tf"), "--store", str(data / "test_store.tf"),
@@ -782,8 +827,6 @@ class TestBoundTable:
         ("sweep", "autoencoder_epochs"): "autoencoder_epochs",
         ("sweep", "classifier_epochs"): "classifier_epochs",
         ("generate-data", "n_images"): "synthetic_images",
-        ("generate-data", "n_clusters"): "synthetic_clusters",
-        ("generate-data", "separation"): "synthetic_separation",
         ("generate-data", "dim"): "synthetic_dim",
         ("embed", "epochs"): "autoencoder_epochs",
         ("embed", "dim"): "embed_dim",
@@ -802,10 +845,10 @@ class TestBoundTable:
         assert set(ranged) == set(self.RANGED)
         for key, kind in ranged.items():
             field = self.RANGED[key]
-            bound = {"min": None, "max": None, "min_open": False, "max_open": False, **BOUNDS[field]}
+            assert RunConfig.__dataclass_fields__[field].type is int, key
+            assert type(kind) is click.IntRange, key
+            bound = {"min": BOUNDS[field], "max": None, "min_open": False, "max_open": False}
             assert {name: getattr(kind, name) for name in bound} == bound, key
-            number = click.FloatRange if RunConfig.__dataclass_fields__[field].type is float else click.IntRange
-            assert type(kind) is number, key
 
 
 def _write_config(tmp_path):
@@ -817,8 +860,6 @@ def _write_config(tmp_path):
                 "synthetic": True,
                 "synthetic_images": 480,
                 "synthetic_test_images": 160,
-                "synthetic_clusters": 10,
-                "synthetic_separation": 80.0,
                 "synthetic_dim": 196,
                 "batch_size": 50,
             }

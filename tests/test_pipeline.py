@@ -34,8 +34,6 @@ def tiny_config(tmp_path, **overrides):
         synthetic=True,
         synthetic_images=480,
         synthetic_test_images=160,
-        synthetic_clusters=10,
-        synthetic_separation=80.0,
         synthetic_dim=196,
         artifacts_dir=str(tmp_path / "artifacts"),
         reports_dir=str(tmp_path / "reports"),
@@ -117,7 +115,7 @@ class TestRunConfig:
             RunConfig().validate()
 
     def test_json_roundtrip(self):
-        cfg = RunConfig(w=3, h=2, synthetic_separation=12.5, synthetic=True)
+        cfg = RunConfig(w=3, h=2, synthetic_dim=196, synthetic=True)
         again = RunConfig.from_json(cfg.to_json())
         assert again == cfg
 
@@ -125,13 +123,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config keys: batchsize, seeed"):
             RunConfig.from_json({"seeed": 1, "w": 2, "batchsize": 7})
 
-    @pytest.mark.parametrize("key, value", [("synthetic_separation", 1), ("data_dir", None), ("synthetic", False)])
+    @pytest.mark.parametrize("key, value", [("seed", 1), ("data_dir", None), ("synthetic", False)])
     def test_from_json_accepts_fitting_types(self, key, value):
         assert getattr(RunConfig.from_json({key: value}), key) == value
 
     @pytest.mark.parametrize(
         "obj, key",
-        [({"w": True}, "w"), ({"w": 2.0}, "w"), ({"synthetic_separation": "60"}, "synthetic_separation"),
+        [({"w": True}, "w"), ({"w": 2.0}, "w"), ({"synthetic_dim": "784"}, "synthetic_dim"),
          ({"synthetic": 1}, "synthetic"), ({"backend": None}, "backend"),
          ({"data_dir": 3}, "data_dir"), ({"kmeans_k": [1, 2]}, "kmeans_k"),
          ({"artifacts_dir": 3}, "artifacts_dir")],
@@ -145,6 +143,37 @@ class TestRunConfig:
             RunConfig(synthetic=True, backend="pca", embed_dim=900).validate()
         RunConfig(synthetic=True, backend="pca", embed_dim=784).validate()
         RunConfig(synthetic=True, backend="autoencoder", embed_dim=900).validate()  # a wide code
+
+    # a value other than the default for each field a stage key hashes
+    ALTERED = {
+        "w": 3, "h": 3, "oversample_factor": 2, "seed": 1, "batch_size": 50, "backend": "pca",
+        "autoencoder_epochs": 5, "embed_dim": 8, "kmeans_k": 4, "classifier_epochs": 2, "synthetic": False,
+        "synthetic_images": 500, "synthetic_test_images": 100, "synthetic_dim": 196, "data_dir": "elsewhere",
+    }
+
+    @staticmethod
+    def stage_keys(cfg):
+        return [cfg.store_key(), cfg.corpus_key(), cfg.embed_key(), cfg.cluster_key(), cfg.assign_key(),
+                cfg.infer_key(), cfg.train_key()]
+
+    def test_every_field_but_the_output_dirs_moves_a_stage_key(self):
+        fields = set(RunConfig.__dataclass_fields__)
+        assert set(self.ALTERED) == fields - {"artifacts_dir", "reports_dir"}
+        for name, value in self.ALTERED.items():
+            # data_dir is hashed only for IDX data, the synthetic_* fields only for synthetic data
+            base = RunConfig(synthetic=name != "data_dir", data_dir="mnist")
+            assert getattr(base, name) != value, name
+            moved = dataclasses.replace(base, **{name: value})
+            assert self.stage_keys(moved) != self.stage_keys(base), name
+        base = RunConfig(synthetic=True)
+        for name in ("artifacts_dir", "reports_dir"):
+            assert self.stage_keys(dataclasses.replace(base, **{name: "elsewhere"})) == self.stage_keys(base)
+
+    @pytest.mark.parametrize("seed, key", [(0, "705984147b7108dd"), (1, "b989c85014eabcc9")])
+    def test_default_synthetic_store_key_pinned(self, seed, key):
+        # the Gaussian's class count and separation hash as "clusters": 10 and
+        # "separation": 60.0, so synthetic artifacts already on disk keep their keys
+        assert RunConfig(synthetic=True, seed=seed).store_key() == key
 
     def test_embed_key_independent_of_grid_shape(self):
         a = RunConfig(w=1, h=2, synthetic=True)
@@ -661,8 +690,8 @@ class TestLoadStores:
         assert np.shares_memory(buffer, store.images) and np.shares_memory(buffer, test_store.images)
         n = config.synthetic_images
         full = ds.normalize_unit(ds.generate_synthetic(
-            n + config.synthetic_test_images, config.synthetic_clusters,
-            config.synthetic_separation, config.synthetic_dim, seed=config.seed,
+            n + config.synthetic_test_images, pl.SYNTHETIC_CLUSTERS,
+            pl.SYNTHETIC_SEPARATION, config.synthetic_dim, seed=config.seed,
         ))
         for got, rows in ((store, np.arange(n)), (test_store, np.arange(n, len(full)))):
             want = full.subset(rows)
